@@ -112,7 +112,9 @@ def run(argv):
         code, lines = run_binary([
             f"--workload={a.workload}", f"--seed={a.seed}",
             f"--seconds={a.seconds}", f"--trace={a.trace}", f"--tmp={tmp}",
-            f"--trace-out={os.path.join(traces, f'{a.workload}-seed{a.seed}.jsonl')}",
+            # One file per workload, the latest traced run: a traced
+            # durable_paced run writes ~200 MB of spans.
+            f"--trace-out={os.path.join(traces, f'{a.workload}.jsonl')}",
             f"--git-sha={git_sha()}"])
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
