@@ -22,7 +22,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import time
 
 BUILD_DIR = os.path.join(".bench_build", "perfbench")
 BINARY = os.path.join(BUILD_DIR, "perfbench")
