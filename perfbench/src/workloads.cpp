@@ -27,6 +27,7 @@
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/socket_sink.hpp"
+#include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
 
 namespace perfbench {
@@ -51,9 +52,15 @@ constexpr std::size_t kSegmentBytes = std::size_t{16} << 20;
 /// (75k tx/s), in rounds of kPacedRoundNs of offered load.
 constexpr std::int64_t kPacedPeriodNs = 13'333;
 constexpr std::int64_t kPacedRoundNs = 500'000'000;
-/// certify_log: events per recorded log, timed passes per log.
-constexpr std::size_t kLogEvents = 4'000'000;
-constexpr std::size_t kPassesPerLog = 4;
+/// certify_log: events per recorded log, timed passes per log. Small logs
+/// give a run dozens of logs, so its median samples the host's slow and
+/// fast spells many times over (4M-event logs, five to a 10 s run, spread
+/// 0.12-0.33 between runs under load; 1M-event logs 0.09 under the same).
+constexpr std::size_t kLogEvents = 1'000'000;
+constexpr std::size_t kPassesPerLog = 6;
+/// certify_log: verify_event_stream's buffering window, below the log
+/// size, so that the stream outgrows it and runs the streaming engine.
+constexpr std::size_t kLogWindowEvents = std::size_t{1} << 18;
 
 /// The end-to-end metrics, each the median over a run's rounds.
 constexpr std::pair<const char*, const char*> kEndToEndMetrics[] = {
@@ -741,6 +748,58 @@ struct LogFixture {
   std::uint64_t attempts = 0;
 };
 
+/// Runs the producers' scripts as one seeded interleaving on this thread:
+/// each step advances one producer's transaction by one operation (begin,
+/// read/write, commit; aborted attempts are retried), the producer drawn
+/// from `seed`. Transactions overlap and conflict as with producer
+/// threads, but the history is a function of the seed alone; with threads,
+/// the host's timing sets the aborts, and so the log's size and content
+/// (up to 27% more attempts with a busy neighbour).
+void record_interleaved(optm::stm::Stm& stm,
+                        const std::vector<std::vector<TxScript>>& scripts,
+                        std::uint64_t seed, double& commits, double& attempts) {
+  struct Producer {
+    std::unique_ptr<optm::sim::ThreadCtx> ctx;
+    std::size_t tx = 0;
+    std::size_t op = 0;
+    bool open = false;
+    std::uint64_t value = 0;
+  };
+  std::vector<Producer> producers(scripts.size());
+  std::vector<std::size_t> running;
+  for (std::uint32_t p = 0; p < producers.size(); ++p) {
+    producers[p].ctx = std::make_unique<optm::sim::ThreadCtx>(p);
+    producers[p].value = (std::uint64_t{p} + 1) << 56;  // value-unique writes
+    if (!scripts[p].empty()) running.push_back(p);
+  }
+  optm::util::Xoshiro256 rng(seed);
+  while (!running.empty()) {
+    const std::size_t pick = rng.below(running.size());
+    Producer& p = producers[running[pick]];
+    const TxScript& tx = scripts[running[pick]][p.tx];
+    if (!p.open) {
+      stm.begin(*p.ctx);
+      ++attempts;
+      p.open = true;
+      p.op = 0;
+    } else if (p.op < tx.size()) {
+      const Op& op = tx[p.op++];
+      std::uint64_t v = 0;
+      // A failed read or write has already aborted the attempt.
+      p.open = op.write ? stm.write(*p.ctx, op.var, ++p.value)
+                        : stm.read(*p.ctx, op.var, v);
+    } else {
+      p.open = false;
+      if (stm.commit(*p.ctx)) {
+        ++commits;
+        if (++p.tx == scripts[running[pick]].size()) {
+          running.erase(running.begin() + static_cast<std::ptrdiff_t>(pick));
+        }
+      }
+    }
+  }
+}
+
 /// Record the seeded scripts straight into a log (no monitor), then read
 /// it back once, which checks it and warms the page cache. Runs in a
 /// child process, so the recording's memory stays out of the certifying
@@ -760,23 +819,18 @@ struct LogFixture {
   optm::log::LogWriter writer(wopt);
   optm::log::LogWriterSink sink(writer);
   optm::stm::DrainPump pump(*recorder, sink);
-  ProducerConfig base;
-  base.stm = stm.get();
-  const auto cfgs = producer_configs(base, scripts);
-  std::vector<ProducerResult> results(spec.producers);
-  const Drive d = drive(cfgs, results, &pump, nullptr, 0, 0);
   double commits = 0;
   double attempts = 0;
-  for (const ProducerResult& p : results) {
-    commits += static_cast<double>(p.commits);
-    attempts += static_cast<double>(p.attempts);
-  }
+  record_interleaved(*stm, scripts, optm::util::stream_seed(seed, spec.producers),
+                     commits, attempts);
+  const std::atomic<bool> done{true};
+  const optm::stm::DrainPump::Stats drained = pump.run(done);
   const std::uint64_t events = recorder->num_events();
   std::string error;
   const std::uint64_t reread = reread_events(dir, error);
-  if (!d.pump.sink_ok || !writer.ok()) fail(r, "log writer: " + writer.error());
+  if (!drained.sink_ok || !writer.ok()) fail(r, "log writer: " + writer.error());
   if (!error.empty()) fail(r, "log reread: " + error);
-  if (d.pump.events != events || writer.events_written() != events ||
+  if (drained.events != events || writer.events_written() != events ||
       reread != events) {
     fail(r, "event counts disagree: recorded " + std::to_string(events) +
                 ", logged " + std::to_string(writer.events_written()) +
@@ -1075,6 +1129,7 @@ Report run_certify_log(const Options& o) {
   // the busy threads at nproc.
   vo.num_threads = o.nproc;
   vo.num_shards = o.nproc > 2 ? o.nproc - 2 : 1;
+  vo.window_events = kLogWindowEvents;
 
   if (o.trace) std::ofstream(o.trace_out, std::ios::trunc);
   Tracer tracer(1);
@@ -1113,8 +1168,9 @@ Report run_certify_log(const Options& o) {
       RoundResult p = certify_pass(fx, model, vo, trace_pass ? &tracer : nullptr);
       record(rep, p);
       add_spans(spans, p.spans);
-      std::fprintf(stderr, "log %zu pass %zu%s: %.0f events/s%s%s\n", k, i,
+      std::fprintf(stderr, "log %zu pass %zu%s: %.0f events/s of %llu%s%s\n", k, i,
                    trace_pass ? " (traced)" : "", value_or(p.e2e, "events_per_s"),
+                   static_cast<unsigned long long>(fx.events),
                    p.ok ? "" : ", FAILED: ", p.failure.c_str());
       threads_used = static_cast<std::size_t>(value_or(p.layers, "verify.threads_used"));
       if (k == 0 && i == 0) continue;
