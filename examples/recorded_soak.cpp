@@ -138,6 +138,10 @@ int main(int argc, char** argv) {
   std::printf("soak.live_pipeline_events_per_sec=%.0f\n",
               result.live_events_per_sec);
   std::printf("soak.live_batches=%zu\n", result.live_batches);
+  // The drain bound: every batch the pump handed the sinks is at most
+  // max_pending events (+ stamp_batch − 1 to finish a batch-stamp ticket).
+  std::printf("soak.max_batch=%zu\n", result.live_max_batch);
+  std::printf("soak.max_batch_bound=%zu\n", result.live_max_batch_bound);
   std::printf("soak.live_certifier=%s\n",
               result.live_parallel ? "parallel" : "serial");
   std::printf("soak.live_threads=%zu\n", result.live_threads_used);
@@ -146,6 +150,11 @@ int main(int argc, char** argv) {
   if (!result.live_ok) {
     std::printf("soak.live_monitor_reason=%s\n",
                 result.live_violation->reason.c_str());
+    return 1;
+  }
+  if (result.live_max_batch > result.live_max_batch_bound) {
+    std::printf("soak.error=a batch of %zu events exceeded the drain bound\n",
+                result.live_max_batch);
     return 1;
   }
   if (log_writer != nullptr) {
@@ -223,6 +232,8 @@ int main(int argc, char** argv) {
         "  \"recorded_events\": %zu,\n"
         "  \"live_pipeline_events_per_sec\": %.0f,\n"
         "  \"live_batches\": %zu,\n"
+        "  \"max_batch\": %zu,\n"
+        "  \"max_batch_bound\": %zu,\n"
         "  \"live_certifier\": \"%s\",\n"
         "  \"live_threads\": %zu,\n"
         "  \"live_shards\": %zu,\n"
@@ -232,6 +243,7 @@ int main(int argc, char** argv) {
         result.window_mode.c_str(), flags->stamp_batch, options.threads,
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,
+        result.live_max_batch, result.live_max_batch_bound,
         result.live_parallel ? "parallel" : "serial", result.live_threads_used,
         result.live_shards_used, result.offline_events_per_sec,
         result.offline_shards);

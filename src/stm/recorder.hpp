@@ -152,14 +152,21 @@
 // drain loop.
 //
 // PACING. A live consumer should neither busy-poll a quiet recorder nor
-// let a burst build unbounded verdict latency. AdaptiveDrainPacer derives
-// the poll threshold from the measured ingest rate (an EWMA of stamps
-// issued between polls): bursts raise the threshold toward max_interval so
+// hand its sink a whole backlog at once. AdaptiveDrainPacer derives the
+// poll threshold from the measured ingest rate (an EWMA of stamps issued
+// between polls): bursts raise the threshold toward max_interval so
 // batches amortize the merge, quiet periods drop it toward min_interval
-// and an idle-poll flush bounds the tail — so the events between a
-// violation being recorded and the monitor latching it stay under
-// Options::max_pending whatever the workload does (the cadence tests
-// enforce both the convergence and the latency bound).
+// and an idle-poll flush bounds the tail. What is enforced is the size of
+// each hand-over: a drain is forced once Options::max_pending events are
+// pending, and DrainPump caps every drain at max_pending (drain()'s
+// budget; + stamp_batch − 1 to finish a ticket), so every batch the sink
+// sees, and the batch memory, stays within it. The backlog itself — and
+// with it the events between a violation being recorded and the monitor
+// latching it — stays bounded only while the sink keeps up with the
+// producers; bounding it otherwise needs producer backpressure, which the
+// recorder does not apply. drain_pacer_test enforces the cadence (and the
+// latency bound for a sink that keeps up); sharded_recorder_test and
+// recorded_soak enforce the batch bound under real parallelism.
 #pragma once
 
 #include <algorithm>
@@ -286,8 +293,11 @@ class AdaptiveDrainPacer {
     /// Poll-threshold floor/ceiling, in pending events.
     std::uint64_t min_interval = 64;
     std::uint64_t max_interval = 8192;
-    /// Hard verdict-latency bound: a drain is forced once this many events
-    /// are pending, whatever the rate estimate says.
+    /// Batch cap: a drain is forced once this many events are pending,
+    /// whatever the rate estimate says, and DrainPump hands its sink at
+    /// most this many per batch (+ stamp_batch − 1). It bounds verdict
+    /// latency only while the sink keeps up; a slower sink leaves a growing
+    /// backlog (nothing slows the producers down).
     std::uint64_t max_pending = 16384;
     /// Consecutive polls with pending work but NO new ingest before a
     /// flush (bounds latency when the lanes go quiet mid-batch).
@@ -616,7 +626,16 @@ class Recorder final : public RecorderBase {
   /// acquire read of the gate is guaranteed to show the batch's full tail
   /// — the close store is sequenced after every tail publish — so the
   /// ticket can be retired).
-  std::size_t drain(EventBatch& out) {
+  ///
+  /// Budget: the merge stops at the first ticket boundary once it has
+  /// appended `max_events` events, so one call appends at most
+  /// max_events + stamp_batch − 1 events (exactly max_events in per-event
+  /// mode). It never splits a ticket: next_seq_ always names the first
+  /// ticket not yet emitted, and the cursors carry over, so the next call
+  /// resumes exactly where this one stopped — the concatenation of capped
+  /// drains is the uncapped drain, event for event.
+  std::size_t drain(EventBatch& out,
+                    std::size_t max_events = static_cast<std::size_t>(-1)) {
     const std::lock_guard<std::mutex> guard(merge_mu_);
     if (next_seq_ == seq_.load(std::memory_order_acquire)) return 0;
     // A ticket parked by an earlier drain (its batch was open, its
@@ -649,7 +668,8 @@ class Recorder final : public RecorderBase {
 
     std::size_t consumed = 0;
     bool stalled = false;
-    while (!stalled && !heap_.empty() && heap_.front().first == next_seq_) {
+    while (!stalled && consumed < max_events && !heap_.empty() &&
+           heap_.front().first == next_seq_) {
       const std::size_t l = heap_.front().second;
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
       heap_.pop_back();
@@ -687,6 +707,9 @@ class Recorder final : public RecorderBase {
             std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
             break;
           }
+          // Ticket boundary on this lane: stop here once the budget is
+          // spent (the next drain rebuilds the heap from the cursors).
+          if (consumed >= max_events) break;
         }
         out.push_back(event_at(cur, cur.taken));
         ++cur.taken;

@@ -204,11 +204,16 @@ class TeeSink final : public EventSink {
 /// `done` is set by the producers AND the recorder is fully drained, then
 /// finish()es the sink. Call from exactly one thread (the verifier /
 /// writer thread of the pipeline).
+///
+/// Each drain is capped at the pacer's max_pending events (plus at most
+/// stamp_batch − 1 to finish a ticket), so a backlog reaches the sink in
+/// bounded batches while the producers are still recording.
 class DrainPump {
  public:
   struct Stats {
     std::size_t batches = 0;  // non-empty drains fed to the sink
     std::size_t events = 0;
+    std::size_t max_batch = 0;  // largest batch fed to the sink
     bool sink_ok = true;  // false -> the sink failed and the pump stopped
     /// Events still pending in the recorder when a sink failure aborted
     /// the run (0 on a clean run): the recording the sink chain never saw.
@@ -217,8 +222,17 @@ class DrainPump {
 
   DrainPump(Recorder& recorder, EventSink& sink,
             const AdaptiveDrainPacer::Options& pacing = {})
-      : recorder_(&recorder), sink_(&sink), pacer_(pacing) {
-    batch_.reserve(pacing.max_pending);
+      : recorder_(&recorder),
+        sink_(&sink),
+        pacer_(pacing),
+        budget_(std::max<std::size_t>(pacing.max_pending, 1)) {
+    batch_.reserve(max_batch_bound());
+  }
+
+  /// The most events one batch can carry: the drain budget plus the rest
+  /// of the batch-stamp ticket it ran out in (drains never split a ticket).
+  [[nodiscard]] std::size_t max_batch_bound() const noexcept {
+    return budget_ + recorder_->stamp_batch() - 1;
   }
 
   [[nodiscard]] Stats run(const std::atomic<bool>& done) {
@@ -240,13 +254,14 @@ class DrainPump {
                               recorder_->approx_pending()) ||
           finished) {
         batch_.clear();
-        recorder_->drain(batch_);
+        recorder_->drain(batch_, budget_);
         pacer_.on_drain();
         idle_polls = 0;
         sleep = kMinSleep;
         if (!batch_.empty()) {
           ++stats.batches;
           stats.events += batch_.size();
+          stats.max_batch = std::max(stats.max_batch, batch_.size());
           if (!sink_->accept(batch_.span())) {
             stats.sink_ok = false;
             stats.events_undrained = recorder_->approx_pending();
@@ -272,6 +287,7 @@ class DrainPump {
   Recorder* recorder_;
   EventSink* sink_;
   AdaptiveDrainPacer pacer_;
+  std::size_t budget_;  // events per drain: the pacer's max_pending
   EventBatch batch_;
 };
 

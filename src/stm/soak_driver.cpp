@@ -118,6 +118,8 @@ SoakResult SoakDriver::run() {
 
   result.recorded_events = recorder.num_events();
   result.live_batches = pump_stats.batches;
+  result.live_max_batch = pump_stats.max_batch;
+  result.live_max_batch_bound = pump.max_batch_bound();
   result.live_events_per_sec =
       events_per_sec(result.recorded_events, record_t0, record_t1);
   result.sink_ok = pump_stats.sink_ok;

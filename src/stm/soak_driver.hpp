@@ -52,6 +52,10 @@ struct SoakResult {
 
   std::size_t recorded_events = 0;
   std::size_t live_batches = 0;
+  /// Largest batch the pump handed the sink chain, and the cap DrainPump
+  /// enforces on it (DrainPump::max_batch_bound()).
+  std::size_t live_max_batch = 0;
+  std::size_t live_max_batch_bound = 0;
   double live_events_per_sec = 0.0;
   bool live_ok = true;
   std::optional<core::OnlineViolation> live_violation;

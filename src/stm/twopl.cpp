@@ -123,11 +123,14 @@ void TwoPlStm::release_all(sim::ThreadCtx& ctx, Slot& slot) {
 
 bool TwoPlStm::fail_op(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
+  // A is recorded while the locks are still held, like C in commit():
+  // once they are released a rival may record an operation on them, and
+  // it must land after this transaction's completion.
+  rec_abort_mid_op(ctx);
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_abort_mid_op(ctx);
   return false;
 }
 
@@ -136,18 +139,25 @@ bool TwoPlStm::read(sim::ThreadCtx& ctx, VarId var, std::uint64_t& out) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.reads;
+
+  // The invocation is recorded once the lock is held (strict
+  // recoverability keys on invocation positions: one recorded while
+  // blocked would land inside the holder's lifetime). A refused request
+  // records it just before the abort that answers it. A buffered write
+  // implies the write lock, so a local read never tries to lock.
+  // Lock acquisition spins OUTSIDE any recorder window: a holder must be
+  // able to reach its own window to complete and release.
+  if (!holds_read(slot, var) && !holds_write(slot, var) &&
+      !lock_read(ctx, slot, var)) {
+    rec_inv(ctx, var, core::OpCode::kRead, 0);
+    return fail_op(ctx);
+  }
   rec_inv(ctx, var, core::OpCode::kRead, 0);
 
   if (const WriteEntry* own = slot.ws.find(var)) {
     out = own->value;
     rec_ret(ctx, var, core::OpCode::kRead, 0, out);
     return true;
-  }
-
-  if (!holds_read(slot, var) && !holds_write(slot, var)) {
-    // Lock acquisition spins OUTSIDE any recorder window: a holder must be
-    // able to reach its own window to complete and release.
-    if (!lock_read(ctx, slot, var)) return fail_op(ctx);
   }
 
   const RecWindow window = rec_sample_window();
@@ -161,11 +171,13 @@ bool TwoPlStm::write(sim::ThreadCtx& ctx, VarId var, std::uint64_t value) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   ++ctx.stats.writes;
-  rec_inv(ctx, var, core::OpCode::kWrite, value);
 
-  if (!holds_write(slot, var)) {
-    if (!lock_write(ctx, slot, var)) return fail_op(ctx);
+  // Invocation recorded once the lock is held; see read().
+  if (!holds_write(slot, var) && !lock_write(ctx, slot, var)) {
+    rec_inv(ctx, var, core::OpCode::kWrite, value);
+    return fail_op(ctx);
   }
+  rec_inv(ctx, var, core::OpCode::kWrite, value);
   slot.ws.upsert(var, value);
   rec_ret(ctx, var, core::OpCode::kWrite, value, 0);
   return true;
@@ -195,11 +207,11 @@ bool TwoPlStm::commit(sim::ThreadCtx& ctx) {
 void TwoPlStm::abort(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return;
+  rec_voluntary_abort(ctx);  // before the release; see fail_op()
   release_all(ctx, slot);
   slot.ws.clear();
   slot.active = false;
   ++ctx.stats.aborts;
-  rec_voluntary_abort(ctx);
 }
 
 }  // namespace optm::stm

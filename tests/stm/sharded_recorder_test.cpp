@@ -5,7 +5,10 @@
 // must pass the same checks the mutex engine's histories always passed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,6 +19,7 @@
 #include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
 #include "stm/recorder.hpp"
+#include "stm/sink.hpp"
 #include "util/rng.hpp"
 #include "workload/workloads.hpp"
 
@@ -409,6 +413,158 @@ TEST(BatchStamping, BatchOfOneIsPerEventMode) {
   // Clamping: 0 is nonsense and means "per event".
   Recorder clamped(4, Recorder::Options{0});
   EXPECT_EQ(clamped.stamp_batch(), 1u);
+}
+
+// --- capped drains (Recorder::drain's max_events budget) ---------------------
+
+/// One seeded single-thread push schedule over three lanes: runs of
+/// same-lane reads (so batch mode extends batches) broken by lane switches
+/// and serial commit records. `between(i)` runs after push i — the capped
+/// runs drain there, mid-recording, where the active lane's batch is open.
+template <typename Between>
+void push_schedule(Recorder& recorder, Between between) {
+  util::Xoshiro256 rng(2024);
+  std::uint32_t lane = 0;
+  for (std::size_t i = 0; i < 20000; ++i) {
+    if (rng.chance(0.3)) lane = static_cast<std::uint32_t>(rng.below(3));
+    const core::TxId tx = 1 + lane;
+    if (rng.chance(0.1)) {
+      recorder.on_commit(lane, tx, i);
+    } else {
+      recorder.on_inv(lane, tx, static_cast<VarId>(rng.below(4)),
+                      core::OpCode::kRead, static_cast<core::Value>(i));
+    }
+    between(i);
+  }
+  for (std::uint32_t l = 0; l < 3; ++l) recorder.flush_lane(l);
+}
+
+TEST(CappedDrain, ConcatenationEqualsUncappedDrainWithinTheBound) {
+  for (const std::uint32_t grain : {1u, 8u}) {
+    Recorder reference(4, Recorder::Options{grain});
+    push_schedule(reference, [](std::size_t) {});
+    EventBatch expected;
+    while (reference.drain(expected) > 0) {
+    }
+    ASSERT_EQ(expected.size(), reference.num_events());
+
+    for (const std::size_t cap : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}}) {
+      SCOPED_TRACE("stamp_batch " + std::to_string(grain) + " cap " +
+                   std::to_string(cap));
+      Recorder recorder(4, Recorder::Options{grain});
+      EventBatch out;
+      const std::size_t bound = cap + grain - 1;
+      std::size_t largest = 0;
+      std::size_t capped = 0;  // drains that stopped with events pending
+      auto drain_once = [&] {
+        const std::size_t n = recorder.drain(out, cap);
+        EXPECT_LE(n, bound);
+        largest = std::max(largest, n);
+        if (n >= cap && recorder.approx_pending() > 0) ++capped;
+        return n;
+      };
+      // Drain about every 512 pushes for the first 14000, then let a
+      // backlog larger than every cap build before the final drains.
+      util::Xoshiro256 when(7);
+      push_schedule(recorder, [&](std::size_t i) {
+        if (i < 14000 && when.below(512) == 0) (void)drain_once();
+      });
+      while (drain_once() > 0) {
+      }
+      EXPECT_GT(capped, 0u) << "the cap never bit";
+      EXPECT_LE(largest, bound);
+      ASSERT_EQ(out.size(), expected.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], expected[i]) << "capped drain diverged at " << i;
+      }
+      EXPECT_EQ(recorder.approx_pending(), 0u);
+    }
+  }
+}
+
+TEST(CappedDrain, StopsOnlyAtTicketBoundaries) {
+  // A cap of 1 lands inside lane 0's open batch (ticket 0): the whole
+  // published prefix of the ticket is emitted, the ticket stays parked, and
+  // later drains resume on it without splitting or skipping anything.
+  Recorder recorder(4, Recorder::Options{8});
+  for (int i = 0; i < 3; ++i) {
+    recorder.on_inv(0, 1, 0, core::OpCode::kRead, i);
+  }
+  EventBatch out;
+  EXPECT_EQ(recorder.drain(out, 1), 3u);  // one ticket, never split
+  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 3);  // ticket 0 grows
+  EXPECT_EQ(recorder.drain(out, 1), 1u);
+  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 4);  // ticket 1
+  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 5);
+  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 6);  // ticket 2, closes 0
+  recorder.on_inv(2, 3, 2, core::OpCode::kRead, 7);  // ticket 3
+  recorder.on_commit(2, 3);                          // ticket 4, same lane
+  EXPECT_EQ(recorder.tickets_issued(), 5u);
+  for (std::uint32_t l = 0; l < 3; ++l) recorder.flush_lane(l);
+  EXPECT_EQ(recorder.drain(out, 1), 2u);  // ticket 1: both its events
+  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 2
+  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 3: stops before 4
+  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 4
+  EXPECT_EQ(recorder.drain(out, 1), 0u);
+  ASSERT_EQ(out.size(), 9u);
+  for (std::size_t i = 0; i < 8; ++i) {
+    EXPECT_EQ(out[i].arg, static_cast<core::Value>(i)) << "event " << i;
+  }
+  EXPECT_EQ(out[8].kind, core::EventKind::kCommit);
+}
+
+/// Forwards to a MonitorSink and keeps the largest batch it was handed.
+class BatchSizeSink final : public EventSink {
+ public:
+  explicit BatchSizeSink(EventSink& next) noexcept : next_(&next) {}
+  bool accept(std::span<const core::Event> batch) override {
+    largest_ = std::max(largest_, batch.size());
+    return next_->accept(batch);
+  }
+  [[nodiscard]] std::size_t largest() const noexcept { return largest_; }
+
+ private:
+  EventSink* next_;
+  std::size_t largest_ = 0;
+};
+
+TEST(CappedDrain, PumpHandsTheMonitorBatchesWithinMaxPending) {
+  // Three producers record while the pump feeds the live monitor: every
+  // batch the sink accepts is within max_pending, and the verdict holds.
+  const auto stm = make_stm("tl2", 64);
+  ASSERT_TRUE(stm->set_window_free(true));
+  Recorder recorder(64);
+  stm->set_recorder(&recorder);
+  core::OnlineCertificateMonitor monitor(
+      recorder.model(), core::VersionOrderPolicy::kStampedRead);
+  MonitorSink monitor_sink(monitor);
+  BatchSizeSink sink(monitor_sink);
+
+  AdaptiveDrainPacer::Options pacing;
+  pacing.max_pending = 256;
+  DrainPump pump(recorder, sink, pacing);
+  std::atomic<bool> done{false};
+  DrainPump::Stats stats;
+  std::thread verifier([&] { stats = pump.run(done); });
+
+  wl::MixParams params;
+  params.threads = 3;
+  params.vars = 64;
+  params.txs_per_thread = 2000;
+  params.seed = 31;
+  (void)wl::run_random_mix(*stm, params);
+  done.store(true, std::memory_order_release);
+  verifier.join();
+
+  EXPECT_TRUE(stats.sink_ok);
+  EXPECT_EQ(stats.events, recorder.num_events());
+  EXPECT_LE(sink.largest(), pacing.max_pending);
+  EXPECT_EQ(stats.max_batch, sink.largest());
+  EXPECT_GE(stats.batches, recorder.num_events() / pacing.max_pending);
+  EXPECT_TRUE(monitor.ok()) << monitor.violation()->reason << " at event "
+                            << monitor.violation()->pos;
+  EXPECT_EQ(monitor.events_fed(), recorder.num_events());
 }
 
 TEST(ShardedRecorder, BeginTxIdsAreUniqueAcrossThreads) {
