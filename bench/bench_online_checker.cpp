@@ -98,8 +98,7 @@ void BM_DefinitionalMonitor(benchmark::State& state) {
 /// `stm_name` picks the stamp source (tl2's clock vs dstm's orec story).
 template <typename RecorderT>
 void BM_RecordedMix(benchmark::State& state, bool window_free = false,
-                    const char* stm_name = "tl2",
-                    std::uint32_t stamp_batch = 1) {
+                    const char* stm_name = "tl2") {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   wl::MixParams params;
   params.threads = threads;
@@ -113,7 +112,7 @@ void BM_RecordedMix(benchmark::State& state, bool window_free = false,
   for (auto _ : state) {
     const auto stm = stm::make_stm(stm_name, params.vars);
     (void)stm->set_window_free(window_free);
-    RecorderT recorder(params.vars, stm::Recorder::Options{stamp_batch});
+    RecorderT recorder(params.vars);
     stm->set_recorder(&recorder);
     (void)wl::run_random_mix(*stm, params);
     events = recorder.num_events();
@@ -365,17 +364,6 @@ void BM_RecordedMixDstmWindowFree(benchmark::State& state) {
   // BM_RecordedMixTl2WindowFree is the Θ(k) validation, not the recorder.
   BM_RecordedMix<optm::stm::Recorder>(state, /*window_free=*/true, "dstm");
 }
-void BM_RecordedMixShardedBatch(benchmark::State& state) {
-  // Batch-stamped recording (windowed): one global-clock ticket per 8
-  // events where the seqlock admits it. The delta against
-  // BM_RecordedMixSharded is the amortized fetch_add traffic.
-  BM_RecordedMix<optm::stm::Recorder>(state, /*window_free=*/false, "tl2",
-                                      /*stamp_batch=*/8);
-}
-void BM_RecordedMixTl2WindowFreeBatch(benchmark::State& state) {
-  BM_RecordedMix<optm::stm::Recorder>(state, /*window_free=*/true, "tl2",
-                                      /*stamp_batch=*/8);
-}
 void BM_LiveVerifiedMixSharded(benchmark::State& state) {
   live_verified_sharded(state, /*window_free=*/false,
                         core::VersionOrderPolicy::kCommitOrder);
@@ -404,18 +392,6 @@ BENCHMARK(BM_RecordedMixTl2WindowFree)
     ->UseRealTime();
 
 BENCHMARK(BM_RecordedMixDstmWindowFree)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_RecordedMixShardedBatch)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_RecordedMixTl2WindowFreeBatch)
     ->RangeMultiplier(2)
     ->Range(1, 8)
     ->Unit(benchmark::kMillisecond)
@@ -602,8 +578,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_RecordedMixSharded", "tl2", "record-only", "windowed"},
     {"BM_RecordedMixTl2WindowFree", "tl2", "record-only", "window-free"},
     {"BM_RecordedMixDstmWindowFree", "dstm", "record-only", "window-free"},
-    {"BM_RecordedMixShardedBatch", "tl2", "record-only", "windowed"},
-    {"BM_RecordedMixTl2WindowFreeBatch", "tl2", "record-only", "window-free"},
     {"BM_LiveVerifiedMixMutex", "tl2", "commit-order", "windowed"},
     {"BM_LiveVerifiedMixSharded", "tl2", "commit-order", "windowed"},
     {"BM_LiveVerifiedMixTl2WindowFree", "tl2", "stamped-read", "window-free"},

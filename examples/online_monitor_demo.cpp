@@ -58,8 +58,7 @@ int main(int argc, char** argv) {
   // The §2 interleaving: T1 reads x before, and y after, T2's commit.
   const auto stm = optm::stm::make_run_stm(*flags, 2);
   if (stm == nullptr) return 1;
-  optm::stm::Recorder recorder(2,
-                               optm::stm::Recorder::Options{flags->stamp_batch});
+  optm::stm::Recorder recorder(2);
   stm->set_recorder(&recorder);
   {
     optm::sim::ThreadCtx p1(0);

@@ -133,13 +133,12 @@ int main(int argc, char** argv) {
   // run used, so soak_*.txt files are comparable across CI runs.
   std::printf("soak.window_mode=%s\n", result.window_mode.c_str());
   std::printf("soak.policy=%s\n", to_string(result.policy));
-  std::printf("soak.stamp_batch=%u\n", flags->stamp_batch);
   std::printf("soak.recorded_events=%zu\n", result.recorded_events);
   std::printf("soak.live_pipeline_events_per_sec=%.0f\n",
               result.live_events_per_sec);
   std::printf("soak.live_batches=%zu\n", result.live_batches);
   // The drain bound: every batch the pump handed the sinks is at most
-  // max_pending events (+ stamp_batch − 1 to finish a batch-stamp ticket).
+  // max_pending events.
   std::printf("soak.max_batch=%zu\n", result.live_max_batch);
   std::printf("soak.max_batch_bound=%zu\n", result.live_max_batch_bound);
   std::printf("soak.live_certifier=%s\n",
@@ -227,7 +226,6 @@ int main(int argc, char** argv) {
         "  \"stm\": \"%s\",\n"
         "  \"policy\": \"%s\",\n"
         "  \"window_mode\": \"%s\",\n"
-        "  \"stamp_batch\": %u,\n"
         "  \"threads\": %u,\n"
         "  \"recorded_events\": %zu,\n"
         "  \"live_pipeline_events_per_sec\": %.0f,\n"
@@ -240,7 +238,7 @@ int main(int argc, char** argv) {
         "  \"offline_events_per_sec\": %.0f,\n"
         "  \"offline_shards\": %zu",
         result.stm.c_str(), to_string(result.policy),
-        result.window_mode.c_str(), flags->stamp_batch, options.threads,
+        result.window_mode.c_str(), options.threads,
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,
         result.live_max_batch, result.live_max_batch_bound,

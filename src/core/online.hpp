@@ -133,23 +133,12 @@
 // serialization that respects the birth floors respects ≺_H — exactly the
 // obligation Theorem 2's well-formedness side imposes.
 //
-// BATCH-STAMPED RECORDING (Recorder::Options::stamp_batch) changes none of
-// the above. The batch grain coarsens only the recorder's MERGE tickets —
-// the per-push sequence drain() sorts by — and those tickets never appear
-// in the verified stream: every claim here reads Event::stamp, the
-// RUNTIME's clock, which batching does not touch. The strict seqlock rule
-// (a lane extends its open batch only while its ticket is still the latest
-// drawn; commit/abort records always draw a fresh ticket) means any two
-// pushes whose real-time order is observable through the global clock get
-// distinct, correctly ordered tickets — so the drained stream remains a
-// real-time-consistent order of the pushes, the ≺_H-subset argument above
-// is untouched at any grain, and the conformance fuzz confirms recordings
-// are byte-equal to per-event stamping. What the stamps do
-// NOT prove by themselves is that the runtime told the truth; kStampedRead
-// therefore cross-checks every claim it can (version identity, snapshot
-// monotonicity) and the conformance harness (core/conformance.hpp)
-// differentially tests window-free recordings against windowed recordings
-// of identical schedules and against the exact definitional checker.
+// What the stamps do NOT prove by themselves is that the runtime told the
+// truth; kStampedRead therefore cross-checks every claim it can (version
+// identity, snapshot monotonicity) and the conformance harness
+// (core/conformance.hpp) differentially tests window-free recordings
+// against windowed recordings of identical schedules and against the exact
+// definitional checker.
 //
 // The certificate backend maintains, per live transaction, the interval of
 // serialization ranks ("the snapshot window") at which ALL its non-local

@@ -276,7 +276,7 @@ bool AstmStm::commit(sim::ThreadCtx& ctx) {
   if (!slot.active) return false;
   rec_try_commit(ctx);
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
 
   auto fail = [&]() {
     status_[ctx.id()]->store(ctx, status_word(slot.epoch, kAborted));

@@ -15,8 +15,6 @@ void add_run_flags(util::Cli& cli, const RunFlags& defaults) {
            "snapshot-rank|stamped-read");
   cli.flag("window-free", defaults.window_free ? "true" : "false",
            "record without sampling windows (stamped reads)");
-  cli.flag("stamp-batch", static_cast<std::int64_t>(defaults.stamp_batch),
-           "events per recorder stamp ticket (1 = per-event stamping)");
 }
 
 std::optional<RunFlags> parse_run_flags(const util::Cli& cli) {
@@ -32,13 +30,6 @@ std::optional<RunFlags> parse_run_flags(const util::Cli& cli) {
     return std::nullopt;
   }
   flags.policy = *policy;
-  const std::int64_t batch = cli.get_int("stamp-batch");
-  if (batch < 1 || batch > static_cast<std::int64_t>(UINT32_MAX)) {
-    std::fprintf(stderr, "--stamp-batch must be >= 1 (got %lld)\n",
-                 static_cast<long long>(batch));
-    return std::nullopt;
-  }
-  flags.stamp_batch = static_cast<std::uint32_t>(batch);
   return flags;
 }
 

@@ -9,7 +9,6 @@
 // binary log's segment-header metadata (log/format.hpp).
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,9 +24,6 @@ struct RunFlags {
   std::string stm = "tl2";
   core::VersionOrderPolicy policy = core::VersionOrderPolicy::kCommitOrder;
   bool window_free = false;
-  /// Recorder stamp-batch grain (Recorder::Options::stamp_batch): events
-  /// per global-clock ticket. 1 = per-event stamping (today's behavior).
-  std::uint32_t stamp_batch = 1;
 
   /// The optm-soak-v1 / log-header spelling of the recording mode.
   [[nodiscard]] const char* window_mode() const noexcept {

@@ -40,7 +40,7 @@ bool GlobalLockStm::write(sim::ThreadCtx& ctx, VarId var, std::uint64_t value) {
   ++ctx.stats.writes;
   rec_inv(ctx, var, core::OpCode::kWrite, value);
   // In-place mutation of committed state: exclusive against samplers.
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   // Eager in-place update with an undo log (exclusive access anyway).
   if (slot.undo.find(var) == nullptr) {
     slot.undo.upsert(var, values_[var]->load(ctx));
@@ -54,7 +54,7 @@ bool GlobalLockStm::commit(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return false;
   rec_try_commit(ctx);
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   rec_commit(ctx);  // commit point: still holding the global lock
   slot.active = false;
   ++ctx.stats.commits;
@@ -66,7 +66,7 @@ void GlobalLockStm::abort(sim::ThreadCtx& ctx) {
   Slot& slot = *slots_[ctx.id()];
   if (!slot.active) return;
   // Rollback restores committed values in place: exclusive window.
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   // Roll back eager writes, then release.
   for (const WriteEntry& w : slot.undo.entries()) {
     values_[w.var]->store(ctx, w.value);

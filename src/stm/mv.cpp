@@ -143,7 +143,7 @@ bool MvStm::commit(sim::ThreadCtx& ctx) {
     return true;
   }
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   ensure_snapshot(ctx, slot);
 
   // Lock write-set seqlocks in VarId order.

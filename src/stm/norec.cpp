@@ -124,7 +124,7 @@ bool NorecStm::commit(sim::ThreadCtx& ctx) {
     return true;
   }
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   ensure_rv(ctx, slot);
 
   // Acquire the global sequence lock at a snapshot our read set is valid

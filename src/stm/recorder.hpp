@@ -70,62 +70,6 @@
 // cross-runtime conformance suite differentially tests window-free
 // against windowed recordings of identical schedules.
 //
-// BATCH STAMPING (Recorder::Options::stamp_batch = N > 1) amortizes the
-// remaining per-event cost — one relaxed fetch_add on the global counter —
-// by drawing ONE ticket per batch of up to N same-lane events and giving
-// every event of the batch the same recorder stamp. What keeps this sound
-// is a seqlock-style validation against the global counter itself: a lane
-// may extend its open batch (reuse ticket T) only while the counter still
-// reads T+1, i.e. NOBODY — no other lane, no commit record, nothing — has
-// drawn a ticket since the batch opened. The moment any other event
-// anywhere draws a ticket, the extension check fails and the lane cuts a
-// fresh batch. Consequences, in order of importance:
-//
-//   * What coarsens: only runs of same-lane events with NO intervening
-//     ticket draw anywhere share a stamp. Those events were already
-//     adjacent in every admissible merge order, so collapsing their stamps
-//     loses nothing: the drained stream is byte-identical to per-event
-//     stamping on any schedule (deterministic or concurrent) — the merge
-//     emits a batch's events in lane push order, which is exactly the
-//     order per-event tickets would have recorded.
-//   * What cannot coarsen: serialization points. A commit or abort record
-//     closes the lane's open batch and always draws its own private
-//     ticket ("serial at birth"), so no batch ever spans a C/A record of
-//     its own lane — and the seqlock bars it from spanning any OTHER
-//     lane's C/A draw. A reader that observed a committer's write-back
-//     observes the committer's ticket draw too (the draw is
-//     sequenced-before write-back; RMWs on one atomic are totally
-//     ordered), so its next extension check fails and the read records
-//     under a fresh ticket AFTER the commit record. Theorem-2-on-stamps
-//     (kStampedRead, core/online.hpp) is untouched for the deeper reason
-//     that it never reads recorder stamps at all: it judges the
-//     Event::stamp intervals the RUNTIME emits, which batching does not
-//     touch. The recorder stamp only orders the drained stream, and that
-//     order is unchanged (see above).
-//   * Windows: RuntimeBase::rec_commit_window flushes the recording
-//     thread's open batch before taking the exclusive window, so a batch
-//     never spans a commit-window transition. Sample windows do not flush
-//     (they may overlap each other by design; flushing there would undo
-//     the batching) — the exclusive window's mutual exclusion plus the
-//     seqlock already order samples against commit points.
-//   * Accounting stays in EVENT units so AdaptiveDrainPacer's EWMA keeps
-//     converging on the same inputs: stamps_issued() reports events whose
-//     batch has closed (events_issued_, bumped once per batch — the
-//     amortization), approx_pending() derives from published-event counts,
-//     and tickets_issued() exposes the raw counter for tests asserting the
-//     amortization itself. stamps_issued() lags open batches by at most
-//     lanes·(N−1) events; the pacer's idle-poll flush bounds the latency
-//     tail exactly as before.
-//   * drain() may emit the published prefix of a still-open batch without
-//     advancing past its ticket (the rest of the batch completes the same
-//     stamp later) — sound because a batch's events are contiguous at its
-//     ticket, and it keeps approx_pending() able to reach 0 at quiescence
-//     even if a lane parks an open batch forever.
-//
-// N = 1 (the default) bypasses all of it and is byte-for-byte today's
-// per-event path: same instructions on the hot path, same counters, same
-// drained bytes.
-//
 // Two implementations:
 //   * Recorder      — the sharded engine: per-lane (per-process) buffers,
 //     lock-free against each other, merged on demand by stamp order. The
@@ -158,15 +102,15 @@
 // batches amortize the merge, quiet periods drop it toward min_interval
 // and an idle-poll flush bounds the tail. What is enforced is the size of
 // each hand-over: a drain is forced once Options::max_pending events are
-// pending, and DrainPump caps every drain at max_pending (drain()'s
-// budget; + stamp_batch − 1 to finish a ticket), so every batch the sink
-// sees, and the batch memory, stays within it. The backlog itself — and
-// with it the events between a violation being recorded and the monitor
-// latching it — stays bounded only while the sink keeps up with the
-// producers; bounding it otherwise needs producer backpressure, which the
-// recorder does not apply. drain_pacer_test enforces the cadence (and the
-// latency bound for a sink that keeps up); sharded_recorder_test and
-// recorded_soak enforce the batch bound under real parallelism.
+// pending, and DrainPump caps every drain at exactly max_pending (drain()'s
+// budget), so every batch the sink sees, and the batch memory, stays
+// within it. The backlog itself — and with it the events between a
+// violation being recorded and the monitor latching it — stays bounded
+// only while the sink keeps up with the producers; bounding it otherwise
+// needs producer backpressure, which the recorder does not apply.
+// drain_pacer_test enforces the cadence (and the latency bound for a sink
+// that keeps up); sharded_recorder_test and recorded_soak enforce the
+// batch bound under real parallelism.
 #pragma once
 
 #include <algorithm>
@@ -294,10 +238,10 @@ class AdaptiveDrainPacer {
     std::uint64_t min_interval = 64;
     std::uint64_t max_interval = 8192;
     /// Batch cap: a drain is forced once this many events are pending,
-    /// whatever the rate estimate says, and DrainPump hands its sink at
-    /// most this many per batch (+ stamp_batch − 1). It bounds verdict
-    /// latency only while the sink keeps up; a slower sink leaves a growing
-    /// backlog (nothing slows the producers down).
+    /// whatever the rate estimate says, and DrainPump hands its sink
+    /// this many per batch at most. It bounds verdict latency only
+    /// while the sink keeps up; a slower sink leaves a growing backlog
+    /// (nothing slows the producers down).
     std::uint64_t max_pending = 16384;
     /// Consecutive polls with pending work but NO new ingest before a
     /// flush (bounds latency when the lanes go quiet mid-batch).
@@ -422,31 +366,6 @@ class RecorderBase {
   [[nodiscard]] virtual core::History history() const = 0;
   [[nodiscard]] virtual std::vector<core::TxId> certificate_order() const = 0;
   [[nodiscard]] virtual std::size_t num_events() const = 0;
-
-  /// Critical section making a shared-memory action atomic with the
-  /// recording of its event (see file header for the kind discipline).
-  class [[nodiscard]] Window {
-   public:
-    Window() = default;
-    Window(RecorderBase* recorder, WindowKind kind)
-        : recorder_(recorder), kind_(kind) {
-      if (recorder_ != nullptr) recorder_->window_enter(kind_);
-    }
-    Window(Window&& other) noexcept
-        : recorder_(other.recorder_), kind_(other.kind_) {
-      other.recorder_ = nullptr;
-    }
-    Window(const Window&) = delete;
-    Window& operator=(const Window&) = delete;
-    Window& operator=(Window&&) = delete;
-    ~Window() {
-      if (recorder_ != nullptr) recorder_->window_exit(kind_);
-    }
-
-   private:
-    RecorderBase* recorder_ = nullptr;
-    WindowKind kind_ = WindowKind::kSample;
-  };
 };
 
 /// The sharded recording engine (the default `Recorder`).
@@ -464,17 +383,8 @@ class RecorderBase {
 /// recording continues — the feed for live batch verification.
 class Recorder final : public RecorderBase {
  public:
-  struct Options {
-    /// Events per global-clock ticket (the batch-stamp grain; see the
-    /// file-header BATCH STAMPING section). 1 = per-event stamping,
-    /// byte-for-byte today's behavior. Values are clamped to >= 1.
-    std::uint32_t stamp_batch = 1;
-  };
-
-  explicit Recorder(std::size_t num_vars) : Recorder(num_vars, Options()) {}
-  Recorder(std::size_t num_vars, Options options)
-      : model_(core::ObjectModel::registers(num_vars, 0)),
-        batch_n_(options.stamp_batch < 1 ? 1 : options.stamp_batch) {}
+  explicit Recorder(std::size_t num_vars)
+      : model_(core::ObjectModel::registers(num_vars, 0)) {}
 
   [[nodiscard]] core::TxId begin_tx() override {
     return next_tx_.fetch_add(1, std::memory_order_relaxed);
@@ -553,58 +463,18 @@ class Recorder final : public RecorderBase {
     return n;
   }
 
-  /// Events stamped so far, in EVENT units whatever the batch grain — the
-  /// ingest-rate signal AdaptiveDrainPacer's EWMA feeds on. Per-event mode
-  /// reads the global counter (1 ticket ≡ 1 event, exactly today's value);
-  /// batch mode reads the per-batch-close accumulator, which lags open
-  /// batches by at most lanes·(N−1) events (the pacer's idle-poll flush
-  /// bounds the resulting latency tail, as before).
+  /// Events stamped so far (one ticket per event) — the ingest-rate
+  /// signal AdaptiveDrainPacer's EWMA feeds on.
   [[nodiscard]] std::uint64_t stamps_issued() const noexcept {
-    if (batch_n_ == 1) return seq_.load(std::memory_order_acquire);
-    return events_issued_.load(std::memory_order_acquire);
-  }
-
-  /// Raw global-clock tickets drawn. In per-event mode this equals
-  /// stamps_issued(); in batch mode it is what the batching amortizes —
-  /// tests assert tickets_issued() << events recorded.
-  [[nodiscard]] std::uint64_t tickets_issued() const noexcept {
     return seq_.load(std::memory_order_acquire);
   }
 
   /// Events recorded but not yet drained — the quantity AdaptiveDrainPacer
-  /// paces on. Approximate by nature (both ends move concurrently). Batch
-  /// mode derives it from the published lane counts (an open batch's
-  /// already-published events are drainable, so they must count), and
-  /// saturates because a drain may race ahead of a stale count sum.
+  /// paces on. Approximate by nature (both ends move concurrently).
   [[nodiscard]] std::uint64_t approx_pending() const noexcept {
-    if (batch_n_ == 1) {
-      return seq_.load(std::memory_order_acquire) -
-             drained_events_.load(std::memory_order_acquire);
-    }
-    const std::uint64_t published = num_events();
-    const std::uint64_t drained =
-        drained_events_.load(std::memory_order_acquire);
-    return published > drained ? published - drained : 0;
+    return seq_.load(std::memory_order_acquire) -
+           drained_events_.load(std::memory_order_acquire);
   }
-
-  /// Close the calling lane's open stamp batch, if any: its events keep the
-  /// ticket they already carry, but no further event will join it. MUST be
-  /// called by the lane's owning thread (the batch fields are owner-private)
-  /// — RuntimeBase calls it on every commit-window transition so a batch
-  /// never spans one. No-op in per-event mode.
-  void flush_lane(std::uint32_t lane_id) {
-    assert(lane_id < sim::kMaxThreads);
-    if (batch_n_ == 1) return;
-    Lane& lane = lanes_[lane_id];
-    if (lane.batch_ticket == kNoTicket) return;
-    events_issued_.fetch_add(lane.batch_len, std::memory_order_release);
-    lane.batch_ticket = kNoTicket;
-    lane.batch_len = 0;
-    lane.open_ticket.store(kNoTicket, std::memory_order_release);
-  }
-
-  /// The batch-stamp grain this engine was built with.
-  [[nodiscard]] std::uint32_t stamp_batch() const noexcept { return batch_n_; }
 
   /// Epoch merge: append to `out` every not-yet-drained event whose stamp
   /// belongs to the contiguous completed prefix of the global ticket
@@ -617,45 +487,14 @@ class Recorder final : public RecorderBase {
   /// and nothing is allocated once `out` and the cursor caches reach their
   /// high-water capacity. Returns the number of events appended.
   ///
-  /// Batch mode: a ticket may cover several events (all from one lane, in
-  /// its push order). The merge consumes a whole ticket run at a time; at
-  /// the published tail it distinguishes a STILL-OPEN batch (the lane's
-  /// open_ticket gate reads next_seq_ — emit what is published but keep
-  /// next_seq_ parked on the ticket, the rest of the batch completes the
-  /// same stamp later) from a CLOSED one (a single count reload after the
-  /// acquire read of the gate is guaranteed to show the batch's full tail
-  /// — the close store is sequenced after every tail publish — so the
-  /// ticket can be retired).
-  ///
-  /// Budget: the merge stops at the first ticket boundary once it has
-  /// appended `max_events` events, so one call appends at most
-  /// max_events + stamp_batch − 1 events (exactly max_events in per-event
-  /// mode). It never splits a ticket: next_seq_ always names the first
-  /// ticket not yet emitted, and the cursors carry over, so the next call
-  /// resumes exactly where this one stopped — the concatenation of capped
-  /// drains is the uncapped drain, event for event.
+  /// Budget: one call appends at most `max_events` events. next_seq_
+  /// always names the first ticket not yet emitted, and the cursors carry
+  /// over, so the next call resumes exactly where this one stopped — the
+  /// concatenation of capped drains is the uncapped drain, event for event.
   std::size_t drain(EventBatch& out,
                     std::size_t max_events = static_cast<std::size_t>(-1)) {
     const std::lock_guard<std::mutex> guard(merge_mu_);
     if (next_seq_ == seq_.load(std::memory_order_acquire)) return 0;
-    // A ticket parked by an earlier drain (its batch was open, its
-    // published prefix already emitted) is re-examined here: once the
-    // lane's gate has moved on, the batch is closed, and if no published
-    // event still carries the parked ticket, the emitted prefix was the
-    // whole batch — retire the ticket or the merge wedges on it forever
-    // (the lane re-enters the heap only with NEWER stamps).
-    if (stall_lane_ != kNoLane) {
-      if (lanes_[stall_lane_].open_ticket.load(std::memory_order_acquire) !=
-          next_seq_) {
-        DrainCursor& cur = cursors_[stall_lane_];
-        refresh_cursor(stall_lane_, cur);
-        if (cur.taken == cur.published ||
-            stamp_at(cur, cur.taken) != next_seq_) {
-          ++next_seq_;
-        }
-        stall_lane_ = kNoLane;
-      }
-    }
     heap_.clear();
     for (std::size_t l = 0; l < lanes_.size(); ++l) {
       DrainCursor& cur = cursors_[l];
@@ -667,8 +506,7 @@ class Recorder final : public RecorderBase {
     std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
 
     std::size_t consumed = 0;
-    bool stalled = false;
-    while (!stalled && consumed < max_events && !heap_.empty() &&
+    while (consumed < max_events && !heap_.empty() &&
            heap_.front().first == next_seq_) {
       const std::size_t l = heap_.front().second;
       std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
@@ -676,43 +514,23 @@ class Recorder final : public RecorderBase {
       DrainCursor& cur = cursors_[l];
       // Consume the lane's whole run of consecutive tickets before going
       // back to the heap (runs are long when one thread records a burst).
-      for (;;) {
+      while (consumed < max_events) {
         if (cur.taken == cur.published) {
-          if (batch_n_ > 1 && lanes_[l].open_ticket.load(
-                                  std::memory_order_acquire) == next_seq_) {
-            // Open batch: its published prefix is already emitted (sound —
-            // the batch's events are contiguous at this ticket), but the
-            // ticket is not complete. Park next_seq_ on it and remember the
-            // lane so a later drain can retire the ticket once it closes.
-            stalled = true;
-            stall_lane_ = l;
-            break;
-          }
-          // Ticket closed (or per-event mode): one reload catches a tail
-          // published between the cursor refresh and the close.
+          // One reload catches a tail published since the cursor refresh.
           const std::size_t before = cur.published;
           refresh_cursor(l, cur);
-          if (cur.published == before) {
-            ++next_seq_;
-            break;
-          }
-          continue;
+          if (cur.published == before) break;
         }
         const std::uint64_t s = stamp_at(cur, cur.taken);
         if (s != next_seq_) {
-          ++next_seq_;
-          if (s != next_seq_) {
-            // This lane's next ticket is not adjacent: park it in the heap.
-            heap_.push_back({s, l});
-            std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-            break;
-          }
-          // Ticket boundary on this lane: stop here once the budget is
-          // spent (the next drain rebuilds the heap from the cursors).
-          if (consumed >= max_events) break;
+          // This lane's next ticket is not adjacent: back into the heap.
+          heap_.push_back({s, l});
+          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+          break;
         }
         out.push_back(event_at(cur, cur.taken));
         ++cur.taken;
+        ++next_seq_;
         ++consumed;
       }
     }
@@ -751,9 +569,6 @@ class Recorder final : public RecorderBase {
                 "the uninitialized-chunk protocol stores into raw union "
                 "slots; a non-trivial StampedEvent would need placement-new");
 
-  /// "No open batch" sentinel for the batch-ticket fields below.
-  static constexpr std::uint64_t kNoTicket = ~std::uint64_t{0};
-
   /// One per-process single-writer buffer. The owning process is the only
   /// writer; it publishes each entry with a release store of `count`.
   /// Readers load `count` (acquire) and may then read any entry below it —
@@ -763,63 +578,13 @@ class Recorder final : public RecorderBase {
   /// completion-stamp appends. `tail` is the writer's private cache of the
   /// current chunk, saving the vector indirection per push. Padded so
   /// lanes do not false-share.
-  ///
-  /// Batch-stamp state (unused when batch_n_ == 1): `batch_ticket` /
-  /// `batch_len` are owner-private (only the lane's writer touches them);
-  /// `open_ticket` is the drain-side gate — it holds the open batch's
-  /// ticket, stored (release) BEFORE the batch's first event publishes and
-  /// cleared (release) only AFTER a closing batch's last event published,
-  /// so a drainer that acquire-reads it can tell "this ticket may still
-  /// grow" from "this ticket is complete once I reload the count".
   struct alignas(64) Lane {
     mutable util::SpinLock mu;
     std::vector<std::unique_ptr<Chunk>> chunks;
     Chunk* tail{nullptr};
     std::atomic<std::size_t> count{0};
     std::vector<std::pair<core::TxId, std::uint64_t>> stamps;
-    std::uint64_t batch_ticket{kNoTicket};
-    std::uint32_t batch_len{0};
-    std::atomic<std::uint64_t> open_ticket{kNoTicket};
   };
-
-  /// Stamp one event in batch mode (batch_n_ > 1); returns its ticket.
-  /// Seqlock rule: extend the open batch only if the global counter still
-  /// reads batch_ticket + 1 — no event anywhere (in particular no commit
-  /// record) drew a ticket since the batch opened, so the batch's events
-  /// are contiguous in every admissible order. Commit/abort records are
-  /// serialization points and never share a ticket ("serial at birth").
-  [[nodiscard]] std::uint64_t batch_stamp(Lane& lane, const core::Event& e) {
-    const bool serial = e.kind == core::EventKind::kCommit ||
-                        e.kind == core::EventKind::kAbort;
-    if (!serial && lane.batch_ticket != kNoTicket &&
-        lane.batch_len < batch_n_ &&
-        seq_.load(std::memory_order_acquire) == lane.batch_ticket + 1) {
-      ++lane.batch_len;
-      return lane.batch_ticket;
-    }
-    if (lane.batch_ticket != kNoTicket) {
-      // Close the open batch: its events become visible to stamps_issued()
-      // (event-unit accounting, one RMW per batch — the amortization).
-      events_issued_.fetch_add(lane.batch_len, std::memory_order_release);
-      lane.batch_ticket = kNoTicket;
-      lane.batch_len = 0;
-    }
-    const std::uint64_t ticket =
-        seq_.fetch_add(1, std::memory_order_relaxed);
-    if (serial) {
-      events_issued_.fetch_add(1, std::memory_order_release);
-      lane.open_ticket.store(kNoTicket, std::memory_order_release);
-      return ticket;
-    }
-    lane.batch_ticket = ticket;
-    lane.batch_len = 1;
-    // Publish the gate before the event itself publishes (the caller's
-    // count store is sequenced after us): a drainer that sees a ticket-T
-    // event therefore sees open_ticket == T or a later value, never a
-    // stale pre-T one.
-    lane.open_ticket.store(ticket, std::memory_order_release);
-    return ticket;
-  }
 
   void push(std::uint32_t lane_id, const core::Event& e) {
     // A lane id out of range is a caller bug (the same id already indexes
@@ -848,11 +613,7 @@ class Recorder final : public RecorderBase {
     // Field-wise stores (not a StampedEvent temporary) keep the compiler
     // from spilling through a 56-byte memcpy per event.
     StampedEvent& slot = lane.tail->slots[i % kChunkSize].value;
-    if (batch_n_ == 1) {
-      slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      slot.seq = batch_stamp(lane, e);
-    }
+    slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     slot.event = e;
     lane.count.store(i + 1, std::memory_order_release);
   }
@@ -887,28 +648,19 @@ class Recorder final : public RecorderBase {
     for (const Lane& lane : lanes_) {
       copy_published(lane, 0, all);
     }
-    // stable_sort: batch mode hands several events the same seq; their
-    // relative order in `all` is the lane push order (collect appends each
-    // lane in order, and one ticket never spans lanes), which is exactly
-    // the order drain() emits — keep it.
-    std::stable_sort(all.begin(), all.end(),
-                     [](const StampedEvent& a, const StampedEvent& b) {
-                       return a.seq < b.seq;
-                     });
+    std::sort(all.begin(), all.end(),
+              [](const StampedEvent& a, const StampedEvent& b) {
+                return a.seq < b.seq;
+              });
     return all;
   }
 
   core::ObjectModel model_;
   std::array<Lane, sim::kMaxThreads> lanes_;
   std::atomic<std::uint64_t> seq_{0};
-  /// Events drained so far (event units, accumulated per drain).
+  /// Events drained so far (accumulated per drain).
   std::atomic<std::uint64_t> drained_events_{0};
-  /// Events whose batch has CLOSED (event units; maintained only when
-  /// batch_n_ > 1 — per-event mode reads seq_ instead and pays zero extra
-  /// RMWs).
-  std::atomic<std::uint64_t> events_issued_{0};
   std::atomic<core::TxId> next_tx_{1};
-  std::uint32_t batch_n_ = 1;
   util::SharedSpinLock window_lock_;
 
   /// Drain-side view of one lane: consumed count, last loaded published
@@ -946,11 +698,6 @@ class Recorder final : public RecorderBase {
   std::array<DrainCursor, sim::kMaxThreads> cursors_;
   std::vector<std::pair<std::uint64_t, std::size_t>> heap_;  // (stamp, lane)
   std::uint64_t next_seq_ = 0;  // first stamp not yet drained
-  /// Lane owning the open batch next_seq_ is parked on, or kNoLane. Set
-  /// when drain stalls on an open batch; consulted (and cleared) by the
-  /// next drain to retire the ticket once the batch has closed.
-  static constexpr std::size_t kNoLane = ~std::size_t{0};
-  std::size_t stall_lane_ = kNoLane;
 };
 
 /// The original single-mutex engine: every hook appends under one recursive
@@ -960,14 +707,8 @@ class Recorder final : public RecorderBase {
 /// a deterministic schedule).
 class MutexRecorder final : public RecorderBase {
  public:
-  /// Accepts (and ignores) the sharded engine's Options so differential
-  /// harnesses can construct either engine from one configuration: the
-  /// mutex engine serializes every push, so batching its stamps could
-  /// never reorder anything — per-event stamping IS its batch-N behavior.
   explicit MutexRecorder(std::size_t num_vars)
       : model_(core::ObjectModel::registers(num_vars, 0)) {}
-  MutexRecorder(std::size_t num_vars, Recorder::Options /*options*/)
-      : MutexRecorder(num_vars) {}
 
   [[nodiscard]] core::TxId begin_tx() override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);

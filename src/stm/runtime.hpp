@@ -165,16 +165,8 @@ class RuntimeBase : public Stm {
     return RecWindow(recorder_, window_lock_,
                      RecorderBase::WindowKind::kSample);
   }
-  /// Commit windows take the calling context so the sharded engine can
-  /// close the thread's open stamp batch BEFORE the exclusive window is
-  /// acquired: a batch must never span a commit-window transition (see the
-  /// BATCH STAMPING section in recorder.hpp). Sample windows deliberately
-  /// do not flush — they may overlap each other, and the commit window's
-  /// exclusivity plus the batch seqlock already order samples against
-  /// commit points.
-  [[nodiscard]] RecWindow rec_commit_window(sim::ThreadCtx& ctx) const {
+  [[nodiscard]] RecWindow rec_commit_window() const {
     if (window_free_) return RecWindow();
-    if (sharded_ != nullptr) sharded_->flush_lane(ctx.id());
     return RecWindow(recorder_, window_lock_,
                      RecorderBase::WindowKind::kCommit);
   }

@@ -205,9 +205,9 @@ class TeeSink final : public EventSink {
 /// finish()es the sink. Call from exactly one thread (the verifier /
 /// writer thread of the pipeline).
 ///
-/// Each drain is capped at the pacer's max_pending events (plus at most
-/// stamp_batch − 1 to finish a ticket), so a backlog reaches the sink in
-/// bounded batches while the producers are still recording.
+/// Each drain is capped at the pacer's max_pending events, so a backlog
+/// reaches the sink in bounded batches while the producers are still
+/// recording.
 class DrainPump {
  public:
   struct Stats {
@@ -229,10 +229,9 @@ class DrainPump {
     batch_.reserve(max_batch_bound());
   }
 
-  /// The most events one batch can carry: the drain budget plus the rest
-  /// of the batch-stamp ticket it ran out in (drains never split a ticket).
+  /// The most events one batch can carry: the drain budget, max_pending.
   [[nodiscard]] std::size_t max_batch_bound() const noexcept {
-    return budget_ + recorder_->stamp_batch() - 1;
+    return budget_;
   }
 
   [[nodiscard]] Stats run(const std::atomic<bool>& done) {

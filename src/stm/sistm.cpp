@@ -119,7 +119,7 @@ bool SiStm::commit(sim::ThreadCtx& ctx) {
     return true;
   }
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   ensure_snapshot(ctx, slot);
 
   // Lock write-set seqlocks in VarId order.

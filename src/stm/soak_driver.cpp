@@ -37,7 +37,7 @@ SoakResult SoakDriver::run() {
                                 " does not support window-free recording "
                                 "(use tl2, tiny, norec, dstm, astm or mv)");
   }
-  Recorder recorder(o.vars, Recorder::Options{o.run.stamp_batch});
+  Recorder recorder(o.vars);
   stm->set_recorder(&recorder);
 
   // ~2 events per op (inv+ret) plus lifecycle events per transaction;

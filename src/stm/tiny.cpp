@@ -161,7 +161,7 @@ bool TinyStm::commit(sim::ThreadCtx& ctx) {
     return true;
   }
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
   ensure_rv(ctx, slot);
 
   const std::uint64_t wv = clock_.advance(ctx);

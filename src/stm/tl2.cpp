@@ -94,7 +94,7 @@ bool Tl2Stm::commit(sim::ThreadCtx& ctx) {
     return true;
   }
 
-  const RecWindow window = rec_commit_window(ctx);  // commit point atomic with record
+  const RecWindow window = rec_commit_window();  // commit point atomic with record
 
   auto fail = [&](std::size_t locked_upto, auto& order) {
     for (std::size_t i = 0; i < locked_upto; ++i) {

@@ -191,7 +191,7 @@ bool TwoPlStm::commit(sim::ThreadCtx& ctx) {
   // Strict 2PL commits cannot fail: every touched variable is locked, so
   // no validation exists to fail. Install the buffered writes and release.
   {
-    const RecWindow window = rec_commit_window(ctx);
+    const RecWindow window = rec_commit_window();
     for (const WriteEntry& e : slot.ws.entries()) {
       vars_[e.var]->value.store(ctx, e.value);
     }

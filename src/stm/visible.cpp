@@ -188,7 +188,7 @@ bool VisibleReadStm::commit(sim::ThreadCtx& ctx) {
   if (!slot.active) return false;
   rec_try_commit(ctx);
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
 
   // Commit point: the status CAS. No read-set validation needed — writers
   // abort visible readers eagerly, so still-Active means reads are intact.

@@ -65,7 +65,7 @@ bool WeakStm::commit(sim::ThreadCtx& ctx) {
   if (!slot.active) return false;
   rec_try_commit(ctx);
 
-  const RecWindow window = rec_commit_window(ctx);
+  const RecWindow window = rec_commit_window();
 
   auto finish_abort = [&] {
     slot.active = false;

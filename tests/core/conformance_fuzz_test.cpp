@@ -106,12 +106,11 @@ void drive_schedule(stm::Stm& stm, const ScheduleParams& p) {
 
 [[nodiscard]] History record_schedule(const std::string& name,
                                       const ScheduleParams& p,
-                                      bool window_free,
-                                      std::uint32_t stamp_batch = 1) {
+                                      bool window_free) {
   const auto stm = stm::make_stm(name, p.vars);
   EXPECT_EQ(stm->set_window_free(window_free), true)
       << name << " did not honor window mode";
-  stm::Recorder recorder(p.vars, stm::Recorder::Options{stamp_batch});
+  stm::Recorder recorder(p.vars);
   stm->set_recorder(&recorder);
   drive_schedule(*stm, p);
   return recorder.history();
@@ -217,66 +216,6 @@ TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) 
     }
     // Each runtime's fuzz set must actually exercise its stamp source.
     EXPECT_GE(stamped_reads, kScheduleSeeds) << name;
-  }
-}
-
-// The batch-stamping acceptance bar (Recorder::Options::stamp_batch): a
-// recording thread drawing ONE global-clock ticket per batch of events
-// must change only how many tickets are drawn, never what is recorded.
-// Under the strict batch seqlock (a lane extends its batch only while its
-// ticket is still the latest one drawn), the drained stream stays in
-// real-time stamp-draw order, so the batch recording of a deterministic
-// schedule is BYTE-EQUAL to the per-event recording — which makes every
-// engine's verdict and first flag position on it identical by
-// construction. The sweep proves it on the full 150-seed set, for every
-// stamping runtime, windowed and window-free, at N in {3, 8, 64}; a
-// sub-sampled conformance pass re-runs the verdict path end to end on
-// batch-stamped recordings.
-TEST(ConformanceFuzz, BatchStampedRecordingsMatchPerEventStamping) {
-  ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
-  for (const char* name : {"tl2", "tiny", "norec", "dstm", "astm", "mv"}) {
-    for (const bool window_free : {false, true}) {
-      for (std::uint64_t seed = 1; seed <= kScheduleSeeds; ++seed) {
-        ScheduleParams p = schedule_params(seed);
-        p.write_prob = 0.6;  // drive aborts/steals through the batch paths
-        const History per_event =
-            record_schedule(name, p, window_free, /*stamp_batch=*/1);
-        for (const std::uint32_t batch : {3u, 8u, 64u}) {
-          const History batched = record_schedule(name, p, window_free, batch);
-          ASSERT_EQ(per_event.size(), batched.size())
-              << name << (window_free ? " window-free" : " windowed")
-              << " seed " << seed << " batch " << batch;
-          for (std::size_t i = 0; i < per_event.size(); ++i) {
-            ASSERT_EQ(per_event[i], batched[i])
-                << name << (window_free ? " window-free" : " windowed")
-                << " seed " << seed << " batch " << batch << " event " << i
-                << ": " << to_string(per_event[i]) << " vs "
-                << to_string(batched[i]);
-          }
-        }
-        // Byte-equality makes engine agreement a corollary; spot-run the
-        // full conformance stack anyway so monitor, sharded driver and
-        // exact checker all actually ingest batch-stamped recordings.
-        if (seed % 25 == 0) {
-          const History batched =
-              record_schedule(name, p, window_free, /*stamp_batch=*/8);
-          const ConformanceReport report = check_conformance(batched, options);
-          ASSERT_TRUE(report.ok)
-              << name << " seed " << seed << ": " << report.divergence << "\n"
-              << batched.str();
-          for (const PolicyConformance& pc : report.policies) {
-            EXPECT_TRUE(pc.monitor.certified)
-                << name << " seed " << seed << " " << to_string(pc.policy)
-                << ": " << pc.monitor.reason << "\n" << batched.str();
-          }
-          ASSERT_EQ(report.exact, Verdict::kYes)
-              << name << " seed " << seed << ": " << report.exact_reason;
-        }
-      }
-    }
   }
 }
 
@@ -661,69 +600,63 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyUnderStampedPolicies) {
   }
 }
 
-// Batch stamping under real concurrency, through the shared DrainPump
-// loop: producers record window-free while the pump drains mid-run,
-// exercising the open-batch stall (drain parks at a ticket whose batch a
-// producer is still extending) and the partial-prefix emission that keeps
-// approx_pending() honest at quiescence. The monitor must certify, the
-// pump must see every recorded event exactly once, tickets must actually
-// amortize, and the offline stack must agree on the assembled history.
-// This test (with the deterministic sweep above) is the TSan surface for
-// the batch seqlock — both ride the conformance_fuzz_test TSan CI job.
-TEST(ConformanceFuzz, ConcurrentBatchStampedRunsCertifyThroughDrainPump) {
+// Window-free recording under real concurrency, through the shared
+// DrainPump loop: producers record while the pump drains mid-run, and a
+// small max_pending makes the drains capped while the producers are still
+// recording. The monitor must certify, the pump must see every recorded
+// event exactly once, and the offline stack must agree on the assembled
+// history. This is the TSan surface for a capped drain racing the
+// producers — it rides the conformance_fuzz_test TSan CI job.
+TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
   for (const char* name : {"tl2", "dstm"}) {
-    for (const std::uint32_t batch : {3u, 8u}) {
-      const auto stm = stm::make_stm(name, 8);
-      ASSERT_TRUE(stm->set_window_free(true)) << name;
-      stm::Recorder recorder(8, stm::Recorder::Options{batch});
-      stm->set_recorder(&recorder);
+    const auto stm = stm::make_stm(name, 8);
+    ASSERT_TRUE(stm->set_window_free(true)) << name;
+    stm::Recorder recorder(8);
+    stm->set_recorder(&recorder);
 
-      core::OnlineCertificateMonitor monitor(recorder.model(),
-                                             VersionOrderPolicy::kStampedRead);
-      History h(recorder.model());
-      stm::MonitorSink monitor_sink(monitor);
-      stm::HistoryAppendSink history_sink(h);
-      stm::TeeSink tee{&monitor_sink, &history_sink};
+    core::OnlineCertificateMonitor monitor(recorder.model(),
+                                           VersionOrderPolicy::kStampedRead);
+    History h(recorder.model());
+    stm::MonitorSink monitor_sink(monitor);
+    stm::HistoryAppendSink history_sink(h);
+    stm::TeeSink tee{&monitor_sink, &history_sink};
 
-      std::atomic<bool> done{false};
-      stm::DrainPump pump(recorder, tee);
-      stm::DrainPump::Stats stats;
-      std::thread verifier([&] { stats = pump.run(done); });
+    std::atomic<bool> done{false};
+    stm::AdaptiveDrainPacer::Options pacing;
+    pacing.max_pending = 64;
+    stm::DrainPump pump(recorder, tee, pacing);
+    stm::DrainPump::Stats stats;
+    std::thread verifier([&] { stats = pump.run(done); });
 
-      wl::MixParams params;
-      params.threads = 3;
-      params.vars = 8;
-      params.txs_per_thread = 200;
-      params.seed = 4242 + batch;
-      (void)wl::run_random_mix(*stm, params);
-      done.store(true, std::memory_order_release);
-      verifier.join();
+    wl::MixParams params;
+    params.threads = 3;
+    params.vars = 8;
+    params.txs_per_thread = 200;
+    params.seed = 4245;
+    (void)wl::run_random_mix(*stm, params);
+    done.store(true, std::memory_order_release);
+    verifier.join();
 
-      EXPECT_TRUE(stats.sink_ok) << name << " batch " << batch;
-      EXPECT_EQ(stats.events, recorder.num_events())
-          << name << " batch " << batch << ": the pump lost or duplicated events";
-      EXPECT_TRUE(monitor.ok())
-          << name << " batch " << batch << ": flagged at "
-          << monitor.violation()->pos << ": " << monitor.violation()->reason;
-      // The whole point of batching: strictly fewer clock tickets than
-      // events (back-to-back pushes from one lane share a ticket).
-      EXPECT_LT(recorder.tickets_issued(), recorder.num_events())
-          << name << " batch " << batch;
+    EXPECT_TRUE(stats.sink_ok) << name;
+    EXPECT_EQ(stats.events, recorder.num_events())
+        << name << ": the pump lost or duplicated events";
+    EXPECT_LE(stats.max_batch, pacing.max_pending) << name;
+    EXPECT_TRUE(monitor.ok())
+        << name << ": flagged at " << monitor.violation()->pos << ": "
+        << monitor.violation()->reason;
 
-      std::string why;
-      ASSERT_TRUE(h.well_formed(&why)) << name << " batch " << batch << ": " << why;
-      ConformanceOptions options;
-      options.policies = {VersionOrderPolicy::kSnapshotRank,
-                          VersionOrderPolicy::kStampedRead};
-      options.exact_max_txs = 0;  // exponential checker: recordings too big
-      const ConformanceReport report = check_conformance(h, options);
-      ASSERT_TRUE(report.ok)
-          << name << " batch " << batch << ": " << report.divergence;
-      for (const PolicyConformance& pc : report.policies) {
-        EXPECT_TRUE(pc.monitor.certified)
-            << name << " batch " << batch << " " << to_string(pc.policy)
-            << ": flagged at " << pc.monitor.pos << ": " << pc.monitor.reason;
-      }
+    std::string why;
+    ASSERT_TRUE(h.well_formed(&why)) << name << ": " << why;
+    ConformanceOptions options;
+    options.policies = {VersionOrderPolicy::kSnapshotRank,
+                        VersionOrderPolicy::kStampedRead};
+    options.exact_max_txs = 0;  // exponential checker: recordings too big
+    const ConformanceReport report = check_conformance(h, options);
+    ASSERT_TRUE(report.ok) << name << ": " << report.divergence;
+    for (const PolicyConformance& pc : report.policies) {
+      EXPECT_TRUE(pc.monitor.certified)
+          << name << " " << to_string(pc.policy) << ": flagged at "
+          << pc.monitor.pos << ": " << pc.monitor.reason;
     }
   }
 }

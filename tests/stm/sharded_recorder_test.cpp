@@ -294,133 +294,12 @@ TEST(ShardedRecorder, WindowFreeDrainWhileRecordingCertifiesStamped) {
   EXPECT_EQ(live.events_fed(), recorder.num_events());
 }
 
-// --- batch stamping (Recorder::Options::stamp_batch) -------------------------
-
-TEST(BatchStamping, AmortizesTicketsAndDrainsIdentically) {
-  // The same deterministic single-thread schedule recorded per-event and
-  // at batch grain 8: the drained streams must be byte-equal (batching
-  // changes how many clock tickets are drawn, never what is recorded or
-  // in which order), and the batch engine must have drawn strictly fewer
-  // tickets than events.
-  auto drive = [](Recorder& recorder) {
-    const auto stm = make_stm("tl2", 6);
-    ASSERT_TRUE(stm->set_window_free(true));
-    stm->set_recorder(&recorder);
-    sim::ThreadCtx ctx(0);
-    util::Xoshiro256 rng(17);
-    for (int t = 0; t < 40; ++t) {
-      stm->begin(ctx);
-      bool doomed = false;
-      const auto ops = 1 + rng.below(4);
-      for (std::uint64_t op = 0; op < ops && !doomed; ++op) {
-        const auto var = static_cast<VarId>(rng.below(6));
-        if (rng.chance(0.5)) {
-          doomed = !stm->write(ctx, var, (t << 8) | (op + 1));
-        } else {
-          std::uint64_t v = 0;
-          doomed = !stm->read(ctx, var, v);
-        }
-      }
-      if (!doomed) (void)stm->commit(ctx);
-    }
-  };
-
-  Recorder per_event(6);
-  drive(per_event);
-  Recorder batched(6, Recorder::Options{8});
-  drive(batched);
-  ASSERT_EQ(batched.stamp_batch(), 8u);
-
-  EventBatch a;
-  while (per_event.drain(a) > 0) {
-  }
-  EventBatch b;
-  while (batched.drain(b) > 0) {
-  }
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i], b[i]) << "batch stamping diverged at event " << i << ": "
-                          << core::to_string(a[i]) << " vs "
-                          << core::to_string(b[i]);
-  }
-
-  // Per-event mode: one ticket per event, exactly. Batch mode: strictly
-  // fewer (a single-thread schedule extends nearly every batch).
-  EXPECT_EQ(per_event.tickets_issued(), per_event.num_events());
-  EXPECT_LT(batched.tickets_issued(), batched.num_events());
-  EXPECT_EQ(per_event.stamps_issued(), per_event.num_events());
-
-  // stamps_issued() lags an OPEN batch (event-unit accounting counts a
-  // batch when it closes); the owner's flush settles it.
-  batched.flush_lane(0);
-  EXPECT_EQ(batched.stamps_issued(), batched.num_events());
-}
-
-TEST(BatchStamping, OpenBatchGatesDrainUntilFlushed) {
-  // Hand-driven pushes, exercising the drain-side gate: an open batch's
-  // published prefix is emitted, but the merge parks on its ticket until
-  // the batch closes — and retires the parked ticket on the next drain
-  // (the earlier-drain stall must not wedge the merge forever).
-  Recorder recorder(4, Recorder::Options{4});
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 0);
-  recorder.on_inv(0, 1, 1, core::OpCode::kRead, 0);
-
-  // Lane 0's batch (ticket 0) is open: both events drain (partial
-  // emission keeps approx_pending honest), but ticket 0 stays parked.
-  EventBatch out;
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  EXPECT_EQ(recorder.tickets_issued(), 1u);
-
-  // Lane 1 draws ticket 1; it cannot pass the parked open ticket 0.
-  recorder.on_inv(1, 2, 0, core::OpCode::kRead, 0);
-  EXPECT_EQ(recorder.drain(out), 0u);
-  EXPECT_EQ(recorder.approx_pending(), 1u);
-
-  // Closing lane 0's batch releases the merge; lane 1's event drains.
-  recorder.flush_lane(0);
-  EXPECT_EQ(recorder.drain(out), 1u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  ASSERT_EQ(out.size(), 3u);
-
-  // A serial record (commit) closes its lane's batch at birth: no flush
-  // needed for the merge to pass it.
-  recorder.on_ret(1, 2, 0, core::OpCode::kRead, 0, 0);
-  recorder.on_commit(1, 2, /*stamp=*/2);
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  EXPECT_EQ(out.size(), 5u);
-  EXPECT_EQ(out[4].kind, core::EventKind::kCommit);
-
-  // history() (the collect path) agrees with the drained order.
-  const core::History h = recorder.history();
-  ASSERT_EQ(h.size(), out.size());
-  for (std::size_t i = 0; i < h.size(); ++i) EXPECT_EQ(h[i], out[i]);
-}
-
-TEST(BatchStamping, BatchOfOneIsPerEventMode) {
-  // Options{1} must take the untouched per-event path: ticket count ==
-  // event count, no flush needed, drain never parks.
-  Recorder recorder(4, Recorder::Options{1});
-  EXPECT_EQ(recorder.stamp_batch(), 1u);
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 0);
-  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 0);
-  EventBatch out;
-  EXPECT_EQ(recorder.drain(out), 2u);
-  EXPECT_EQ(recorder.tickets_issued(), 2u);
-  EXPECT_EQ(recorder.stamps_issued(), 2u);
-  EXPECT_EQ(recorder.approx_pending(), 0u);
-  // Clamping: 0 is nonsense and means "per event".
-  Recorder clamped(4, Recorder::Options{0});
-  EXPECT_EQ(clamped.stamp_batch(), 1u);
-}
-
 // --- capped drains (Recorder::drain's max_events budget) ---------------------
 
 /// One seeded single-thread push schedule over three lanes: runs of
-/// same-lane reads (so batch mode extends batches) broken by lane switches
-/// and serial commit records. `between(i)` runs after push i — the capped
-/// runs drain there, mid-recording, where the active lane's batch is open.
+/// same-lane reads broken by lane switches and commit records.
+/// `between(i)` runs after push i — the capped runs drain there,
+/// mid-recording.
 template <typename Between>
 void push_schedule(Recorder& recorder, Between between) {
   util::Xoshiro256 rng(2024);
@@ -436,82 +315,75 @@ void push_schedule(Recorder& recorder, Between between) {
     }
     between(i);
   }
-  for (std::uint32_t l = 0; l < 3; ++l) recorder.flush_lane(l);
 }
 
 TEST(CappedDrain, ConcatenationEqualsUncappedDrainWithinTheBound) {
-  for (const std::uint32_t grain : {1u, 8u}) {
-    Recorder reference(4, Recorder::Options{grain});
-    push_schedule(reference, [](std::size_t) {});
-    EventBatch expected;
-    while (reference.drain(expected) > 0) {
-    }
-    ASSERT_EQ(expected.size(), reference.num_events());
+  Recorder reference(4);
+  push_schedule(reference, [](std::size_t) {});
+  EventBatch expected;
+  while (reference.drain(expected) > 0) {
+  }
+  ASSERT_EQ(expected.size(), reference.num_events());
 
-    for (const std::size_t cap : {std::size_t{1}, std::size_t{7},
-                                  std::size_t{4096}}) {
-      SCOPED_TRACE("stamp_batch " + std::to_string(grain) + " cap " +
-                   std::to_string(cap));
-      Recorder recorder(4, Recorder::Options{grain});
-      EventBatch out;
-      const std::size_t bound = cap + grain - 1;
-      std::size_t largest = 0;
-      std::size_t capped = 0;  // drains that stopped with events pending
-      auto drain_once = [&] {
-        const std::size_t n = recorder.drain(out, cap);
-        EXPECT_LE(n, bound);
-        largest = std::max(largest, n);
-        if (n >= cap && recorder.approx_pending() > 0) ++capped;
-        return n;
-      };
-      // Drain about every 512 pushes for the first 14000, then let a
-      // backlog larger than every cap build before the final drains.
-      util::Xoshiro256 when(7);
-      push_schedule(recorder, [&](std::size_t i) {
-        if (i < 14000 && when.below(512) == 0) (void)drain_once();
-      });
-      while (drain_once() > 0) {
-      }
-      EXPECT_GT(capped, 0u) << "the cap never bit";
-      EXPECT_LE(largest, bound);
-      ASSERT_EQ(out.size(), expected.size());
-      for (std::size_t i = 0; i < out.size(); ++i) {
-        ASSERT_EQ(out[i], expected[i]) << "capped drain diverged at " << i;
-      }
-      EXPECT_EQ(recorder.approx_pending(), 0u);
+  for (const std::size_t cap : {std::size_t{1}, std::size_t{7},
+                                std::size_t{4096}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Recorder recorder(4);
+    EventBatch out;
+    std::size_t largest = 0;
+    std::size_t capped = 0;  // drains that stopped with events pending
+    auto drain_once = [&] {
+      const std::size_t n = recorder.drain(out, cap);
+      EXPECT_LE(n, cap);
+      largest = std::max(largest, n);
+      if (n == cap && recorder.approx_pending() > 0) ++capped;
+      return n;
+    };
+    // Drain about every 512 pushes for the first 14000, then let a
+    // backlog larger than every cap build before the final drains.
+    util::Xoshiro256 when(7);
+    push_schedule(recorder, [&](std::size_t i) {
+      if (i < 14000 && when.below(512) == 0) (void)drain_once();
+    });
+    while (drain_once() > 0) {
     }
+    EXPECT_GT(capped, 0u) << "the cap never bit";
+    EXPECT_LE(largest, cap);
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      ASSERT_EQ(out[i], expected[i]) << "capped drain diverged at " << i;
+    }
+    EXPECT_EQ(recorder.approx_pending(), 0u);
   }
 }
 
 TEST(CappedDrain, StopsOnlyAtTicketBoundaries) {
-  // A cap of 1 lands inside lane 0's open batch (ticket 0): the whole
-  // published prefix of the ticket is emitted, the ticket stays parked, and
-  // later drains resume on it without splitting or skipping anything.
-  Recorder recorder(4, Recorder::Options{8});
+  // Every event is its own ticket, so a cap of 1 yields exactly one event
+  // per drain — across same-lane runs, lane switches and a commit — and
+  // each drain resumes on the next ticket without skipping or repeating.
+  Recorder recorder(4);
   for (int i = 0; i < 3; ++i) {
-    recorder.on_inv(0, 1, 0, core::OpCode::kRead, i);
+    recorder.on_inv(0, 1, 0, core::OpCode::kRead, i);  // tickets 0-2
   }
   EventBatch out;
-  EXPECT_EQ(recorder.drain(out, 1), 3u);  // one ticket, never split
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 3);  // ticket 0 grows
   EXPECT_EQ(recorder.drain(out, 1), 1u);
-  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 4);  // ticket 1
-  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 5);
-  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 6);  // ticket 2, closes 0
-  recorder.on_inv(2, 3, 2, core::OpCode::kRead, 7);  // ticket 3
-  recorder.on_commit(2, 3);                          // ticket 4, same lane
-  EXPECT_EQ(recorder.tickets_issued(), 5u);
-  for (std::uint32_t l = 0; l < 3; ++l) recorder.flush_lane(l);
-  EXPECT_EQ(recorder.drain(out, 1), 2u);  // ticket 1: both its events
-  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 2
-  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 3: stops before 4
-  EXPECT_EQ(recorder.drain(out, 1), 1u);  // ticket 4
+  EXPECT_EQ(recorder.approx_pending(), 2u);
+  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 3);  // ticket 3, lane 1
+  recorder.on_inv(1, 2, 1, core::OpCode::kRead, 4);
+  recorder.on_inv(0, 1, 0, core::OpCode::kRead, 5);  // back to lane 0
+  recorder.on_inv(2, 3, 2, core::OpCode::kRead, 6);  // lane 2
+  recorder.on_commit(2, 3);                          // ticket 7, same lane
+  EXPECT_EQ(recorder.stamps_issued(), 8u);
+  for (std::size_t n = 1; n < 8; ++n) {
+    EXPECT_EQ(recorder.drain(out, 1), 1u) << "drain " << n;
+    EXPECT_EQ(recorder.approx_pending(), 7u - n);
+  }
   EXPECT_EQ(recorder.drain(out, 1), 0u);
-  ASSERT_EQ(out.size(), 9u);
-  for (std::size_t i = 0; i < 8; ++i) {
+  ASSERT_EQ(out.size(), 8u);
+  for (std::size_t i = 0; i < 7; ++i) {
     EXPECT_EQ(out[i].arg, static_cast<core::Value>(i)) << "event " << i;
   }
-  EXPECT_EQ(out[8].kind, core::EventKind::kCommit);
+  EXPECT_EQ(out[7].kind, core::EventKind::kCommit);
 }
 
 /// Forwards to a MonitorSink and keeps the largest batch it was handed.

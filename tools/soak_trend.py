@@ -8,10 +8,10 @@ make the artifacts self-describing). This tool diffs the current artifacts
 against the previous nightly's and FAILS (exit 1) when any throughput
 regressed by more than the threshold.
 
-The default threshold is deliberately loose (25%): the CI runners are
-shared single-tenant VMs and the repository's one-core growth box measures
-per-event overhead, not contention (see ROADMAP "Single-core CI caveat"),
-so day-to-day noise is large. The gate exists to catch step-function
+The default threshold is deliberately loose (25%): the CI runners and the
+repository's 4-vCPU measurement host are VMs shared with other tenants,
+where soak throughput swings by tens of percent from run to run, so
+day-to-day noise is large. The gate exists to catch step-function
 regressions (an accidental O(n) in the drain, a lock reintroduced on the
 hot path), not percent-level drift.
 
@@ -110,7 +110,7 @@ def main() -> int:
     if regressions:
         print(f"\nsoak_trend: {len(regressions)} throughput metric(s) "
               f"regressed more than {args.threshold:.0%} "
-              "(loose floor; single-core runners — see ROADMAP caveat)",
+              "(loose floor; shared 4-vCPU runners are noisy)",
               file=sys.stderr)
         return 1
     print("\nsoak_trend: all throughputs within threshold")
