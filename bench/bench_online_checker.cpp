@@ -471,10 +471,9 @@ void BM_RamAppendDrain(benchmark::State& state) {
 /// The durable leg: identical chunks through log::LogWriterSink into a
 /// fresh multi-segment mmap-backed log per iteration (CRC framing,
 /// rotation and the final seal included). The delta against
-/// BM_RamAppendDrain is the cost of durability in the drain loop; the
-/// pipelined/synchronous pair isolates what the background prep/seal
-/// thread buys on top of the hardware CRC.
-void log_append_drain(benchmark::State& state, bool pipeline) {
+/// BM_RamAppendDrain is the cost of durability in the drain loop. Both
+/// run on the wall clock, so the delta includes the msync at rotation.
+void BM_LogAppendDrain(benchmark::State& state) {
   const core::History h = recorded_mix(4096);
   const auto dir = std::filesystem::temp_directory_path() /
                    ("optm_bench_log_" + std::to_string(::getpid()));
@@ -483,7 +482,6 @@ void log_append_drain(benchmark::State& state, bool pipeline) {
     log::WriterOptions options;
     options.directory = dir.string();
     options.segment_bytes = std::size_t{2} << 20;  // force rotation
-    options.pipeline = pipeline;
     options.metadata.runtime = "tl2";
     options.metadata.policy = "record-only";
     options.metadata.window_mode = "windowed";
@@ -505,14 +503,6 @@ void log_append_drain(benchmark::State& state, bool pipeline) {
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(h.size()),
       benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_LogAppendDrain(benchmark::State& state) {
-  log_append_drain(state, /*pipeline=*/false);
-}
-
-void BM_LogAppendDrainPipelined(benchmark::State& state) {
-  log_append_drain(state, /*pipeline=*/true);
 }
 
 /// The checksum kernel alone (util::crc32c as dispatched — hardware
@@ -545,9 +535,8 @@ void BM_Crc32c(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_RamAppendDrain)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LogAppendDrain)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_LogAppendDrainPipelined)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RamAppendDrain)->Unit(benchmark::kMillisecond)->UseRealTime();
+BENCHMARK(BM_LogAppendDrain)->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 // ---------------------------------------------------------------------------
@@ -583,7 +572,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_LiveVerifiedMixTl2WindowFree", "tl2", "stamped-read", "window-free"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_LogAppendDrain", "tl2", "record-only", "windowed"},
-    {"BM_LogAppendDrainPipelined", "tl2", "record-only", "windowed"},
     {"BM_Crc32c", "tl2", "record-only", "windowed"},
 };
 

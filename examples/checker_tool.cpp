@@ -154,7 +154,9 @@ int cmd_certify_log(int argc, char** argv) {
            "materialization window: logs up to this many events use the "
            "sharded parallel driver, larger ones stream through the "
            "monitor in windows of this size");
-  cli.flag("shards", std::int64_t{4}, "register shards when the sharded driver runs");
+  cli.flag("shards", std::int64_t{0},
+           "register shards (0 = auto: follows --stream-threads, so the "
+           "parallel certifier runs exactly --stream-threads threads)");
   cli.flag("stream-threads", std::int64_t{1},
            "verification threads (0 = auto): >1 runs the sharded driver "
            "multi-threaded, and streams oversized logs through the parallel "

@@ -41,7 +41,6 @@ int main(int argc, char** argv) {
            "also append every drained batch to a segmented binary log in "
            "this directory (re-certify with: checker_tool certify-log)");
   cli.flag("segment-bytes", std::int64_t{67'108'864}, "log segment capacity (with --log-dir)");
-  optm::stm::add_log_pipeline_flag(cli);
   cli.flag("connect", "",
            "also stream every drained batch to a networked certification "
            "service at host:port (checker_tool serve)");
@@ -72,16 +71,12 @@ int main(int argc, char** argv) {
   meta.num_vars = options.vars;
   meta.threads = options.threads;
 
-  const auto log_pipeline = optm::stm::parse_log_pipeline_flag(cli);
-  if (!log_pipeline) return 1;
-
   std::unique_ptr<optm::log::LogWriter> log_writer;
   std::unique_ptr<optm::log::LogWriterSink> log_sink;
   if (!cli.get("log-dir").empty()) {
     optm::log::WriterOptions wopt;
     wopt.directory = cli.get("log-dir");
     wopt.segment_bytes = static_cast<std::size_t>(cli.get_int("segment-bytes"));
-    wopt.pipeline = *log_pipeline;
     wopt.metadata = meta;
     log_writer = std::make_unique<optm::log::LogWriter>(wopt);
     log_sink = std::make_unique<optm::log::LogWriterSink>(*log_writer);
@@ -163,16 +158,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(log_writer->blocks_written()));
     std::printf("soak.log_bytes=%llu\n",
                 static_cast<unsigned long long>(log_writer->bytes_written()));
-    // Pipeline health: prep_stalls counts rotations where the drain had
-    // to wait for the background thread (sustained nonzero = the drain
-    // outruns segment prep), flush_lag the peak count of sealed segments
-    // whose deferred msync had not yet finished.
-    const auto pstats = log_writer->pipeline_stats();
-    std::printf("soak.log_pipeline=%s\n", pstats.enabled ? "on" : "off");
-    std::printf("soak.log_prep_stalls=%llu\n",
-                static_cast<unsigned long long>(pstats.prep_stalls));
-    std::printf("soak.log_flush_lag_segments=%llu\n",
-                static_cast<unsigned long long>(pstats.flush_lag_peak));
     if (!result.sink_ok) {
       std::printf("soak.log_error=%s\n", log_writer->error().c_str());
       return 1;
@@ -245,17 +230,6 @@ int main(int argc, char** argv) {
         result.live_parallel ? "parallel" : "serial", result.live_threads_used,
         result.live_shards_used, result.offline_events_per_sec,
         result.offline_shards);
-    if (log_writer != nullptr) {
-      const auto pstats = log_writer->pipeline_stats();
-      std::fprintf(f,
-                   ",\n"
-                   "  \"log_pipeline\": \"%s\",\n"
-                   "  \"log_prep_stalls\": %llu,\n"
-                   "  \"log_flush_lag_segments\": %llu",
-                   pstats.enabled ? "on" : "off",
-                   static_cast<unsigned long long>(pstats.prep_stalls),
-                   static_cast<unsigned long long>(pstats.flush_lag_peak));
-    }
     std::fprintf(f, "\n}\n");
     std::fclose(f);
   }

@@ -42,20 +42,21 @@
 // bytes dropped; the surviving prefix is still certifiable. The same
 // damage in a non-final segment, or a damaged segment header, is a hard
 // error: certification refuses rather than silently verifying a gapped
-// history (never mis-certify). One pipelined-writer refinement: the
-// writer keeps the NEXT segment pre-created (full-size, all-zero, no
-// header yet) while the current one fills, so a crash can additionally
-// leave ONE trailing headerless file; the reader drops it (and treats a
-// final segment whose header page never hit the disk the same way) —
-// nothing in a headerless file was ever reported durable. Headerless
-// files anywhere but the tail remain hard errors.
+// history (never mis-certify). A crash can also leave a final segment
+// whose header page never hit the disk (a kill between open and sizing,
+// or before the header page was written back); the reader drops such a
+// trailing headerless file whole — nothing in it was ever reported
+// durable. Logs from the earlier pipelined writer, which kept the NEXT
+// segment pre-created while the current one filled, can hold one more
+// trailing headerless file; the reader drops that too. Headerless files
+// anywhere but the tail remain hard errors.
 //
-// Note (v1 stability): the pipelined writer and the hardware CRC-32C
-// dispatch (util/crc32c.cpp) changed WHO does the syscalls and HOW the
-// checksum is computed, not the bytes: the on-disk layout above and the
-// CRC-32C polynomial (Castagnoli, reflected 0x82F63B78) are unchanged,
-// and pipeline on/off produce byte-identical files (asserted by
-// tests/log/log_pipeline_test.cpp).
+// Note (v1 stability): the hardware CRC-32C dispatch (util/crc32c.cpp)
+// changed HOW the checksum is computed, and the removal of the pipelined
+// writer changed WHO does the syscalls, not the bytes: the on-disk
+// layout above and the CRC-32C polynomial (Castagnoli, reflected
+// 0x82F63B78) are unchanged, and the reader still recovers the crash
+// artifacts either writer can leave (tests/log/log_recovery_test.cpp).
 #pragma once
 
 #include <cstddef>

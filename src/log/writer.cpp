@@ -7,12 +7,8 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
-#include <mutex>
-#include <thread>
-#include <vector>
 #include <utility>
 
 #include "util/hash.hpp"
@@ -26,218 +22,7 @@ void copy_padded(char* dst, std::size_t cap, const std::string& src) {
   std::memcpy(dst, src.data(), std::min(src.size(), cap - 1));
 }
 
-/// Size a segment file to `bytes`. fallocate actually reserves the
-/// blocks (so later write-faults into the mapping never stall on block
-/// allocation); filesystems without support fall back to the sparse
-/// ftruncate the non-pipelined writer uses. Either way the file is
-/// `bytes` of zeroes — the on-disk content is identical.
-[[nodiscard]] bool size_segment(int fd, std::size_t bytes, bool preallocate,
-                                std::string* error) {
-  if (preallocate && ::fallocate(fd, 0, 0, static_cast<off_t>(bytes)) == 0) {
-    return true;
-  }
-  if (preallocate && errno != EOPNOTSUPP && errno != ENOSYS &&
-      errno != EINVAL) {
-    *error = std::string("fallocate: ") + std::strerror(errno);
-    return false;
-  }
-  if (::ftruncate(fd, static_cast<off_t>(bytes)) != 0) {
-    *error = std::string("ftruncate: ") + std::strerror(errno);
-    return false;
-  }
-  return true;
-}
-
 }  // namespace
-
-// --- the background prep/seal thread -----------------------------------------
-//
-// One worker owns every off-hot-path segment syscall: creating,
-// fallocate'ing, mmap'ing (MAP_POPULATE pre-faults the page cache) and
-// dir-fsync'ing the NEXT segment while the current one fills, and
-// msync+munmap+close of sealed segments after rotation. Prepare requests
-// take priority over seals so the append thread stalls as rarely as
-// possible. Stop drains all outstanding work before the thread exits —
-// close() joining the thread is what keeps the durability contract
-// identical to the synchronous writer.
-struct LogWriter::Pipeline {
-  struct Prepared {
-    int fd = -1;
-    unsigned char* map = nullptr;
-    std::uint64_t index = 0;
-    std::string path;
-    std::string error;  // nonempty: preparation failed
-  };
-  struct SealJob {
-    unsigned char* map = nullptr;
-    std::size_t bytes = 0;
-    int fd = -1;
-  };
-
-  Pipeline(std::string directory, int dir_fd, std::size_t segment_bytes)
-      : directory_(std::move(directory)),
-        dir_fd_(dir_fd),
-        segment_bytes_(segment_bytes),
-        worker_([this] { run(); }) {}
-
-  ~Pipeline() { (void)drain_and_stop(); }
-
-  void request_prepare(std::uint64_t index) {
-    std::lock_guard<std::mutex> lock(m_);
-    prep_index_ = index;
-    prep_requested_ = true;
-    cv_work_.notify_one();
-  }
-
-  /// Block until the requested segment is ready; `stalled` reports
-  /// whether the append thread actually had to wait.
-  [[nodiscard]] Prepared take_prepared(bool* stalled) {
-    std::unique_lock<std::mutex> lock(m_);
-    *stalled = !prep_ready_;
-    cv_ready_.wait(lock, [this] { return prep_ready_; });
-    prep_ready_ = false;
-    return std::exchange(prepared_, Prepared{});
-  }
-
-  void seal_async(unsigned char* map, std::size_t bytes, int fd) {
-    std::lock_guard<std::mutex> lock(m_);
-    seals_.push_back(SealJob{map, bytes, fd});
-    flush_lag_ = std::max(flush_lag_, seals_.size() + (sealing_ ? 1 : 0));
-    cv_work_.notify_one();
-  }
-
-  /// Join the worker after it finishes all queued work. Returns the
-  /// first SEAL error (acked data) — a failed prepare of a segment the
-  /// writer never took is not an error, just cleanup.
-  [[nodiscard]] std::string drain_and_stop() {
-    {
-      std::lock_guard<std::mutex> lock(m_);
-      stop_ = true;
-      cv_work_.notify_one();
-    }
-    if (worker_.joinable()) worker_.join();
-    // Clean up a prepared-but-unused segment: without this, close() would
-    // leave a header-less all-zero file that the reader must drop as a
-    // torn stub. The caller fsyncs the directory after us.
-    if (prep_ready_ && prepared_.error.empty()) {
-      ::munmap(prepared_.map, segment_bytes_);
-      ::close(prepared_.fd);
-      ::unlink(prepared_.path.c_str());
-    }
-    prep_ready_ = false;
-    return seal_error_;
-  }
-
-  [[nodiscard]] std::uint64_t flush_lag_peak() const noexcept {
-    return static_cast<std::uint64_t>(flush_lag_);
-  }
-
- private:
-  void run() {
-    std::unique_lock<std::mutex> lock(m_);
-    for (;;) {
-      cv_work_.wait(lock, [this] {
-        return stop_ || prep_requested_ || !seals_.empty();
-      });
-      if (prep_requested_) {
-        const std::uint64_t index = prep_index_;
-        prep_requested_ = false;
-        lock.unlock();
-        Prepared p = prepare(index);
-        lock.lock();
-        prepared_ = std::move(p);
-        prep_ready_ = true;
-        cv_ready_.notify_one();
-        continue;
-      }
-      if (!seals_.empty()) {
-        const SealJob job = seals_.front();
-        seals_.erase(seals_.begin());
-        sealing_ = true;
-        lock.unlock();
-        std::string err;
-        if (::msync(job.map, job.bytes, MS_SYNC) != 0) {
-          err = std::string("msync: ") + std::strerror(errno);
-        }
-        ::munmap(job.map, job.bytes);
-        ::close(job.fd);
-        lock.lock();
-        sealing_ = false;
-        if (!err.empty() && seal_error_.empty()) seal_error_ = std::move(err);
-        continue;
-      }
-      if (stop_) return;  // all work drained
-    }
-  }
-
-  [[nodiscard]] Prepared prepare(std::uint64_t index) {
-    Prepared p;
-    p.index = index;
-    p.path = (std::filesystem::path(directory_) / segment_file_name(index))
-                 .string();
-    p.fd = ::open(p.path.c_str(), O_CREAT | O_RDWR | O_EXCL, 0644);
-    if (p.fd < 0) {
-      p.error = "open(" + p.path + "): " + std::strerror(errno);
-      return p;
-    }
-    std::string size_err;
-    if (!size_segment(p.fd, segment_bytes_, /*preallocate=*/true,
-                      &size_err)) {
-      p.error = p.path + ": " + size_err;
-      ::close(p.fd);
-      ::unlink(p.path.c_str());
-      p.fd = -1;
-      return p;
-    }
-    // MAP_POPULATE pre-faults the page cache so the append thread's
-    // first touch of each page is a cheap dirtying fault, not an
-    // allocate-and-zero one. The mapping stays clean (nothing written),
-    // so the eventual msync only writes back pages that hold data.
-    void* map = ::mmap(nullptr, segment_bytes_, PROT_READ | PROT_WRITE,
-                       MAP_SHARED | MAP_POPULATE, p.fd, 0);
-    if (map == MAP_FAILED) {
-      p.error = "mmap(" + p.path + "): " + std::strerror(errno);
-      ::close(p.fd);
-      ::unlink(p.path.c_str());
-      p.fd = -1;
-      return p;
-    }
-    p.map = static_cast<unsigned char*>(map);
-    // The new segment's directory entry must be durable before the
-    // append thread lands any block in it (same invariant as the
-    // synchronous writer, moved off the hot path).
-    if (::fsync(dir_fd_) != 0) {
-      p.error = std::string("fsync(directory): ") + std::strerror(errno);
-      ::munmap(p.map, segment_bytes_);
-      ::close(p.fd);
-      ::unlink(p.path.c_str());
-      p.fd = -1;
-      p.map = nullptr;
-    }
-    return p;
-  }
-
-  const std::string directory_;
-  const int dir_fd_;
-  const std::size_t segment_bytes_;
-
-  std::mutex m_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_ready_;
-  bool stop_ = false;
-  bool prep_requested_ = false;
-  std::uint64_t prep_index_ = 0;
-  bool prep_ready_ = false;
-  Prepared prepared_;
-  std::vector<SealJob> seals_;
-  bool sealing_ = false;
-  std::size_t flush_lag_ = 0;
-  std::string seal_error_;
-
-  std::thread worker_;
-};
-
-// --- LogWriter ----------------------------------------------------------------
 
 LogWriter::LogWriter(WriterOptions options) : options_(std::move(options)) {
   options_.segment_bytes = std::max(options_.segment_bytes, kMinSegmentBytes);
@@ -274,11 +59,6 @@ LogWriter::LogWriter(WriterOptions options) : options_(std::move(options)) {
     fail("scan(" + options_.directory + "): " + ec.message());
     return;
   }
-  if (options_.pipeline) {
-    pipe_ = std::make_unique<Pipeline>(options_.directory, dir_fd_,
-                                       options_.segment_bytes);
-    pipe_->request_prepare(0);
-  }
 }
 
 LogWriter::~LogWriter() { close(); }
@@ -286,14 +66,6 @@ LogWriter::~LogWriter() { close(); }
 bool LogWriter::fail(const std::string& what) {
   if (error_.empty()) error_ = what;
   return false;
-}
-
-LogWriter::PipelineStats LogWriter::pipeline_stats() const noexcept {
-  PipelineStats stats;
-  stats.enabled = options_.pipeline;
-  stats.prep_stalls = prep_stalls_;
-  if (pipe_ != nullptr) stats.flush_lag_peak = pipe_->flush_lag_peak();
-  return stats;
 }
 
 std::size_t LogWriter::room_events() const noexcept {
@@ -326,41 +98,17 @@ void LogWriter::write_segment_header() {
 }
 
 bool LogWriter::open_segment() {
-  if (pipe_ != nullptr) {
-    // Pipelined: the segment was created, sized, mapped, pre-faulted and
-    // dir-fsync'd by the prep thread; making it current is a pointer
-    // swap plus the 4 KiB header write (first_stamp is only known now).
-    bool stalled = false;
-    Pipeline::Prepared p = pipe_->take_prepared(&stalled);
-    if (stalled) ++prep_stalls_;
-    if (!p.error.empty()) return fail(p.error);
-    if (p.index != segments_) {
-      ::munmap(p.map, options_.segment_bytes);
-      ::close(p.fd);
-      return fail("pipeline prepared segment " + std::to_string(p.index) +
-                  ", expected " + std::to_string(segments_));
-    }
-    fd_ = p.fd;
-    map_ = p.map;
-    map_bytes_ = options_.segment_bytes;
-    write_segment_header();
-    ++dir_fsyncs_;  // performed by the prep thread before the handover
-    pipe_->request_prepare(segments_);
-    return true;
-  }
-
   const auto path = std::filesystem::path(options_.directory) /
                     segment_file_name(segments_);
   fd_ = ::open(path.c_str(), O_CREAT | O_RDWR | O_EXCL, 0644);
   if (fd_ < 0) {
     return fail("open(" + path.string() + "): " + std::strerror(errno));
   }
-  std::string size_err;
-  if (!size_segment(fd_, options_.segment_bytes, /*preallocate=*/false,
-                    &size_err)) {
+  if (::ftruncate(fd_, static_cast<off_t>(options_.segment_bytes)) != 0) {
+    const int e = errno;
     ::close(fd_);
     fd_ = -1;
-    return fail(path.string() + ": " + size_err);
+    return fail(path.string() + ": ftruncate: " + std::strerror(e));
   }
   void* map = ::mmap(nullptr, options_.segment_bytes, PROT_READ | PROT_WRITE,
                      MAP_SHARED, fd_, 0);
@@ -430,18 +178,6 @@ bool LogWriter::append(std::span<const core::Event> events) {
 
 bool LogWriter::close_segment(bool truncate_to_used) {
   if (map_ == nullptr) return true;
-  if (pipe_ != nullptr && !truncate_to_used) {
-    // Rotation in pipelined mode: hand the full segment's msync+munmap
-    // to the prep thread. A deferred msync failure latches through
-    // ok()/error() at close() — before which nothing was promised
-    // durable anyway.
-    pipe_->seal_async(map_, map_bytes_, fd_);
-    map_ = nullptr;
-    map_bytes_ = 0;
-    fd_ = -1;
-    used_ = 0;
-    return true;
-  }
   bool ok_here = true;
   if (::msync(map_, map_bytes_, MS_SYNC) != 0) {
     ok_here = fail(std::string("msync: ") + std::strerror(errno));
@@ -471,17 +207,8 @@ bool LogWriter::close() {
   // and the fact that zero events were recorded — is durable.
   if (ok() && map_ == nullptr && segments_ == 0) open_segment();
   close_segment(/*truncate_to_used=*/true);
-  if (pipe_ != nullptr) {
-    // Join the prep thread: every deferred msync completes (or its error
-    // latches here), and the prepared-but-unused next segment is
-    // unlinked so the directory holds exactly the filled segments.
-    const std::string deferred = pipe_->drain_and_stop();
-    if (!deferred.empty()) fail(deferred);
-    pipe_.reset();
-  }
-  // Seal the directory state (covers the tail truncation above, the
-  // unused-segment unlink and any rename-like metadata still in flight)
-  // before declaring the log closed.
+  // Seal the directory state (covers the tail truncation above) before
+  // declaring the log closed.
   if (ok()) sync_directory();
   if (dir_fd_ >= 0) {
     ::close(dir_fd_);

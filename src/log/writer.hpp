@@ -3,31 +3,17 @@
 // rotate at the configured capacity and a clean close() truncates the
 // tail segment to its used size.
 //
-// Two execution modes, byte-identical output (same files, same bytes):
+// Every segment syscall runs inline on the appending thread: at creation
+// open/ftruncate/mmap plus a directory fsync, at rotation msync/munmap.
+// Everything the writer reported ok is on disk once close() returns true.
 //
-//   pipeline=off  — every segment syscall (open/ftruncate/mmap/fsync-dir
-//                   at creation, msync/munmap at rotation) runs inline on
-//                   the appending thread. The original writer.
-//   pipeline=on   — a background prep thread always keeps segment N+1
-//                   created, fallocate'd, mmap'd (pre-faulted) and its
-//                   directory entry fsync'd while N fills, so rotation on
-//                   the append path is a pointer swap plus a 4 KiB header
-//                   write; the sealed segment's msync+munmap is handed to
-//                   the same thread. close() joins all deferred work, so
-//                   the durability guarantee is unchanged: everything the
-//                   writer reported ok is on disk once close() returns
-//                   true, and any deferred write error latches through
-//                   ok()/error() no later than close().
-//
-// Crash-consistency invariants hold in both modes by construction:
-// header page written before blocks, payload before block header, and a
-// segment's directory entry durable before its first block (the prep
-// thread fsyncs the directory before handing a segment over).
+// Crash-consistency invariants: header page written before blocks,
+// payload before block header, and a segment's directory entry durable
+// before its first block.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 
@@ -52,9 +38,6 @@ struct WriterOptions {
   /// Per-segment capacity (header page included). Clamped up to
   /// kMinSegmentBytes. Default 64 MiB ≈ 1.4M events per segment.
   std::size_t segment_bytes = std::size_t{64} << 20;
-  /// Background segment prep + deferred seal (see the header comment).
-  /// Off reproduces the original fully-synchronous writer byte-for-byte.
-  bool pipeline = true;
   LogMetadata metadata;
 };
 
@@ -72,8 +55,7 @@ class LogWriter {
   bool append(std::span<const core::Event> events);
 
   /// Seal the log: msync, truncate the tail segment to its used bytes,
-  /// close the mapping (joining any deferred pipeline work first).
-  /// Idempotent. append() after close() fails.
+  /// close the mapping. Idempotent. append() after close() fails.
   bool close();
 
   [[nodiscard]] bool ok() const noexcept { return error_.empty(); }
@@ -87,27 +69,17 @@ class LogWriter {
   /// segment made current, one at close): the durability discipline
   /// regression tests assert on this — an msync'd segment whose DIRECTORY
   /// ENTRY is not durable can vanish wholesale in a crash, which recovery
-  /// would misread as non-final damage and hard-fail. In pipelined mode
-  /// the prep thread performs the fsync before the segment is handed
-  /// over; it is counted when the segment becomes current.
+  /// would misread as non-final damage and hard-fail.
   [[nodiscard]] std::uint64_t dir_fsyncs() const noexcept { return dir_fsyncs_; }
 
-  /// Observability for the pipelined mode (zeros when pipeline=off).
+  /// Kept only because perfbench (perfbench/src/workloads.cpp) reads
+  /// `prep_stalls`; always 0. Remove it with the next change to perfbench.
   struct PipelineStats {
-    bool enabled = false;
-    /// Rotations where the append thread had to WAIT for the prep thread
-    /// (segment N filled before N+1 was ready): sustained nonzero means
-    /// the drain outruns segment preparation.
     std::uint64_t prep_stalls = 0;
-    /// Peak number of sealed segments whose deferred msync had not yet
-    /// completed: how far durability lagged the append front.
-    std::uint64_t flush_lag_peak = 0;
   };
-  [[nodiscard]] PipelineStats pipeline_stats() const noexcept;
+  [[nodiscard]] PipelineStats pipeline_stats() const noexcept { return {}; }
 
  private:
-  struct Pipeline;  // the background prep/seal thread (writer.cpp)
-
   bool open_segment();
   bool close_segment(bool truncate_to_used);
   bool sync_directory();
@@ -132,9 +104,6 @@ class LogWriter {
   std::uint64_t blocks_written_ = 0;
   std::uint64_t bytes_written_ = 0;
   std::uint64_t dir_fsyncs_ = 0;
-  std::uint64_t prep_stalls_ = 0;
-
-  std::unique_ptr<Pipeline> pipe_;
 };
 
 }  // namespace optm::log

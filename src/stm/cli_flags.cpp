@@ -33,22 +33,6 @@ std::optional<RunFlags> parse_run_flags(const util::Cli& cli) {
   return flags;
 }
 
-void add_log_pipeline_flag(util::Cli& cli) {
-  cli.flag("log-pipeline", "on",
-           "durable-log segment pipelining: on = background segment prep "
-           "+ deferred seal, off = fully synchronous writer (byte-identical "
-           "output either way)");
-}
-
-std::optional<bool> parse_log_pipeline_flag(const util::Cli& cli) {
-  const std::string value = cli.get("log-pipeline");
-  if (value == "on") return true;
-  if (value == "off") return false;
-  std::fprintf(stderr, "--log-pipeline must be 'on' or 'off' (got '%s')\n",
-               value.c_str());
-  return std::nullopt;
-}
-
 std::unique_ptr<Stm> make_run_stm(const RunFlags& flags, std::size_t num_vars) {
   std::unique_ptr<Stm> stm;
   try {

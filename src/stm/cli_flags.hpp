@@ -48,14 +48,4 @@ void add_run_flags(util::Cli& cli, const RunFlags& defaults = {});
 [[nodiscard]] std::unique_ptr<Stm> make_run_stm(const RunFlags& flags,
                                                 std::size_t num_vars);
 
-/// Register --log-pipeline=on|off (default on): the durable writer's
-/// background segment prep + deferred seal (log::WriterOptions::pipeline).
-/// One helper so every log-writing binary spells the knob identically.
-void add_log_pipeline_flag(util::Cli& cli);
-
-/// Read --log-pipeline back out. Prints a diagnostic and returns nullopt
-/// on anything but "on"/"off".
-[[nodiscard]] std::optional<bool> parse_log_pipeline_flag(
-    const util::Cli& cli);
-
 }  // namespace optm::stm

@@ -1,19 +1,21 @@
-// Pipelined-writer corpus: byte identity against the synchronous writer,
-// and crash artifacts at every pipeline stage.
+// Crash-recovery corpus: the on-disk states a kill can leave behind,
+// rebuilt by hand from a clean multi-segment log.
 //
-// The pipelined writer (WriterOptions::pipeline) keeps segment N+1
-// created, pre-sized and header-less while N fills, and defers the
-// sealed segment's msync to the background thread. A kill can therefore
-// leave on-disk states the synchronous writer never produces — most
-// importantly a trailing full-size all-zero segment whose header was
-// never written. Each test below reconstructs one such state exactly as
-// a kill at that stage would leave it and asserts the recovery taxonomy:
-// the reader yields an exact prefix of the recording (or reports a torn
-// tail) and NEVER certifies fabricated history; headerless files
-// anywhere but the tail stay hard errors.
+// The writer creates each segment with open(), sizes it with ftruncate()
+// and only then writes the header page, so a kill can leave a trailing
+// file with no header: zero bytes (killed between open and ftruncate) or
+// full-size and all-zero (killed before the header page was written
+// back). Logs from the earlier pipelined writer, which kept the NEXT
+// segment pre-created while the current one filled, can additionally
+// hold such a stub BEHIND the segment with the real tail, or two trailing
+// stubs; the reader must keep recovering those too. Each test asserts
+// the recovery taxonomy: the reader yields an exact prefix of the
+// recording (or reports a torn tail) and NEVER certifies fabricated
+// history; headerless files anywhere but the tail stay hard errors.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -39,7 +41,7 @@ namespace fs = std::filesystem;
 
 fs::path scratch_root() {
   return fs::path(::testing::TempDir()) /
-         ("optm_log_pipe_" + std::to_string(::getpid()));
+         ("optm_log_recovery_" + std::to_string(::getpid()));
 }
 
 fs::path fresh_dir(const std::string& tag) {
@@ -58,13 +60,12 @@ std::vector<core::Event> make_events(std::size_t n) {
 }
 
 /// Write `events` in fixed-size appends into a small-segment log.
-std::uint64_t write_log(const fs::path& dir, bool pipeline,
+std::uint64_t write_log(const fs::path& dir,
                         const std::vector<core::Event>& events,
                         std::size_t chunk = 200) {
   log::WriterOptions wopt;
   wopt.directory = dir.string();
   wopt.segment_bytes = 16 * 1024;
-  wopt.pipeline = pipeline;
   wopt.metadata.runtime = "tl2";
   wopt.metadata.policy = "commit-order";
   wopt.metadata.window_mode = "windowed";
@@ -85,11 +86,6 @@ std::vector<fs::path> sorted_files(const fs::path& dir) {
   }
   std::sort(files.begin(), files.end());
   return files;
-}
-
-std::vector<char> slurp(const fs::path& file) {
-  std::ifstream in(file, std::ios::binary);
-  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
 struct ReplayOutcome {
@@ -118,8 +114,8 @@ void expect_prefix_of(const ReplayOutcome& out,
   }
 }
 
-/// Drop a pre-sized, headerless segment file — the artifact the prep
-/// thread leaves when the process dies before the segment is taken.
+/// Drop a headerless segment file of `bytes` zeroes: the artifact a kill
+/// leaves before the segment's header page reaches the disk.
 void add_stub(const fs::path& dir, std::uint64_t index, std::size_t bytes) {
   std::ofstream out(dir / log::segment_file_name(index), std::ios::binary);
   if (bytes != 0) {
@@ -154,65 +150,10 @@ void zero_from(const fs::path& file, std::uintmax_t from) {
   ASSERT_TRUE(f.good());
 }
 
-// --- byte identity -----------------------------------------------------------
-
-// The pipeline is a scheduling change, not a format change: the same
-// appends must produce the same file names with the same bytes. This is
-// the acceptance gate that lets the pipeline default to on.
-TEST(LogPipeline, ByteIdenticalToSynchronousWriter) {
-  const auto events = make_events(2500);  // several rotations at 16 KiB
-  const fs::path on = fresh_dir("ident_on");
-  const fs::path off = fresh_dir("ident_off");
-  const std::uint64_t segs_on = write_log(on, /*pipeline=*/true, events);
-  const std::uint64_t segs_off = write_log(off, /*pipeline=*/false, events);
-  EXPECT_EQ(segs_on, segs_off);
-  ASSERT_GE(segs_on, 3u);
-
-  const auto files_on = sorted_files(on);
-  const auto files_off = sorted_files(off);
-  ASSERT_EQ(files_on.size(), files_off.size());
-  for (std::size_t i = 0; i < files_on.size(); ++i) {
-    EXPECT_EQ(files_on[i].filename(), files_off[i].filename());
-    const auto a = slurp(files_on[i]);
-    const auto b = slurp(files_off[i]);
-    ASSERT_EQ(a.size(), b.size()) << files_on[i];
-    EXPECT_EQ(a, b) << "byte mismatch in " << files_on[i];
-  }
-  fs::remove_all(on);
-  fs::remove_all(off);
-}
-
-TEST(LogPipeline, StatsReportEnabledAndClose) {
-  const auto events = make_events(1500);
-  const fs::path dir = fresh_dir("stats");
-  log::WriterOptions wopt;
-  wopt.directory = dir.string();
-  wopt.segment_bytes = 16 * 1024;
-  log::LogWriter writer(wopt);
-  ASSERT_TRUE(writer.append(events)) << writer.error();
-  ASSERT_TRUE(writer.close()) << writer.error();
-  const auto stats = writer.pipeline_stats();
-  EXPECT_TRUE(stats.enabled);
-  // Stalls and lag are load-dependent; only their presence is asserted
-  // elsewhere (recorded_soak surfaces them). Here: close() drained, so
-  // the numbers are final and readable.
-  (void)stats.prep_stalls;
-  (void)stats.flush_lag_peak;
-
-  log::WriterOptions off = wopt;
-  off.directory = fresh_dir("stats_off").string();
-  off.pipeline = false;
-  log::LogWriter wsync(off);
-  ASSERT_TRUE(wsync.close());
-  EXPECT_FALSE(wsync.pipeline_stats().enabled);
-  fs::remove_all(dir);
-  fs::remove_all(off.directory);
-}
-
 // --- kill-stage artifacts ----------------------------------------------------
 //
 // Build one clean multi-segment log, then reconstruct the exact on-disk
-// state a kill at each pipeline stage would leave and assert recovery.
+// state a kill at each stage would leave and assert recovery.
 
 struct Corpus {
   fs::path dir;
@@ -225,15 +166,15 @@ Corpus build_corpus(const std::string& tag) {
   Corpus c;
   c.dir = fresh_dir(tag);
   c.events = make_events(2500);
-  c.segments = write_log(c.dir, /*pipeline=*/true, c.events);
+  c.segments = write_log(c.dir, c.events);
   c.files = sorted_files(c.dir);
   EXPECT_GE(c.segments, 3u);
   return c;
 }
 
-// Kill between the prep thread's open() and sizing: zero-byte trailing
+// Kill between the writer's open() and ftruncate(): zero-byte trailing
 // file. Recovered; the real segments read in full.
-TEST(LogPipeline, KillAfterCreateLeavesZeroByteStub) {
+TEST(LogRecovery, KillAfterCreateLeavesZeroByteStub) {
   const Corpus c = build_corpus("kill_create");
   add_stub(c.dir, c.segments, 0);
   const auto out = replay(c.dir);
@@ -244,8 +185,10 @@ TEST(LogPipeline, KillAfterCreateLeavesZeroByteStub) {
   fs::remove_all(c.dir);
 }
 
-// Kill mid-sizing: trailing file shorter than a segment header.
-TEST(LogPipeline, KillDuringSizingLeavesShortStub) {
+// Trailing file shorter than a segment header: what a filesystem that
+// persisted only part of the ftruncate extension would leave. Read like
+// the zero-byte stub.
+TEST(LogRecovery, KillDuringSizingLeavesShortStub) {
   const Corpus c = build_corpus("kill_sizing");
   add_stub(c.dir, c.segments, log::kSegmentHeaderBytes / 2);
   const auto out = replay(c.dir);
@@ -256,11 +199,12 @@ TEST(LogPipeline, KillDuringSizingLeavesShortStub) {
   fs::remove_all(c.dir);
 }
 
-// Kill after sizing + dir fsync, before the writer took the segment:
-// full-size all-zero file — the pipelined writer's steady-state crash
-// artifact (the next segment is ALWAYS prepared while the current fills).
-TEST(LogPipeline, KillAfterPrepareLeavesFullSizeZeroStub) {
-  const Corpus c = build_corpus("kill_prepared");
+// Kill after ftruncate() and the directory fsync, before the new
+// segment's header page was written back: full-size all-zero file. (The
+// earlier pipelined writer left this file at every instant, since it
+// kept the next segment prepared while the current one filled.)
+TEST(LogRecovery, KillAfterSizingLeavesFullSizeZeroStub) {
+  const Corpus c = build_corpus("kill_sized");
   add_stub(c.dir, c.segments, 16 * 1024);
   const auto out = replay(c.dir);
   EXPECT_TRUE(out.reader_ok);
@@ -274,24 +218,32 @@ TEST(LogPipeline, KillAfterPrepareLeavesFullSizeZeroStub) {
 // disk (writeback may flush block pages first, so the file can hold
 // stray nonzero bytes past the zeroed header): the whole final segment
 // is dropped — nothing in it was ever reported durable — and the log
-// recovers to the prefix that precedes it, even with the prepared next
-// segment's stub also present.
-TEST(LogPipeline, KillBeforeHeaderWritebackDropsFinalSegment) {
+// recovers to the prefix that precedes it. An older pipelined log also
+// holds the prepared next segment's stub behind it; same result.
+TEST(LogRecovery, KillBeforeHeaderWritebackDropsFinalSegment) {
   const Corpus c = build_corpus("kill_header");
   zero_from(c.files.back(), 0);  // header page lost; tail already truncated
-  add_stub(c.dir, c.segments, 16 * 1024);
   const auto out = replay(c.dir);
   EXPECT_TRUE(out.reader_ok);
   EXPECT_TRUE(out.torn);
   EXPECT_LT(out.events.size(), c.events.size());
   expect_prefix_of(out, c.events);
+
+  add_stub(c.dir, c.segments, 16 * 1024);
+  const auto behind_stub = replay(c.dir);
+  EXPECT_TRUE(behind_stub.reader_ok);
+  EXPECT_TRUE(behind_stub.torn);
+  EXPECT_EQ(behind_stub.events.size(), out.events.size());
+  expect_prefix_of(behind_stub, c.events);
   fs::remove_all(c.dir);
 }
 
-// Kill mid-block in the final real segment, prepared stub also present:
-// the classic torn tail plus the pipeline's extra trailing file. The
-// stub must not mask the torn-tail recovery of the segment before it.
-TEST(LogPipeline, TornBlockTailBehindTrailingStubRecovers) {
+// Torn block in the last real segment with a full-size stub behind it.
+// Only an older pipelined log can hold this (it deferred a sealed
+// segment's msync past the creation of the next one; this writer msyncs
+// a segment before creating its successor). The stub must not mask the
+// torn-tail recovery of the segment before it.
+TEST(LogRecovery, TornBlockTailBehindTrailingStubRecovers) {
   const Corpus c = build_corpus("kill_midblock");
   const auto size = fs::file_size(c.files.back());
   ASSERT_GT(size, log::kSegmentHeaderBytes + sizeof(log::BlockHeader) + 24);
@@ -306,11 +258,11 @@ TEST(LogPipeline, TornBlockTailBehindTrailingStubRecovers) {
   fs::remove_all(c.dir);
 }
 
-// A headerless file in the MIDDLE of the log is not a pipeline artifact
-// (only the last file can be a prepared-but-unwritten segment): it means
-// a durable segment was destroyed, and certifying across it would gap
-// the history. Hard error.
-TEST(LogPipeline, MidLogStubIsHardError) {
+// A headerless file in the MIDDLE of the log is not a crash artifact
+// (only the last file can be a segment whose header was never written):
+// it means a durable segment was destroyed, and certifying across it
+// would gap the history. Hard error.
+TEST(LogRecovery, MidLogStubIsHardError) {
   const Corpus c = build_corpus("mid_stub");
   ASSERT_GE(c.files.size(), 3u);
   zero_from(c.files[1], 0);  // destroy a mid-log segment's header
@@ -320,12 +272,12 @@ TEST(LogPipeline, MidLogStubIsHardError) {
   fs::remove_all(c.dir);
 }
 
-// Two trailing headerless files are byte-indistinguishable from the
-// legitimate crash-after-rotation state (the just-swapped-to segment
+// Two trailing headerless files: only an older pipelined log holds
+// this, after a crash right after rotation (the just-swapped-to segment
 // whose header page never hit the disk, followed by the prepared next
 // segment) — so recovery drops both. Nothing in either file was ever
 // reported durable, so no history is fabricated.
-TEST(LogPipeline, DoubleTrailingStubRecovers) {
+TEST(LogRecovery, DoubleTrailingStubRecovers) {
   const Corpus c = build_corpus("double_stub");
   add_stub(c.dir, c.segments, 16 * 1024);
   add_stub(c.dir, c.segments + 1, 16 * 1024);
@@ -337,10 +289,10 @@ TEST(LogPipeline, DoubleTrailingStubRecovers) {
   fs::remove_all(c.dir);
 }
 
-// A log that is ONLY a stub — kill before the first segment was ever
-// taken by the writer — recovers to the empty prefix, reported torn:
+// A log that is ONLY a stub — kill before the first segment's header
+// page was written back — recovers to the empty prefix, reported torn:
 // zero events were acked durable, and zero events is what comes back.
-TEST(LogPipeline, LoneStubReadsAsEmptyTornLog) {
+TEST(LogRecovery, LoneStubReadsAsEmptyTornLog) {
   const fs::path dir = fresh_dir("lone_stub");
   fs::create_directories(dir);
   add_stub(dir, 0, 16 * 1024);
@@ -355,11 +307,11 @@ TEST(LogPipeline, LoneStubReadsAsEmptyTornLog) {
 
 // --- concurrency -------------------------------------------------------------
 
-// The pipelined writer under the real drain pump, recording threads
-// running concurrently: the TSan leg of CI runs this binary, so the
-// prep/seal thread's handoff with the appending pump thread is checked
-// for races, and the result must still read back as the full recording.
-TEST(LogPipeline, ConcurrentPipelinedWriterUnderDrainPump) {
+// The writer on the real drain pump's thread, recording threads running
+// concurrently and 64 KiB segments forcing rotations: the TSan leg of CI
+// runs this binary, and the result must still read back as the full
+// recording.
+TEST(LogRecovery, WriterUnderDrainPumpRotatesAndReadsBack) {
   const fs::path dir = fresh_dir("pump");
   const std::uint32_t vars = 16;
   auto stm = stm::make_stm("tl2", vars);
@@ -369,7 +321,6 @@ TEST(LogPipeline, ConcurrentPipelinedWriterUnderDrainPump) {
   log::WriterOptions wopt;
   wopt.directory = dir.string();
   wopt.segment_bytes = 64 * 1024;
-  wopt.pipeline = true;
   wopt.metadata.runtime = "tl2";
   wopt.metadata.num_vars = vars;
   log::LogWriter writer(wopt);
@@ -393,7 +344,6 @@ TEST(LogPipeline, ConcurrentPipelinedWriterUnderDrainPump) {
   ASSERT_TRUE(stats.sink_ok) << writer.error();
   ASSERT_TRUE(writer.close()) << writer.error();
   EXPECT_GE(writer.segments_written(), 2u);
-  EXPECT_TRUE(writer.pipeline_stats().enabled);
 
   const auto out = replay(dir);
   EXPECT_TRUE(out.reader_ok);
