@@ -199,9 +199,8 @@ void BM_LiveVerifiedMixMutex(benchmark::State& state) {
 
 /// The sharded drain/ingest pipeline; `policy` lets the window-free
 /// variant feed the kStampedRead monitor (windowed feeds the default).
-/// The consumer is the production shape: reusable EventBatch, pre-sized
-/// monitor, and the self-pacing AdaptiveDrainPacer instead of the old
-/// fixed poll interval.
+/// The consumer is the production shape: a pre-sized monitor behind the
+/// shared DrainPump loop.
 void live_verified_sharded(benchmark::State& state, bool window_free,
                            core::VersionOrderPolicy policy) {
   live_verified_mix(state, [&](stm::Stm& stm, const wl::MixParams& params,
@@ -214,25 +213,10 @@ void live_verified_sharded(benchmark::State& state, bool window_free,
                     params.txs_per_thread * params.threads *
                             params.ops_per_tx / 2 +
                         params.vars + 16);
+    stm::MonitorSink sink(monitor);
+    stm::DrainPump pump(recorder, sink);
     std::atomic<bool> done{false};
-    std::thread verifier([&] {
-      stm::EventBatch batch;
-      stm::AdaptiveDrainPacer pacer;
-      for (;;) {
-        const bool finished = done.load(std::memory_order_acquire);
-        if (finished || pacer.should_drain(recorder.stamps_issued(),
-                                           recorder.approx_pending())) {
-          batch.clear();
-          if (recorder.drain(batch) > 0) {
-            pacer.on_drain();
-            (void)monitor.ingest(batch.span());
-            continue;
-          }
-          if (finished) return;
-        }
-        std::this_thread::yield();
-      }
-    });
+    std::thread verifier([&] { (void)pump.run(done); });
     (void)wl::run_random_mix(stm, params);
     done.store(true, std::memory_order_release);
     verifier.join();

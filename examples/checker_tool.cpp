@@ -15,14 +15,15 @@
 //
 // `certify-log` streams a durable segmented binary log (written by
 // recorded_soak --log-dir, format: src/log/format.hpp) through the
-// bounded-memory verification front-end (core/stream_verify.hpp): logs
-// that fit --window-events are verified by the sharded parallel driver,
-// larger ones fall over to a streaming engine — the parallel streaming
-// certifier with --stream-threads > 1, the serial certificate monitor
-// otherwise — so a multi-segment log far larger than RAM certifies with
-// peak memory bounded by the window, with the same verdict and flag
-// position the in-RAM monitor produces. The policy defaults to the one
-// recorded in the segment headers.
+// windowed verification front-end (core/stream_verify.hpp): logs that fit
+// --window-events are verified by the sharded parallel driver, larger
+// ones fall over to a streaming engine — the parallel streaming certifier
+// with --stream-threads > 1, the serial certificate monitor otherwise —
+// with the same verdict and flag position the in-RAM monitor produces.
+// Only the event buffer is bounded by the window: the engine keeps state
+// for every transaction and version it has seen, so peak memory still
+// grows with the log (about 50 B per event). The policy defaults to the
+// one recorded in the segment headers.
 //
 // Bare legacy invocations (checker_tool --history=h2) still work: no
 // subcommand means `certify`.
@@ -145,7 +146,7 @@ int cmd_certify(int argc, char** argv) {
 int cmd_certify_log(int argc, char** argv) {
   optm::util::Cli cli("checker_tool certify-log",
                       "stream a segmented binary event log from disk through "
-                      "the bounded-memory certifier");
+                      "the windowed certifier");
   cli.positional("dir", "log directory written by recorded_soak --log-dir");
   cli.flag("policy", "",
            "version-order policy override (default: the policy recorded "

@@ -269,7 +269,7 @@ class OnlineCertificateMonitor {
   /// has been latched. Live pipelines usually reach this through
   /// stm::MonitorSink fed by a DrainPump (stm/sink.hpp); the same spans
   /// also arrive replayed from disk via log::SegmentReader and the
-  /// bounded-memory front-end core::verify_event_stream.
+  /// windowed front-end core::verify_event_stream.
   bool ingest(std::span<const Event> batch);
 
   /// Pre-size the dense hot-path state: the transaction slab (expected

@@ -1,19 +1,23 @@
-// Bounded-memory verification of an event STREAM — the chunked front-end
-// to the offline machinery for recordings that no longer fit in RAM
+// Windowed verification of an event STREAM — the chunked front-end to the
+// offline machinery for recordings too long to materialize as one History
 // (multi-segment binary logs, log/reader.hpp).
 //
 // Strategy: the sharded parallel driver (parallel_verify.hpp) is the
 // strongest engine — multi-threaded, full flag list, definitional
 // fallback, §3.6 smart reorder — but it needs the whole history
-// materialized. The streaming certificate monitor (online.hpp) needs only
-// O(transactions + live versions) state and is verdict- and
-// flag-position-equivalent to the driver (tested by the batch/conformance
-// suites). verify_event_stream therefore buffers the stream into a
-// History while it still fits `window_events`; if the stream ends within
-// the window it runs the sharded driver over the materialized history,
+// materialized. The streaming certificate monitor (online.hpp) needs no
+// event buffer and is verdict- and flag-position-equivalent to the driver
+// (tested by the batch/conformance suites), but its state is
+// O(transactions + versions) seen: it keeps every transaction and every
+// version written, so it still grows with the history (about 50 B per
+// event). verify_event_stream therefore buffers the stream into a History
+// while it still fits `window_events`; if the stream ends within the
+// window it runs the sharded driver over the materialized history,
 // otherwise it replays the buffer into an OnlineCertificateMonitor, frees
-// it, and streams the rest through ingest() in window-bounded spans —
-// peak memory is the window plus monitor state, never the history size.
+// it, and streams the rest through ingest() in window-bounded spans. Only
+// the event buffer is bounded by the window (stream_verify_test pins
+// that); peak memory is the window plus monitor state, and the monitor
+// state grows with the history.
 #pragma once
 
 #include <cstddef>
@@ -71,8 +75,9 @@ struct StreamVerifyResult {
   std::size_t windows = 0;
 };
 
-/// Verify a stream of events against the certificate under `policy`, in
-/// memory bounded by `window_events`. The model must be all registers
+/// Verify a stream of events against the certificate under `policy`,
+/// buffering at most `window_events` events at a time (engine state is not
+/// bounded by the window). The model must be all registers
 /// (as for OnlineCertificateMonitor).
 [[nodiscard]] StreamVerifyResult verify_event_stream(
     const ObjectModel& model, const EventPull& next,

@@ -29,9 +29,11 @@
 //   * kAck    — credit/backpressure: `events` = cumulative events the
 //               engine has ingested, `window` = the per-stream in-flight
 //               budget. The client must keep (sent - acked) <= window;
-//               the server paces acks AdaptiveDrainPacer-style (a grant
-//               per ~half window of ingested events), so a slow verifier
-//               throttles its producer instead of buffering unboundedly.
+//               the server grants credit per ~half window of ingested
+//               events, so a slow verifier throttles the client's
+//               sending (drain) thread instead of buffering unboundedly.
+//               The client's STM producers are not throttled: the
+//               backlog grows in its recorder.
 //   * kFlag   — a certificate violation latched mid-stream (position,
 //               CertFlagKind, reason text). The stream continues: like
 //               MonitorSink, a violation is not a transport failure, and

@@ -24,11 +24,13 @@
 //
 // BACKPRESSURE. Each stream gets a fixed in-flight budget
 // (Options::credit_events, announced in the handshake ack); the server
-// grants fresh credit roughly every half window of ingested events, the
-// AdaptiveDrainPacer shape applied across the wire: bursts batch up, a
-// verifier that falls behind throttles its producer, and per-tenant
-// buffering stays bounded. The window is enforced on BOTH sides: a
-// compliant client throttles itself on acks, and the server bounds each
+// grants fresh credit roughly every half window of ingested events: bursts
+// batch up, a verifier that falls behind throttles the client's sending
+// (drain) thread, and per-tenant buffering stays bounded. It does not
+// throttle the client's STM producers — the recorder applies no
+// backpressure, so a throttled sender's backlog grows in the client's
+// recorder. The window is enforced on BOTH sides: a compliant client
+// throttles itself on acks, and the server bounds each
 // connection's receive backlog to what a credit-respecting sender could
 // legitimately have in flight — a sender that ignores credit is dropped
 // with kError instead of growing the rx buffer without bound.

@@ -12,8 +12,9 @@
 // client.verdict() after finish(), exactly like MonitorSink's
 // monitor.ok(). Backpressure is inherited from the client's credit
 // window: accept() blocks when the server's verifier falls behind, which
-// stalls the drain thread, which lets the AdaptiveDrainPacer see pending
-// grow — the same throttling shape as a slow disk on the log sink.
+// stalls the drain thread — as a slow disk does on the log sink. The STM
+// producers are not slowed: the recorder applies no backpressure, so
+// while the drain thread is stalled the backlog grows in the recorder.
 #pragma once
 
 #include <span>

@@ -96,21 +96,20 @@
 // drain loop.
 //
 // PACING. A live consumer should neither busy-poll a quiet recorder nor
-// hand its sink a whole backlog at once. AdaptiveDrainPacer derives the
-// poll threshold from the measured ingest rate (an EWMA of stamps issued
-// between polls): bursts raise the threshold toward max_interval so
-// batches amortize the merge, quiet periods drop it toward min_interval
-// and an idle-poll flush bounds the tail. What is enforced is the size of
-// each hand-over: a drain is forced once Options::max_pending events are
-// pending, and DrainPump caps every drain at exactly max_pending (drain()'s
-// budget), so every batch the sink sees, and the batch memory, stays
-// within it. The backlog itself — and with it the events between a
-// violation being recorded and the monitor latching it — stays bounded
-// only while the sink keeps up with the producers; bounding it otherwise
-// needs producer backpressure, which the recorder does not apply.
-// drain_pacer_test enforces the cadence (and the latency bound for a sink
-// that keeps up); sharded_recorder_test and recorded_soak enforce the
-// batch bound under real parallelism.
+// hand its sink a whole backlog at once. DrainPump drains on one fixed
+// rule (DrainPump::drain_due): once DrainPump::kMinBatch events are
+// pending, or when some are pending and stamps_issued() has not moved for
+// DrainPump::kQuietPolls polls (the quiet-poll flush bounds the tail).
+// What is enforced is the size of each hand-over: DrainPump caps every
+// drain at exactly max_pending (drain()'s budget), so every batch the sink
+// sees, and the batch memory, stays within it. The backlog itself — and
+// with it the events between a violation being recorded and the monitor
+// latching it — stays bounded only while the sink keeps up with the
+// producers; bounding it otherwise needs producer backpressure, which the
+// recorder does not apply. The DrainRule and DrainPipeline tests enforce
+// the rule (and the latency bound for a sink that keeps up);
+// sharded_recorder_test and recorded_soak enforce the batch bound under
+// real parallelism.
 #pragma once
 
 #include <algorithm>
@@ -226,81 +225,6 @@ class EventBatch {
 
  private:
   std::vector<core::Event> events_;
-};
-
-/// Self-pacing policy for a live drain loop (see the file header). All
-/// units are EVENTS (recorder stamps), so behavior is deterministic and
-/// directly testable: no wall clock enters the decision.
-class AdaptiveDrainPacer {
- public:
-  struct Options {
-    /// Poll-threshold floor/ceiling, in pending events.
-    std::uint64_t min_interval = 64;
-    std::uint64_t max_interval = 8192;
-    /// Batch cap: a drain is forced once this many events are pending,
-    /// whatever the rate estimate says, and DrainPump hands its sink
-    /// this many per batch at most. It bounds verdict latency only
-    /// while the sink keeps up; a slower sink leaves a growing backlog
-    /// (nothing slows the producers down).
-    std::uint64_t max_pending = 16384;
-    /// Consecutive polls with pending work but NO new ingest before a
-    /// flush (bounds latency when the lanes go quiet mid-batch).
-    std::uint32_t idle_polls = 4;
-    /// The threshold targets this many polls' worth of ingest per drain.
-    std::uint32_t target_polls = 4;
-    /// EWMA smoothing for the per-poll ingest rate.
-    double alpha = 0.25;
-  };
-
-  AdaptiveDrainPacer() noexcept : AdaptiveDrainPacer(Options()) {}
-  explicit AdaptiveDrainPacer(const Options& options) noexcept
-      : options_(options), interval_(clamp(options.min_interval)) {}
-
-  /// One poll: `issued` = Recorder::stamps_issued(), `pending` =
-  /// Recorder::approx_pending(). True -> the caller should drain now.
-  [[nodiscard]] bool should_drain(std::uint64_t issued,
-                                  std::uint64_t pending) noexcept {
-    // stamps_issued() is monotone; guard anyway so a swapped-in counter
-    // cannot underflow the rate estimate.
-    const std::uint64_t delta = issued >= last_issued_ ? issued - last_issued_ : 0;
-    last_issued_ = issued;
-    if (delta > 0) {
-      rate_ = rate_ <= 0.0 ? static_cast<double>(delta)
-                           : options_.alpha * static_cast<double>(delta) +
-                                 (1.0 - options_.alpha) * rate_;
-      interval_ = clamp(static_cast<std::uint64_t>(
-          rate_ * static_cast<double>(options_.target_polls)));
-      idle_ = 0;
-    }
-    if (pending == 0) {
-      idle_ = 0;
-      return false;
-    }
-    if (pending >= interval_ || pending >= options_.max_pending) return true;
-    if (delta == 0 && ++idle_ >= options_.idle_polls) return true;
-    return false;
-  }
-
-  /// Report a completed drain (resets the idle-flush counter; the rate
-  /// estimate feeds purely off stamps_issued deltas, so the batch size
-  /// itself is not a parameter).
-  void on_drain() noexcept { idle_ = 0; }
-
-  /// Current poll threshold, in pending events (what converges).
-  [[nodiscard]] std::uint64_t interval() const noexcept { return interval_; }
-
- private:
-  [[nodiscard]] std::uint64_t clamp(std::uint64_t x) const noexcept {
-    const std::uint64_t hi =
-        std::min(options_.max_interval, options_.max_pending);
-    return std::max(options_.min_interval, std::min(x, hi));
-  }
-
-  Options options_;
-  double rate_ = 0.0;
-  std::uint64_t interval_;
-  std::uint64_t last_issued_ = 0;
-  std::uint32_t idle_ = 0;
 };
 
 /// Abstract recorder interface the runtimes talk to. `lane` is the
@@ -463,14 +387,14 @@ class Recorder final : public RecorderBase {
     return n;
   }
 
-  /// Events stamped so far (one ticket per event) — the ingest-rate
-  /// signal AdaptiveDrainPacer's EWMA feeds on.
+  /// Events stamped so far (one ticket per event). DrainPump watches it
+  /// to tell a quiet recorder from a busy one.
   [[nodiscard]] std::uint64_t stamps_issued() const noexcept {
     return seq_.load(std::memory_order_acquire);
   }
 
-  /// Events recorded but not yet drained — the quantity AdaptiveDrainPacer
-  /// paces on. Approximate by nature (both ends move concurrently).
+  /// Events recorded but not yet drained — the quantity DrainPump's drain
+  /// rule tests. Approximate by nature (both ends move concurrently).
   [[nodiscard]] std::uint64_t approx_pending() const noexcept {
     return seq_.load(std::memory_order_acquire) -
            drained_events_.load(std::memory_order_acquire);

@@ -5,16 +5,17 @@
 // (HistoryAppendSink), persist to the segmented binary log
 // (log::LogWriterSink, src/log/log_sink.hpp), or fan out to several of
 // those at once (TeeSink) — is a sink chosen by the caller. DrainPump is
-// the one drain loop all of them share: poll, pace (AdaptiveDrainPacer),
-// drain, feed the sink, flush the tail when the producers finish. The
-// soak driver, the examples and the benchmarks all run this loop rather
-// than hand-rolling their own.
+// the one drain loop all of them share: poll, drain on one fixed rule
+// (DrainPump::drain_due), feed the sink, flush the tail when the producers
+// finish. The soak driver, the examples and the benchmarks all run this
+// loop rather than hand-rolling their own.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <optional>
 #include <span>
@@ -200,14 +201,13 @@ class TeeSink final : public EventSink {
   std::size_t batches_ = 0;  // accept() calls seen (failed batches included)
 };
 
-/// The shared drain loop: recorder -> pacer -> sink. run() polls until
-/// `done` is set by the producers AND the recorder is fully drained, then
-/// finish()es the sink. Call from exactly one thread (the verifier /
+/// The shared drain loop: recorder -> drain rule -> sink. run() polls
+/// until `done` is set by the producers AND the recorder is fully drained,
+/// then finish()es the sink. Call from exactly one thread (the verifier /
 /// writer thread of the pipeline).
 ///
-/// Each drain is capped at the pacer's max_pending events, so a backlog
-/// reaches the sink in bounded batches while the producers are still
-/// recording.
+/// Each drain is capped at max_pending events, so a backlog reaches the
+/// sink in bounded batches while the producers are still recording.
 class DrainPump {
  public:
   struct Stats {
@@ -220,12 +220,29 @@ class DrainPump {
     std::size_t events_undrained = 0;
   };
 
+  /// Pending events that make a drain due on their own.
+  static constexpr std::uint64_t kMinBatch = 64;
+  /// Polls without a new stamp after which any pending tail is flushed.
+  static constexpr std::uint32_t kQuietPolls = 4;
+
+  /// The drain rule, one poll: `pending` = Recorder::approx_pending(),
+  /// `quiet_polls` = consecutive polls (since the last drain) in which
+  /// Recorder::stamps_issued() did not move. Clock-free, so every property
+  /// of it is deterministic and directly testable.
+  [[nodiscard]] static constexpr bool drain_due(
+      std::uint64_t pending, std::uint32_t quiet_polls) noexcept {
+    return pending >= kMinBatch || (pending > 0 && quiet_polls >= kQuietPolls);
+  }
+
+  /// `max_pending` caps every drain, and so every batch the sink sees and
+  /// the batch memory. It bounds the backlog (and verdict latency) only
+  /// while the sink keeps up: a slower sink leaves a growing backlog in
+  /// the recorder, since nothing slows the producers down.
   DrainPump(Recorder& recorder, EventSink& sink,
-            const AdaptiveDrainPacer::Options& pacing = {})
+            std::size_t max_pending = 16384)
       : recorder_(&recorder),
         sink_(&sink),
-        pacer_(pacing),
-        budget_(std::max<std::size_t>(pacing.max_pending, 1)) {
+        budget_(std::max<std::size_t>(max_pending, 1)) {
     batch_.reserve(max_batch_bound());
   }
 
@@ -236,7 +253,7 @@ class DrainPump {
 
   [[nodiscard]] Stats run(const std::atomic<bool>& done) {
     Stats stats;
-    // Idle backoff: the pacer is clock-free, so a quiet recorder would
+    // Idle backoff: the drain rule is clock-free, so a quiet recorder would
     // otherwise busy-spin this thread at 100% — fatal once a server runs
     // one pump per tenant. A handful of yields keeps the reaction to a
     // fresh burst instant; after that the poll sleeps, doubling up to
@@ -247,14 +264,17 @@ class DrainPump {
     constexpr auto kMaxSleep = std::chrono::microseconds(1000);
     std::uint32_t idle_polls = 0;
     auto sleep = kMinSleep;
+    std::uint64_t last_issued = 0;
+    std::uint32_t quiet_polls = 0;
     for (;;) {
       const bool finished = done.load(std::memory_order_acquire);
-      if (pacer_.should_drain(recorder_->stamps_issued(),
-                              recorder_->approx_pending()) ||
-          finished) {
+      const std::uint64_t issued = recorder_->stamps_issued();
+      quiet_polls = issued == last_issued ? quiet_polls + 1 : 0;
+      last_issued = issued;
+      if (finished || drain_due(recorder_->approx_pending(), quiet_polls)) {
         batch_.clear();
         recorder_->drain(batch_, budget_);
-        pacer_.on_drain();
+        quiet_polls = 0;
         idle_polls = 0;
         sleep = kMinSleep;
         if (!batch_.empty()) {
@@ -285,8 +305,7 @@ class DrainPump {
  private:
   Recorder* recorder_;
   EventSink* sink_;
-  AdaptiveDrainPacer pacer_;
-  std::size_t budget_;  // events per drain: the pacer's max_pending
+  std::size_t budget_;  // events per drain: max_pending
   EventBatch batch_;
 };
 

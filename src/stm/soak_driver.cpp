@@ -107,7 +107,7 @@ SoakResult SoakDriver::run() {
   // Record + drain: the producers run the mix while one verifier thread
   // pumps drained batches into the sink chain.
   std::atomic<bool> done{false};
-  DrainPump pump(recorder, *sink, o.pacing);
+  DrainPump pump(recorder, *sink);
   DrainPump::Stats pump_stats;
   const auto record_t0 = Clock::now();
   std::thread verifier([&] { pump_stats = pump.run(done); });

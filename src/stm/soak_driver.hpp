@@ -41,7 +41,6 @@ struct SoakOptions {
   bool offline_verify = true;
   /// Tee'd into the drain pipeline next to the live monitor (not owned).
   EventSink* extra_sink = nullptr;
-  AdaptiveDrainPacer::Options pacing{};
 };
 
 struct SoakResult {

@@ -622,9 +622,8 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
     stm::TeeSink tee{&monitor_sink, &history_sink};
 
     std::atomic<bool> done{false};
-    stm::AdaptiveDrainPacer::Options pacing;
-    pacing.max_pending = 64;
-    stm::DrainPump pump(recorder, tee, pacing);
+    constexpr std::size_t kMaxPending = 64;
+    stm::DrainPump pump(recorder, tee, kMaxPending);
     stm::DrainPump::Stats stats;
     std::thread verifier([&] { stats = pump.run(done); });
 
@@ -640,7 +639,7 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
     EXPECT_TRUE(stats.sink_ok) << name;
     EXPECT_EQ(stats.events, recorder.num_events())
         << name << ": the pump lost or duplicated events";
-    EXPECT_LE(stats.max_batch, pacing.max_pending) << name;
+    EXPECT_LE(stats.max_batch, kMaxPending) << name;
     EXPECT_TRUE(monitor.ok())
         << name << ": flagged at " << monitor.violation()->pos << ": "
         << monitor.violation()->reason;

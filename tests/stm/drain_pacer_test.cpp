@@ -1,129 +1,53 @@
-// The adaptive drain cadence (ROADMAP item, PR 5): the live consumer's
-// poll threshold is derived from the recorder's measured ingest rate, so
-// batches grow under bursts (amortizing the merge) while verdict latency —
-// events between a violation being RECORDED and the monitor LATCHING it —
-// stays under the configured bound, and quiet lanes are never busy-polled
-// into the merge lock.
+// The live drain cadence: DrainPump drains on one fixed, clock-free rule
+// (DrainPump::drain_due) — once kMinBatch events are pending, or when a
+// pending tail has seen no new stamp for kQuietPolls polls. Verdict
+// latency — events between a violation being RECORDED and the monitor
+// LATCHING it — stays under max_pending for a sink that keeps up, and a
+// quiet recorder's tail is never stranded.
 //
-// The pacer is deliberately clock-free (all units are recorder stamps), so
-// every property here is deterministic: convergence of the interval under
-// a constant rate, growth under bursts, the idle-poll flush, and the
-// end-to-end detection-latency bound through a real Recorder -> drain ->
-// OnlineCertificateMonitor pipeline.
+// The rule's units are recorder stamps and polls, so most properties here
+// are deterministic: the quiet-poll flush, the end-to-end
+// detection-latency bound through a real Recorder -> drain ->
+// OnlineCertificateMonitor pipeline, and the batch buffer's steady state.
+// One threaded case checks that a running DrainPump delivers a short tail
+// while the producers are still live.
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <thread>
 
 #include "core/online.hpp"
 #include "stm/recorder.hpp"
+#include "stm/sink.hpp"
 
 namespace optm::stm {
 namespace {
 
-using Options = AdaptiveDrainPacer::Options;
-
-/// Synthetic poll counters: `issued` is monotone across drives, exactly
-/// like Recorder::stamps_issued().
-struct PollState {
-  std::uint64_t issued = 0;
-  std::uint64_t drained = 0;
-};
-
-/// Drive the pacer with a synthetic poll schedule: `rate` new stamps per
-/// poll, draining everything whenever it says so. Returns the interval
-/// after `polls` polls.
-[[nodiscard]] std::uint64_t drive_constant(AdaptiveDrainPacer& pacer,
-                                           PollState& state,
-                                           std::uint64_t rate,
-                                           std::size_t polls) {
-  for (std::size_t i = 0; i < polls; ++i) {
-    state.issued += rate;
-    if (pacer.should_drain(state.issued, state.issued - state.drained)) {
-      pacer.on_drain();
-      state.drained = state.issued;
-    }
-  }
-  return pacer.interval();
-}
-
-TEST(AdaptiveDrainPacer, IntervalConvergesToTargetPollsTimesRate) {
-  Options options;
-  options.min_interval = 16;
-  options.max_interval = 8192;
-  options.max_pending = 16384;
-  options.target_polls = 4;
-  AdaptiveDrainPacer pacer(options);
-
-  PollState state;
-  const std::uint64_t rate = 50;
-  const std::uint64_t interval = drive_constant(pacer, state, rate, 200);
-  // EWMA of per-poll ingest -> rate; threshold -> target_polls * rate.
-  EXPECT_NEAR(static_cast<double>(interval),
-              static_cast<double>(options.target_polls * rate),
-              static_cast<double>(rate) / 2);
-
-  // And it STAYS there: another 100 polls at the same rate move nothing.
-  const std::uint64_t again = drive_constant(pacer, state, rate, 100);
-  EXPECT_EQ(interval, again);
-}
-
-TEST(AdaptiveDrainPacer, BurstsRaiseTheIntervalQuietShrinksIt) {
-  Options options;
-  options.min_interval = 16;
-  options.max_interval = 8192;
-  options.max_pending = 16384;
-  AdaptiveDrainPacer pacer(options);
-
-  PollState state;
-  const std::uint64_t burst = drive_constant(pacer, state, 2000, 100);
-  EXPECT_GE(burst, 4000u) << "a sustained burst should raise the threshold";
-  EXPECT_LE(burst, options.max_interval);
-
-  const std::uint64_t quiet = drive_constant(pacer, state, 2, 400);
-  EXPECT_LE(quiet, 64u) << "a quiet stream should shrink it back down";
-  EXPECT_GE(quiet, options.min_interval);
-}
-
-TEST(AdaptiveDrainPacer, IntervalNeverExceedsTheLatencyBound) {
-  Options options;
-  options.min_interval = 16;
-  options.max_interval = 8192;
-  options.max_pending = 300;  // the latency bound dominates max_interval
-  AdaptiveDrainPacer pacer(options);
-  PollState state;
-  const std::uint64_t interval = drive_constant(pacer, state, 5000, 100);
-  EXPECT_LE(interval, options.max_pending);
-}
-
-TEST(AdaptiveDrainPacer, IdlePollsFlushPendingTail) {
-  Options options;
-  options.min_interval = 64;
-  options.idle_polls = 3;
-  AdaptiveDrainPacer pacer(options);
-
-  // A few events arrive (below every threshold), then the lanes go quiet.
-  ASSERT_FALSE(pacer.should_drain(5, 5));
-  std::uint32_t polls_until_flush = 0;
-  bool flushed = false;
-  for (; polls_until_flush < 10; ++polls_until_flush) {
-    if (pacer.should_drain(5, 5)) {
-      flushed = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(flushed);
-  EXPECT_LE(polls_until_flush, options.idle_polls);
+TEST(DrainRule, IdlePollsFlushPendingTail) {
+  // A few events (below kMinBatch) arrive, then the lanes go quiet: the
+  // tail is flushed within kQuietPolls polls.
+  constexpr std::uint64_t kTail = 5;
+  static_assert(kTail < DrainPump::kMinBatch);
+  ASSERT_FALSE(DrainPump::drain_due(kTail, 0));
+  std::uint32_t quiet = 0;
+  while (quiet <= 10 && !DrainPump::drain_due(kTail, quiet)) ++quiet;
+  EXPECT_TRUE(DrainPump::drain_due(kTail, quiet));
+  EXPECT_LE(quiet, DrainPump::kQuietPolls);
 
   // Nothing pending -> never drain, however long it stays quiet.
-  pacer.on_drain();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_FALSE(pacer.should_drain(5, 0));
+  for (std::uint32_t q = 0; q < 100; ++q) {
+    EXPECT_FALSE(DrainPump::drain_due(0, q));
   }
+  // kMinBatch pending is due at once, quiet or not.
+  EXPECT_TRUE(DrainPump::drain_due(DrainPump::kMinBatch, 0));
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: recorder -> paced drain -> monitor, violation latency
+// End-to-end: recorder -> drain rule -> monitor, violation latency
 // ---------------------------------------------------------------------------
 
 /// Push one committed write transaction (inv, ret, tryC, C = 5 stamps).
@@ -143,17 +67,36 @@ void push_poisoned_reader(Recorder& rec, VarId var) {
   rec.on_ret(0, tx, var, core::OpCode::kRead, 0, core::Value{987654321});
 }
 
-TEST(AdaptiveDrainPipeline, ViolationDetectionLatencyStaysUnderBound) {
+/// One poll of DrainPump's loop, driven by hand: track quiet polls, drain
+/// (capped at `max_pending`) when the rule says so, and feed the monitor.
+struct ManualPump {
+  Recorder* recorder;
+  core::OnlineCertificateMonitor* monitor;
+  std::size_t max_pending;
+  EventBatch batch;
+  std::uint64_t last_issued = 0;
+  std::uint32_t quiet_polls = 0;
+
+  void poll() {
+    const std::uint64_t issued = recorder->stamps_issued();
+    quiet_polls = issued == last_issued ? quiet_polls + 1 : 0;
+    last_issued = issued;
+    if (!DrainPump::drain_due(recorder->approx_pending(), quiet_polls)) {
+      return;
+    }
+    quiet_polls = 0;
+    batch.clear();
+    if (recorder->drain(batch, max_pending) > 0) {
+      (void)monitor->ingest(batch.span());
+    }
+  }
+};
+
+TEST(DrainPipeline, ViolationDetectionLatencyStaysUnderBound) {
   Recorder recorder(8);
   core::OnlineCertificateMonitor monitor(recorder.model());
-
-  Options options;
-  options.min_interval = 16;
-  options.max_interval = 2048;
-  options.max_pending = 512;  // the configured verdict-latency bound
-  options.idle_polls = 3;
-  AdaptiveDrainPacer pacer(options);
-  EventBatch batch;
+  constexpr std::size_t kMaxPending = 512;  // the verdict-latency bound
+  ManualPump pump{&recorder, &monitor, kMaxPending, {}};
 
   constexpr std::size_t kTxsPerPoll = 3;  // 15 stamps between polls
   constexpr std::size_t kStampsPerPoll = kTxsPerPoll * 5;
@@ -169,30 +112,14 @@ TEST(AdaptiveDrainPipeline, ViolationDetectionLatencyStaysUnderBound) {
       push_poisoned_reader(recorder, 0);
       violation_stamp = recorder.stamps_issued();
     }
-    if (pacer.should_drain(recorder.stamps_issued(),
-                           recorder.approx_pending())) {
-      batch.clear();
-      if (recorder.drain(batch) > 0) {
-        pacer.on_drain();
-        (void)monitor.ingest(batch.span());
-        if (!monitor.ok() && detected_at == 0) {
-          detected_at = recorder.stamps_issued();
-        }
-      }
-    }
+    pump.poll();
+    if (!monitor.ok()) detected_at = recorder.stamps_issued();
   }
-  // Quiescent tail: the idle flush must deliver the violation even if the
-  // loop above never crossed the threshold again.
+  // Quiescent tail: the quiet-poll flush must deliver the violation even
+  // if the loop above never crossed the threshold again.
   for (int i = 0; i < 20 && detected_at == 0; ++i) {
-    if (pacer.should_drain(recorder.stamps_issued(),
-                           recorder.approx_pending())) {
-      batch.clear();
-      if (recorder.drain(batch) > 0) {
-        pacer.on_drain();
-        (void)monitor.ingest(batch.span());
-        if (!monitor.ok()) detected_at = recorder.stamps_issued();
-      }
-    }
+    pump.poll();
+    if (!monitor.ok()) detected_at = recorder.stamps_issued();
   }
 
   ASSERT_FALSE(monitor.ok()) << "the poisoned read was never flagged";
@@ -200,14 +127,58 @@ TEST(AdaptiveDrainPipeline, ViolationDetectionLatencyStaysUnderBound) {
   ASSERT_NE(violation_stamp, 0u);
   ASSERT_NE(detected_at, 0u);
   // Verdict latency in events: everything issued after the violation
-  // until the drain that delivered it. Bounded by the configured
-  // max_pending plus one poll's worth of slack.
-  EXPECT_LE(detected_at - violation_stamp,
-            options.max_pending + kStampsPerPoll)
+  // until the drain that delivered it. Bounded by max_pending plus one
+  // poll's worth of slack.
+  EXPECT_LE(detected_at - violation_stamp, kMaxPending + kStampsPerPoll)
       << "verdict latency exceeded the configured bound";
 }
 
-TEST(AdaptiveDrainPipeline, BatchCapacityStabilizesAcrossDrains) {
+/// Counts what the sink has seen; readable from another thread.
+class CountingSink final : public EventSink {
+ public:
+  bool accept(std::span<const core::Event> batch) override {
+    events_.fetch_add(batch.size(), std::memory_order_release);
+    return true;
+  }
+  [[nodiscard]] std::size_t events() const noexcept {
+    return events_.load(std::memory_order_acquire);
+  }
+
+ private:
+  std::atomic<std::size_t> events_{0};
+};
+
+TEST(DrainPipeline, RunningPumpFlushesAShortTailBeforeDone) {
+  // One write transaction's 5 events are a tail below kMinBatch, and the
+  // producers do not finish: only the quiet-poll flush can hand it to the
+  // sink.
+  Recorder recorder(4);
+  CountingSink sink;
+  DrainPump pump(recorder, sink);
+  std::atomic<bool> done{false};
+  DrainPump::Stats stats;
+  std::thread verifier([&] { stats = pump.run(done); });
+
+  push_writer(recorder, 0, 1);
+  const std::uint64_t tail = recorder.stamps_issued();
+  EXPECT_LT(tail, DrainPump::kMinBatch);  // no ASSERT: the pump must be joined
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  while (sink.events() < tail && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const std::size_t seen_before_done = sink.events();
+  done.store(true, std::memory_order_release);
+  verifier.join();
+
+  EXPECT_EQ(seen_before_done, tail)
+      << "the quiet tail did not reach the sink within 1 s";
+  EXPECT_TRUE(stats.sink_ok);
+  EXPECT_EQ(stats.events, tail);
+}
+
+TEST(DrainPipeline, BatchCapacityStabilizesAcrossDrains) {
   Recorder recorder(4);
   EventBatch batch;
   core::Value next = 1;

@@ -413,9 +413,8 @@ TEST(CappedDrain, PumpHandsTheMonitorBatchesWithinMaxPending) {
   MonitorSink monitor_sink(monitor);
   BatchSizeSink sink(monitor_sink);
 
-  AdaptiveDrainPacer::Options pacing;
-  pacing.max_pending = 256;
-  DrainPump pump(recorder, sink, pacing);
+  constexpr std::size_t kMaxPending = 256;
+  DrainPump pump(recorder, sink, kMaxPending);
   std::atomic<bool> done{false};
   DrainPump::Stats stats;
   std::thread verifier([&] { stats = pump.run(done); });
@@ -431,9 +430,9 @@ TEST(CappedDrain, PumpHandsTheMonitorBatchesWithinMaxPending) {
 
   EXPECT_TRUE(stats.sink_ok);
   EXPECT_EQ(stats.events, recorder.num_events());
-  EXPECT_LE(sink.largest(), pacing.max_pending);
+  EXPECT_LE(sink.largest(), kMaxPending);
   EXPECT_EQ(stats.max_batch, sink.largest());
-  EXPECT_GE(stats.batches, recorder.num_events() / pacing.max_pending);
+  EXPECT_GE(stats.batches, recorder.num_events() / kMaxPending);
   EXPECT_TRUE(monitor.ok()) << monitor.violation()->reason << " at event "
                             << monitor.violation()->pos;
   EXPECT_EQ(monitor.events_fed(), recorder.num_events());
