@@ -1,21 +1,24 @@
 // Dense state containers for the certificate engines' hot path.
 //
-// The streaming certificate monitor touches per-event exactly three pieces
-// of state: the acting transaction's TxState, the (register, value) version
-// record the event resolves against, and — on reads of open versions — the
-// register's holder list. PR 1 kept the first two in node-based hash maps
-// (std::unordered_map), which costs a hash, a bucket probe, a pointer chase
-// and (on insertion) a node allocation per event. This header replaces them
-// with structures that are O(1) per access with ZERO heap allocations in
-// steady state:
+// The certificate engines resolve every event against two keys: its
+// transaction id and, for register operations, the (register, value)
+// version it names. Node-based hash maps (std::unordered_map) would cost a
+// hash, a bucket probe, a pointer chase and (on insertion) a node
+// allocation per event. This header provides structures that are O(1) per
+// access with ZERO heap allocations in steady state:
 //
-//   * TxSlab<T>      — a TxId-indexed slab. Both recorders allocate
-//     transaction ids densely from 1 (Recorder::begin_tx is a fetch_add),
-//     so the id IS the index; the slab grows geometrically and an access
-//     is one bounds check + one vector index. Hand-built histories with
-//     genuinely sparse ids (fuzzers, adversarial tests) spill into a small
-//     overflow map instead of ballooning the slab: an id more than
-//     kGrowSlack past the dense frontier is judged non-dense.
+//   * TxSlab<T>      — a TxId-indexed slab of small per-id records. Both
+//     recorders allocate transaction ids densely from 1
+//     (Recorder::begin_tx is a fetch_add), so the id IS the index; the
+//     slab grows geometrically and an access is one bounds check + one
+//     vector index. Hand-built histories with genuinely sparse ids
+//     (fuzzers, adversarial tests) spill into a small overflow map instead
+//     of ballooning the slab: an id more than kGrowSlack past the dense
+//     frontier is judged non-dense. A slab entry lives as long as the
+//     engine, so it should be small: the streaming monitor keeps one
+//     32-bit word per id (unborn, finished, or its live slot) and holds a
+//     live transaction's full state in a recycled pool of its own
+//     (core/online.hpp); the parallel engines keep a TxMeta per id.
 //
 //   * VersionTable<R> — an open-addressing, linear-probing flat table over
 //     (register, value) keys, the §5.4 value-unique version namespace.
@@ -36,8 +39,9 @@
 //     installation order (and therefore every verdict and flag position)
 //     is preserved byte for byte.
 //
-// All three are shared by OnlineCertificateMonitor (core/online.hpp) and
-// the sharded offline driver (core/parallel_verify.cpp); the monitor's
+// All three are shared by OnlineCertificateMonitor (core/online.hpp), the
+// parallel streaming certifier and the sharded offline driver
+// (core/parallel_stream.cpp, core/parallel_verify.cpp); the monitor's
 // reserve() pre-sizes them so a soak-scale feed performs no allocation at
 // all after warm-up (tests/core/monitor_alloc_test.cpp holds it to that
 // under a counting operator-new).
@@ -61,8 +65,8 @@ namespace optm::core {
 
 /// TxId-indexed slab with an overflow map for non-dense ids. T must be
 /// default-constructible; a default-constructed T is indistinguishable
-/// from "never touched" (the engines' TxState/TxMeta encode absence as
-/// !born / !committed, which default-construction yields).
+/// from "never touched" (the monitor's id word is 0 = unborn, TxMeta
+/// encodes absence as !born, which default-construction yields).
 template <typename T>
 class TxSlab {
  public:

@@ -1,5 +1,6 @@
 #include "core/online.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/object_spec.hpp"
@@ -56,6 +57,7 @@ bool OnlineDefinitionalMonitor::ingest(std::span<const Event> batch) {
 OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
                                                    VersionOrderPolicy policy)
     : model_(std::move(model)), policy_(policy), resolver_(policy) {
+  finished_.phase = Phase::kDone;
   current_.resize(model_.size());
   holders_.resize(model_.size());
   versions_.reserve(model_.size() + 16);
@@ -70,7 +72,7 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
     }
     // The initializer's version of every register: open from rank 0.
     const Value init = reg->initial_value();
-    versions_.slot(r, init) = VersionRec{kInitTx, 0, kOpen};
+    versions_.slot(r, init) = VersionRec{kInitTx, true, 0, kOpen};
     current_[r] = {r, init};
   }
 }
@@ -78,11 +80,77 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
 void OnlineCertificateMonitor::reserve(std::size_t num_txs,
                                        std::size_t num_versions,
                                        std::size_t holders_per_register) {
-  txs_.reserve(num_txs);
+  ids_.reserve(num_txs);
   versions_.reserve(num_versions);
   if (holders_per_register > 0) {
     for (auto& h : holders_) h.reserve(holders_per_register);
   }
+  const std::size_t slots = std::min(num_txs, kReservedSlots);
+  if (live_.size() >= slots) return;
+  live_.reserve(slots);
+  free_slots_.reserve(slots);
+  // Free slots pop from the back: push the new ones highest first.
+  for (std::size_t i = slots; i-- > live_.size();) {
+    free_slots_.push_back(static_cast<std::uint32_t>(i));
+  }
+  while (live_.size() < slots) {
+    live_.emplace_back().superseded.reserve(SmallWriteSet::kInlineCapacity);
+  }
+}
+
+OnlineCertificateMonitor::Resident OnlineCertificateMonitor::resident()
+    const noexcept {
+  Resident r;
+  r.live_txs = live_.size() - free_slots_.size();
+  r.live_slots = live_.size();
+  for (const auto& h : holders_) r.holder_entries += h.size();
+  r.versions = versions_.size();
+  return r;
+}
+
+std::uint32_t OnlineCertificateMonitor::acquire_slot() {
+  std::uint32_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(live_.size());
+    live_.emplace_back();
+    // Every slot can be free at once: keep room to release them all.
+    free_slots_.reserve(live_.capacity());
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  TxState& tx = live_[slot];
+  tx.phase = Phase::kIdle;
+  tx.has_write = false;
+  tx.birth_rank = resolver_.floor();
+  tx.lo = 0;
+  tx.hi = kOpen;
+  tx.max_read_stamp = 0;
+  tx.superseded.clear();
+  return slot + 1;
+}
+
+void OnlineCertificateMonitor::retire(std::uint32_t& word) {
+  // From here on every event of the id sees finished_ (phase kDone).
+  const std::uint32_t slot = word - 1;
+  // The write set is installed or discarded: recycle any spill storage
+  // for the next write-heavy transaction.
+  live_[slot].writes.release(spill_pool_);
+  free_slots_.push_back(slot);
+  word = kFinished;
+}
+
+void OnlineCertificateMonitor::hold(ObjId obj, TxId id) {
+  std::vector<TxId>& list = holders_[obj];
+  if (list.size() == list.capacity()) {
+    // A register read but never rewritten would keep every reader: drop
+    // the finished ones (their windows no longer matter) before growing.
+    // Growing whenever more than half survive keeps this amortized O(1).
+    std::erase_if(list,
+                  [this](TxId h) { return *ids_.find(h) == kFinished; });
+    if (list.size() * 2 > list.capacity()) list.reserve(list.capacity() * 2);
+  }
+  list.push_back(id);
 }
 
 bool OnlineCertificateMonitor::fail(CertFlagKind kind,
@@ -158,6 +226,10 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
     }
     wrec.writer = e.tx;  // ranks assigned at commit
     tx.has_write = true;
+    if (const Value* prev = tx.writes.find(e.obj);
+        prev != nullptr && *prev != e.arg) {
+      tx.superseded.emplace_back(e.obj, *prev);
+    }
     tx.writes.set(e.obj, e.arg, spill_pool_);
     return true;
   }
@@ -188,15 +260,12 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
     return fail(CertFlagKind::kSelfRead,
                 tx_tag(e.tx) + " read back its own value without a prior write");
   }
-  if (rec.writer != kInitTx) {
-    const TxState* w = txs_.find(rec.writer);
-    if (w == nullptr || !w->committed) {
-      // Possibly the H4 commit-pending case — conservative (see header).
-      return fail(CertFlagKind::kReadFromNonCommitted,
-                  tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
-                  std::to_string(e.ret) + " from non-committed T" +
-                  std::to_string(rec.writer));
-    }
+  if (rec.writer != kInitTx && !rec.writer_committed) {
+    // Possibly the H4 commit-pending case — conservative (see header).
+    return fail(CertFlagKind::kReadFromNonCommitted,
+                tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
+                std::to_string(e.ret) + " from non-committed T" +
+                std::to_string(rec.writer));
   }
 
   if (stamped) {
@@ -224,7 +293,7 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
   // Intersect the snapshot window with the version's validity interval.
   if (rec.open_rank > tx.lo) tx.lo = rec.open_rank;
   if (rec.close_rank < tx.hi) tx.hi = rec.close_rank;
-  if (rec.close_rank == kOpen) holders_[e.obj].push_back(e.tx);
+  if (rec.close_rank == kOpen) hold(e.obj, e.tx);
 
   if (tx.lo >= tx.hi) {
     return fail(CertFlagKind::kSnapshotEmpty,
@@ -295,26 +364,35 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
     }
   }
 
-  tx.committed = true;
   if (!tx.has_write) return true;
 
   // Install: one rank for the whole commit; each written register's
   // previous version closes here. (Ascending-register order, exactly as
-  // the std::map-backed write set iterated.)
+  // the std::map-backed write set iterated.) Values the transaction
+  // overwrote itself stay uninstalled but committed: a read of one must
+  // flag its empty interval, not a non-committed writer.
   ++commits_;
+  for (const auto& [obj, value] : tx.superseded) {
+    if (VersionRec* rec = versions_.find(obj, value)) {
+      rec->writer_committed = true;
+    }
+  }
   for (const auto& [obj, value] : tx.writes) {
     auto& prev_key = current_[obj];
     if (VersionRec* prev = versions_.find(prev_key.first, prev_key.second)) {
       prev->close_rank = rank;
     }
     for (const TxId holder : holders_[obj]) {
-      TxState* h = txs_.find(holder);
-      if (h != nullptr && rank < h->hi) h->hi = rank;
+      const std::uint32_t word = *ids_.find(holder);
+      if (word == kFinished) continue;
+      TxState& h = live_[word - 1];
+      if (rank < h.hi) h.hi = rank;
     }
     holders_[obj].clear();
 
     VersionRec& rec = versions_.slot(obj, value);
     rec.writer = id;
+    rec.writer_committed = true;
     rec.open_rank = rank;
     rec.close_rank = kOpen;
     prev_key = {obj, value};
@@ -329,11 +407,9 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
   }
   if (policy_ == VersionOrderPolicy::kBlindWriteSmart) retained_.append(e);
   cur_tx_ = e.tx;
-  TxState& tx = txs_.get(e.tx);
-  if (!tx.born) {
-    tx.born = true;
-    tx.birth_rank = resolver_.floor();
-  }
+  std::uint32_t& word = ids_.get(e.tx);
+  if (word == kUnborn) word = acquire_slot();
+  TxState& tx = word == kFinished ? finished_ : live_[word - 1];
 
   bool ok = true;
   switch (e.kind) {
@@ -379,16 +455,12 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " committed without tryC (well-formedness)");
       } else {
-        tx.phase = Phase::kDone;
         if (search_mode_) {
-          tx.committed = true;
           if (tx.has_write) ++commits_;
         } else {
           ok = on_commit(e, tx, e.tx);
         }
-        // The write set is installed (or the run is condemned): recycle
-        // any spill storage for the next write-heavy transaction.
-        tx.writes.release(spill_pool_);
+        retire(word);
       }
       break;
     case EventKind::kTryAbort:
@@ -405,8 +477,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " aborted after completing (well-formedness)");
       } else {
-        tx.phase = Phase::kDone;  // aborted: writes never install
-        tx.writes.release(spill_pool_);
+        retire(word);  // aborted: writes never install
       }
       break;
   }

@@ -163,28 +163,54 @@
 // commit closed a version the committer read, so the window no longer
 // contains the commit rank.
 //
-// HOT-PATH COST MODEL (the PR 5 rebuild). A steady-state event performs
-// ZERO heap allocations and ZERO node-based hash-map probes:
+// HOT-PATH COST MODEL. A steady-state event performs ZERO heap allocations
+// and ZERO node-based hash-map probes, and touches state only of what is
+// live — its own transaction, one version record, one holder list:
 //
-//   * per-transaction state lives in a TxId-indexed slab (TxSlab — both
-//     recorders allocate ids densely from 1, so the id is the index; one
-//     bounds check + one vector index per event, growth is geometric and
-//     amortized away entirely by reserve());
+//   * every TxId owns one 32-bit word in a TxId-indexed slab (TxSlab —
+//     both recorders allocate ids densely from 1, so the id is the index;
+//     one bounds check + one vector index per event). The word says
+//     unborn, finished, or which live slot holds the transaction; it is
+//     all a transaction keeps after C or A;
+//   * a LIVE transaction's state (phase, birth floor, snapshot window,
+//     read stamp, pending invocation, write set, superseded values) sits
+//     in a pooled slot, taken at its first event and recycled at C or A.
+//     The pool grows only to the most transactions ever live at once (or
+//     what reserve() pre-sized), so it stays in cache however long the
+//     stream runs;
+//   * an event for a finished id sees one shared kDone state and flags
+//     kNotWellFormed exactly as a finished transaction's own state did;
 //   * the (register, value) version namespace is an open-addressing flat
 //     table (VersionTable — records inline, linear probing, no
-//     tombstones since versions are never erased);
+//     tombstones since versions are never erased). Each record carries
+//     whether its writer committed, set at commit on every value the
+//     transaction wrote, including values it overwrote itself (never
+//     installed, but committed with it). A read therefore never consults
+//     its writer's state, which may already be recycled;
 //   * a transaction's executed writes are a sorted SmallWriteSet: inline
 //     up to its capacity, then spilled into vectors RECYCLED through a
 //     per-monitor pool at transaction completion (same ascending-register
 //     iteration order as the std::map it replaced, so install order and
 //     every flag position are unchanged);
-//   * holder lists and the BlindWriteSmart retained prefix reuse their
-//     high-water capacity; failure strings are built only when a flag
-//     actually fires.
+//   * holder lists reuse their capacity and drop finished holders before
+//     they would grow, so a register read but never rewritten holds
+//     O(live) entries, not one per read; failure strings are built only
+//     when a flag actually fires.
 //
-// reserve() pre-sizes all of it; tests/core/monitor_alloc_test.cpp feeds
-// 100k+ events under a counting operator-new and asserts literally zero
-// allocations after warm-up for kCommitOrder/kSnapshotRank/kStampedRead.
+// What still grows with the stream is the version table — one 40-byte
+// slot per (register, value) ever written, at most half full — plus 4 B
+// per transaction id. Certifying a window-free tl2 log serially peaks at
+// about 48 B per event (540 MB at 11.2M events; 78 B per event and 868 MB
+// while every transaction kept its full state). Retiring versions no live
+// transaction can read is the remaining step. kBlindWriteSmart also
+// retains the whole fed prefix for its §3.6 search: it stays O(history).
+//
+// reserve() pre-sizes all of it (the id words, the version table, the
+// holder lists, and up to kReservedSlots live slots with their superseded
+// storage); tests/core/monitor_alloc_test.cpp feeds 100k+ events under a
+// counting operator-new and asserts literally zero allocations after
+// warm-up for kCommitOrder/kSnapshotRank/kStampedRead. resident() reports
+// what is held, for the tests that pin it flat.
 // The design follows what production validation engines do to stay O(1)
 // per event (TL2's per-stripe version arrays, NOrec's value-based fast
 // path); behavioral equivalence with the pre-rebuild engine is enforced
@@ -272,12 +298,13 @@ class OnlineCertificateMonitor {
   /// windowed front-end core::verify_event_stream.
   bool ingest(std::span<const Event> batch);
 
-  /// Pre-size the dense hot-path state: the transaction slab (expected
-  /// number of distinct TxIds), the version table (expected distinct
-  /// (register, value) pairs, writes plus initial values), and optionally
-  /// each register's holder list. After this, a feed within those bounds
-  /// performs no heap allocation at all (monitor_alloc_test holds it to
-  /// zero under a counting allocator).
+  /// Pre-size the dense hot-path state: the per-id words (expected number
+  /// of distinct TxIds), the version table (expected distinct (register,
+  /// value) pairs, writes plus initial values), optionally each register's
+  /// holder list, and min(num_txs, kReservedSlots) live-transaction slots.
+  /// After this, a feed within those bounds (and with at most that many
+  /// transactions live at once) performs no heap allocation at all
+  /// (monitor_alloc_test holds it to zero under a counting allocator).
   void reserve(std::size_t num_txs, std::size_t num_versions,
                std::size_t holders_per_register = 0);
 
@@ -293,6 +320,16 @@ class OnlineCertificateMonitor {
   /// found) — the monitor is replaying prefixes in search mode from then on.
   [[nodiscard]] bool retro_ordered() const noexcept { return search_mode_; }
 
+  /// What the monitor holds right now — the state that must stay flat on
+  /// a long stream, except the version table (one record per version).
+  struct Resident {
+    std::size_t live_txs{0};        // first event seen, C or A not yet
+    std::size_t live_slots{0};      // TxState slots allocated (live + free)
+    std::size_t holder_entries{0};  // summed over all registers
+    std::size_t versions{0};        // (register, value) records
+  };
+  [[nodiscard]] Resident resident() const noexcept;
+
  private:
   static constexpr std::size_t kOpen = static_cast<std::size_t>(-1);
 
@@ -305,10 +342,18 @@ class OnlineCertificateMonitor {
     kDone,           // C or A received
   };
 
+  /// Per-id word in ids_: an id is unborn (no event yet), live (the word
+  /// is its live_ slot + 1) or finished (C or A seen). The word is all that
+  /// outlives a transaction.
+  static constexpr std::uint32_t kUnborn = 0;
+  static constexpr std::uint32_t kFinished = ~std::uint32_t{0};
+  /// Live slots (each with superseded storage) reserve() pre-sizes: the
+  /// concurrently live transactions of a recorded run, one per thread.
+  static constexpr std::size_t kReservedSlots = 64;
+
+  /// State of one LIVE transaction, recycled through free_slots_ at C or A.
   struct TxState {
     Phase phase{Phase::kIdle};
-    bool born{false};
-    bool committed{false};
     bool has_write{false};      // an executed write exists
     std::size_t birth_rank{0};
     std::size_t lo{0};          // window: max over reads of version open rank
@@ -320,10 +365,18 @@ class OnlineCertificateMonitor {
     /// Executed writes, latest value per register, ascending-register
     /// order (spill storage recycled via spill_pool_ at completion).
     SmallWriteSet writes;
+    /// (register, value) pairs this transaction wrote and then overwrote
+    /// itself: never installed, but marked committed if it commits.
+    /// Capacity survives slot reuse.
+    std::vector<std::pair<ObjId, Value>> superseded;
   };
 
   struct VersionRec {
     TxId writer{kNoTx};
+    /// The writer committed: what a read needs from its writer, kept here
+    /// (in the padding after `writer`) so no read touches the writer's
+    /// state, which is recycled at C or A.
+    bool writer_committed{false};
     std::size_t open_rank{0};
     std::size_t close_rank{kOpen};
   };
@@ -331,6 +384,13 @@ class OnlineCertificateMonitor {
   bool fail(CertFlagKind kind, const std::string& reason);
   bool on_operation_response(const Event& e, TxState& tx);
   bool on_commit(const Event& c, TxState& tx, TxId id);
+  /// Take a free live slot (or grow the pool) for a transaction's first
+  /// event; returns its ids_ word.
+  [[nodiscard]] std::uint32_t acquire_slot();
+  /// Release a live transaction's slot at C or A; its id becomes finished.
+  void retire(std::uint32_t& word);
+  /// Record `id` as a holder of `obj`'s current version.
+  void hold(ObjId obj, TxId id);
   /// kBlindWriteSmart: called at a would-be repairable flag; tries the §3.6
   /// search on the retained prefix and, on success, switches to search mode.
   bool try_retro_order();
@@ -356,17 +416,26 @@ class OnlineCertificateMonitor {
   /// extended and tried first on the next one.
   std::vector<TxId> witness_;
   std::optional<OnlineViolation> violation_;
-  /// TxId-indexed transaction slab — the id is the index (dense by
-  /// construction of both recorders; sparse ids overflow gracefully).
-  TxSlab<TxState> txs_;
+  /// TxId-indexed per-id words (dense by construction of both recorders;
+  /// sparse ids overflow gracefully): unborn, finished or a live slot.
+  TxSlab<std::uint32_t> ids_;
+  /// Live transaction states and the free slots among them.
+  std::vector<TxState> live_;
+  std::vector<std::uint32_t> free_slots_;
+  /// The state every event of a finished id sees: phase kDone, so each
+  /// late event flags kNotWellFormed in the same switch arm it always did.
+  /// Set to kDone at construction and never mutated after (every arm
+  /// fails on kDone).
+  TxState finished_;
   /// (register, value) -> version record; value-unique writes. Every read
   /// and write resolves against it, so it IS the hot path: an
   /// open-addressing flat table, records inline, no per-probe chasing.
   VersionTable<VersionRec> versions_;
   /// Register -> key of its current committed version in versions_.
   std::vector<std::pair<ObjId, Value>> current_;
-  /// Register -> live transactions holding the current version in their
-  /// window (their hi must shrink when it closes).
+  /// Register -> transactions holding the current version in their window
+  /// (their hi must shrink when it closes). Finished holders are pruned
+  /// before a list would reallocate.
   std::vector<std::vector<TxId>> holders_;
   /// Recycled SmallWriteSet spill storage (see dense_state.hpp).
   SmallWriteSet::SpillPool spill_pool_;

@@ -7,17 +7,20 @@
 // fallback, §3.6 smart reorder — but it needs the whole history
 // materialized. The streaming certificate monitor (online.hpp) needs no
 // event buffer and is verdict- and flag-position-equivalent to the driver
-// (tested by the batch/conformance suites), but its state is
-// O(transactions + versions) seen: it keeps every transaction and every
-// version written, so it still grows with the history (about 50 B per
-// event). verify_event_stream therefore buffers the stream into a History
+// (tested by the batch/conformance suites), but its state still grows
+// with the history: a transaction's full state lives only while it is
+// live, yet the monitor keeps a 4-byte word per transaction id and a
+// record for every version written (serially certifying a window-free
+// tl2 log peaks at about 48 B per event, 540 MB at 11.2M events, nearly
+// all of it the version table). verify_event_stream therefore buffers the
+// stream into a History
 // while it still fits `window_events`; if the stream ends within the
 // window it runs the sharded driver over the materialized history,
 // otherwise it replays the buffer into an OnlineCertificateMonitor, frees
 // it, and streams the rest through ingest() in window-bounded spans. Only
 // the event buffer is bounded by the window (stream_verify_test pins
-// that); peak memory is the window plus monitor state, and the monitor
-// state grows with the history.
+// that); peak memory is the window plus monitor state, and the monitor's
+// version table grows with the history.
 #pragma once
 
 #include <cstddef>

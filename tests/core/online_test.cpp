@@ -1,8 +1,11 @@
 // Online opacity monitors: the §5.2 prefix discipline made streaming.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/builder.hpp"
 #include "core/online.hpp"
@@ -226,7 +229,8 @@ TEST(OnlineCertificate, ValueUniqueWritesEnforced) {
 
 TEST(OnlineCertificate, ReadOfNeverInstalledOverwrittenValueFlagged) {
   // T1 writes 5 then 6 to x before committing: only 6 is ever installed.
-  // T2's read of 5 observes a value that was never current.
+  // T2's read of 5 observes a value that was never current: its writer
+  // committed, so the flag is the value's empty interval at the read.
   const History h = HistoryBuilder::registers(1)
                         .write(1, 0, 5)
                         .write(1, 0, 6)
@@ -235,7 +239,175 @@ TEST(OnlineCertificate, ReadOfNeverInstalledOverwrittenValueFlagged) {
                         .build();
   OnlineCertificateMonitor m(h.model());
   const auto v = run_monitor(m, h);
-  EXPECT_TRUE(v.has_value());
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
+  EXPECT_EQ(v->pos, h.size() - 1);
+}
+
+// w1(x0,1) w1(x0,2) tryC1, then C1 or A1, then r2(x0)->1: T2 reads the
+// value T1 overwrote itself, which was never installed. Whether T1
+// committed decides the flag — kSnapshotEmpty (a committed writer, empty
+// interval) or kReadFromNonCommitted — so "committed" cannot be inferred
+// from "installed".
+[[nodiscard]] History read_of_superseded_value(bool writer_commits) {
+  History h(ObjectModel::registers(1));
+  h.append(ev::inv(1, 0, OpCode::kWrite, 1))
+      .append(ev::ret(1, 0, OpCode::kWrite, 1, 0))
+      .append(ev::inv(1, 0, OpCode::kWrite, 2))
+      .append(ev::ret(1, 0, OpCode::kWrite, 2, 0))
+      .append(ev::try_commit(1))
+      .append(writer_commits ? ev::commit(1) : ev::abort(1))
+      .append(ev::inv(2, 0, OpCode::kRead))
+      .append(ev::ret(2, 0, OpCode::kRead, 0, 1));
+  return h;
+}
+
+class OnlineSupersededValue
+    : public ::testing::TestWithParam<VersionOrderPolicy> {};
+
+TEST_P(OnlineSupersededValue, CommittedWriterFlagsEmptySnapshotAtTheRead) {
+  const History h = read_of_superseded_value(/*writer_commits=*/true);
+  OnlineCertificateMonitor m(h.model(), GetParam());
+  const auto v = run_monitor(m, h);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
+  EXPECT_EQ(v->pos, 7u);
+}
+
+TEST_P(OnlineSupersededValue, AbortedWriterFlagsNonCommittedAtTheRead) {
+  const History h = read_of_superseded_value(/*writer_commits=*/false);
+  OnlineCertificateMonitor m(h.model(), GetParam());
+  const auto v = run_monitor(m, h);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->kind, CertFlagKind::kReadFromNonCommitted) << v->reason;
+  EXPECT_EQ(v->pos, 7u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, OnlineSupersededValue,
+                         ::testing::Values(VersionOrderPolicy::kCommitOrder,
+                                           VersionOrderPolicy::kSnapshotRank,
+                                           VersionOrderPolicy::kStampedRead),
+                         [](const auto& info) {
+                           switch (info.param) {
+                             case VersionOrderPolicy::kCommitOrder:
+                               return "CommitOrder";
+                             case VersionOrderPolicy::kSnapshotRank:
+                               return "SnapshotRank";
+                             default:
+                               return "StampedRead";
+                           }
+                         });
+
+// --- finished transactions ---------------------------------------------------------
+
+struct LateEvent {
+  Event e;
+  const char* reason;
+};
+
+/// One event of every kind for T1, each with the well-formedness reason a
+/// finished transaction gets.
+[[nodiscard]] std::vector<LateEvent> late_events_of_t1() {
+  return {
+      {ev::inv(1, 0, OpCode::kRead),
+       "T1 invoked an operation while not idle (well-formedness)"},
+      {ev::ret(1, 0, OpCode::kRead, 0, 0),
+       "T1 received a response with no matching invocation (well-formedness)"},
+      {ev::try_commit(1), "T1 issued tryC while not idle (well-formedness)"},
+      {ev::commit(1), "T1 committed without tryC (well-formedness)"},
+      {ev::try_abort(1), "T1 issued tryA while not idle (well-formedness)"},
+      {ev::abort(1), "T1 aborted after completing (well-formedness)"},
+  };
+}
+
+/// T1 writes x0 and finishes (C, or A after tryA); T2 then starts (and may
+/// reuse T1's state) and reads x0; the late event for T1 comes last.
+[[nodiscard]] History finished_then(bool committed, const Event& late) {
+  History h(ObjectModel::registers(1));
+  h.append(ev::inv(1, 0, OpCode::kWrite, 5))
+      .append(ev::ret(1, 0, OpCode::kWrite, 5, 0));
+  if (committed) {
+    h.append(ev::try_commit(1)).append(ev::commit(1));
+  } else {
+    h.append(ev::try_abort(1)).append(ev::abort(1));
+  }
+  h.append(ev::inv(2, 0, OpCode::kRead))
+      .append(ev::ret(2, 0, OpCode::kRead, 0, committed ? 5 : 0))
+      .append(late);
+  return h;
+}
+
+TEST(OnlineCertificateFinished, EveryLateEventIsNotWellFormed) {
+  for (const bool committed : {true, false}) {
+    for (const LateEvent& late : late_events_of_t1()) {
+      const History h = finished_then(committed, late.e);
+      OnlineCertificateMonitor m(h.model());
+      const auto v = run_monitor(m, h);
+      ASSERT_TRUE(v.has_value()) << late.reason;
+      EXPECT_EQ(v->kind, CertFlagKind::kNotWellFormed) << v->reason;
+      EXPECT_EQ(v->pos, 6u) << late.reason << " committed=" << committed;
+      EXPECT_EQ(v->reason, late.reason) << "committed=" << committed;
+    }
+  }
+}
+
+// --- resident state ----------------------------------------------------------------
+
+TEST(OnlineCertificateResident, ReadOnlyRegisterKeepsHoldersAndSlotsFlat) {
+  // Eight lanes, interleaved pseudo-randomly one event at a time; each
+  // lane runs transactions back to back that read x0 (written by no one,
+  // so its initial version stays open and every reader becomes a holder)
+  // and write the lane's own register. Holder entries and live slots must
+  // stay bounded once warm although every transaction holds x0.
+  constexpr std::uint32_t kLanes = 8;
+  constexpr std::size_t kEvents = 1'200'000;
+  constexpr std::size_t kWarm = 100'000;
+  OnlineCertificateMonitor m(ObjectModel::registers(kLanes + 1));
+
+  struct Lane {
+    TxId tx{0};
+    int step{6};  // 6 = start the next transaction
+  };
+  std::array<Lane, kLanes> lanes{};
+  TxId next_tx = 1;
+  std::uint64_t rng = 20261017;
+  std::size_t max_holders = 0;
+  std::size_t max_slots = 0;
+  std::size_t max_live = 0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto k = static_cast<std::uint32_t>((rng >> 33) % kLanes);
+    Lane& lane = lanes[k];
+    if (lane.step == 6) {
+      lane.tx = next_tx++;
+      lane.step = 0;
+    }
+    const TxId t = lane.tx;
+    const ObjId own = k + 1;
+    const auto value = static_cast<Value>(t);
+    Event e{};
+    switch (lane.step++) {
+      case 0: e = ev::inv(t, 0, OpCode::kRead); break;
+      case 1: e = ev::ret(t, 0, OpCode::kRead, 0, 0); break;
+      case 2: e = ev::inv(t, own, OpCode::kWrite, value); break;
+      case 3: e = ev::ret(t, own, OpCode::kWrite, value, 0); break;
+      case 4: e = ev::try_commit(t); break;
+      default: e = ev::commit(t); break;
+    }
+    ASSERT_TRUE(m.feed(e)) << m.violation()->reason;
+    if (i >= kWarm && i % 1024 == 0) {
+      const auto r = m.resident();
+      max_holders = std::max(max_holders, r.holder_entries);
+      max_slots = std::max(max_slots, r.live_slots);
+      max_live = std::max(max_live, r.live_txs);
+    }
+  }
+  EXPECT_GT(next_tx, 150'000u);
+  EXPECT_LE(max_live, kLanes);
+  EXPECT_LE(max_slots, kLanes);
+  EXPECT_LE(max_holders, 4 * kLanes);
+  // Versions are the one part that grows: one per committed write.
+  EXPECT_GE(m.resident().versions, m.commits_seen());
 }
 
 // --- cross-validation: certificate is SUFFICIENT for opacity ------------------------
