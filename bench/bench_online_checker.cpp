@@ -6,19 +6,17 @@
 // recorded history grows, plus the certificate monitor alone on long runs
 // the definitional backend could never touch.
 //
-// It also measures the RECORDING side of the pipeline: events/second of a
-// live multi-threaded mix with the original single-mutex recorder vs the
-// sharded per-lane recorder (same workload, same run), the batch-ingestion
-// path fed by the sharded recorder's drain(), and the sharded offline
-// verification driver across shard counts.
+// It also measures the batch-ingestion path fed by the sharded recorder's
+// drain(), the parallel streaming certifier and the sharded offline
+// verification driver across shard counts, and the drain loop's sink
+// overhead. End-to-end pipeline throughput (recorder, drain and monitor
+// under live producers) is perfbench's job, not this file's.
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
-#include <atomic>
 #include <filesystem>
 #include <span>
-#include <thread>
 
 #include "core/online.hpp"
 #include "core/parallel_stream.hpp"
@@ -86,143 +84,6 @@ void BM_DefinitionalMonitor(benchmark::State& state) {
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(h.size()),
       benchmark::Counter::kIsIterationInvariantRate);
-}
-
-// --- recorded-mode throughput: single-mutex vs sharded recorder ---------------
-
-/// Run the same mix with `Threads` workers and the given recorder engine;
-/// report recorded events/second. The per-thread transaction count is held
-/// constant, so the threads axis scales offered load with parallelism.
-/// `window_free` drops the recorder windows entirely (stamped recording);
-/// the delta against the windowed run is the price of the window lock.
-/// `stm_name` picks the stamp source (tl2's clock vs dstm's orec story).
-template <typename RecorderT>
-void BM_RecordedMix(benchmark::State& state, bool window_free = false,
-                    const char* stm_name = "tl2") {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  wl::MixParams params;
-  params.threads = threads;
-  params.vars = 64;
-  params.txs_per_thread = 400;
-  params.ops_per_tx = 8;
-  params.write_ratio = 0.25;
-  params.seed = 4242;
-
-  std::uint64_t events = 0;
-  for (auto _ : state) {
-    const auto stm = stm::make_stm(stm_name, params.vars);
-    (void)stm->set_window_free(window_free);
-    RecorderT recorder(params.vars);
-    stm->set_recorder(&recorder);
-    (void)wl::run_random_mix(*stm, params);
-    events = recorder.num_events();
-    benchmark::DoNotOptimize(events);
-  }
-  state.counters["events"] = static_cast<double>(events);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-// --- recorded-mode live verification: the ISSUE's collapse scenario ----------
-//
-// §5.2 demands a verdict on every prefix: the monitor must run WHILE the
-// mix records. With the single-mutex recorder the only way to observe the
-// stream is to snapshot history() — an O(n) copy under the global mutex
-// that stalls every recording thread, done once per poll interval, so the
-// pipeline is quadratic in the run length. The sharded recorder's drain()
-// hands the monitor each stamp-contiguous batch exactly once. Same
-// workload, same monitor, same verdicts; the architecture is the only
-// difference, and it grows without bound in the run length.
-
-constexpr std::size_t kPollInterval = 1024;
-
-template <typename Pipeline>
-void live_verified_mix(benchmark::State& state, Pipeline&& pipeline) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  wl::MixParams params;
-  params.threads = threads;
-  params.vars = 64;
-  params.txs_per_thread = 12000 / threads;
-  params.ops_per_tx = 8;
-  params.write_ratio = 0.25;
-  params.seed = 4242;
-
-  std::uint64_t events = 0;
-  bool clean = true;
-  for (auto _ : state) {
-    const auto stm = stm::make_stm("tl2", params.vars);
-    clean = pipeline(*stm, params, events);
-    benchmark::DoNotOptimize(clean);
-  }
-  if (!clean) {
-    state.SkipWithError("live monitor flagged an opaque STM's run");
-    return;
-  }
-  state.counters["events"] = static_cast<double>(events);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_LiveVerifiedMixMutex(benchmark::State& state) {
-  live_verified_mix(state, [](stm::Stm& stm, const wl::MixParams& params,
-                              std::uint64_t& events) {
-    stm::MutexRecorder recorder(params.vars);
-    stm.set_recorder(&recorder);
-    core::OnlineCertificateMonitor monitor(
-        core::ObjectModel::registers(params.vars, 0));
-    std::atomic<bool> done{false};
-    std::thread verifier([&] {
-      std::size_t fed = 0;
-      for (;;) {
-        const bool finished = done.load(std::memory_order_acquire);
-        if (finished || recorder.num_events() - fed >= kPollInterval) {
-          // The old API's only window into the stream: a full snapshot.
-          const core::History h = recorder.history();
-          (void)monitor.ingest(
-              std::span<const core::Event>(h.events()).subspan(fed));
-          fed = h.size();
-          if (finished && fed == recorder.num_events()) return;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-    (void)wl::run_random_mix(stm, params);
-    done.store(true, std::memory_order_release);
-    verifier.join();
-    events = monitor.events_fed();
-    return monitor.ok();
-  });
-}
-
-/// The sharded drain/ingest pipeline; `policy` lets the window-free
-/// variant feed the kStampedRead monitor (windowed feeds the default).
-/// The consumer is the production shape: a pre-sized monitor behind the
-/// shared DrainPump loop.
-void live_verified_sharded(benchmark::State& state, bool window_free,
-                           core::VersionOrderPolicy policy) {
-  live_verified_mix(state, [&](stm::Stm& stm, const wl::MixParams& params,
-                               std::uint64_t& events) {
-    (void)stm.set_window_free(window_free);
-    stm::Recorder recorder(params.vars);
-    stm.set_recorder(&recorder);
-    core::OnlineCertificateMonitor monitor(recorder.model(), policy);
-    monitor.reserve(params.threads * params.txs_per_thread + 16,
-                    params.txs_per_thread * params.threads *
-                            params.ops_per_tx / 2 +
-                        params.vars + 16);
-    stm::MonitorSink sink(monitor);
-    stm::DrainPump pump(recorder, sink);
-    std::atomic<bool> done{false};
-    std::thread verifier([&] { (void)pump.run(done); });
-    (void)wl::run_random_mix(stm, params);
-    done.store(true, std::memory_order_release);
-    verifier.join();
-    events = monitor.events_fed();
-    return monitor.ok();
-  });
 }
 
 // --- batch ingestion fed by the sharded recorder ------------------------------
@@ -332,72 +193,6 @@ BENCHMARK(BM_DefinitionalMonitor)
     ->RangeMultiplier(2)
     ->Range(2, 8)
     ->Unit(benchmark::kMillisecond);
-
-void BM_RecordedMixMutex(benchmark::State& state) {
-  BM_RecordedMix<optm::stm::MutexRecorder>(state);
-}
-void BM_RecordedMixSharded(benchmark::State& state) {
-  BM_RecordedMix<optm::stm::Recorder>(state);
-}
-void BM_RecordedMixTl2WindowFree(benchmark::State& state) {
-  BM_RecordedMix<optm::stm::Recorder>(state, /*window_free=*/true);
-}
-void BM_RecordedMixDstmWindowFree(benchmark::State& state) {
-  // The orec stamp source: per-read whole-read-set validation draws the
-  // snapshot, commits ticket through kCommitting. The delta against
-  // BM_RecordedMixTl2WindowFree is the Θ(k) validation, not the recorder.
-  BM_RecordedMix<optm::stm::Recorder>(state, /*window_free=*/true, "dstm");
-}
-void BM_LiveVerifiedMixSharded(benchmark::State& state) {
-  live_verified_sharded(state, /*window_free=*/false,
-                        core::VersionOrderPolicy::kCommitOrder);
-}
-void BM_LiveVerifiedMixTl2WindowFree(benchmark::State& state) {
-  live_verified_sharded(state, /*window_free=*/true,
-                        core::VersionOrderPolicy::kStampedRead);
-}
-
-BENCHMARK(BM_RecordedMixMutex)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_RecordedMixSharded)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_RecordedMixTl2WindowFree)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_RecordedMixDstmWindowFree)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_LiveVerifiedMixMutex)
-    ->RangeMultiplier(2)
-    ->Range(2, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_LiveVerifiedMixSharded)
-    ->RangeMultiplier(2)
-    ->Range(2, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-BENCHMARK(BM_LiveVerifiedMixTl2WindowFree)
-    ->RangeMultiplier(2)
-    ->Range(2, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 BENCHMARK(BM_BatchCertificateMonitor)
     ->RangeMultiplier(8)
@@ -547,13 +342,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
     {"BM_ParallelStreamMonitor", "tl2", "commit-order", "windowed"},
     {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
-    {"BM_RecordedMixMutex", "tl2", "record-only", "windowed"},
-    {"BM_RecordedMixSharded", "tl2", "record-only", "windowed"},
-    {"BM_RecordedMixTl2WindowFree", "tl2", "record-only", "window-free"},
-    {"BM_RecordedMixDstmWindowFree", "dstm", "record-only", "window-free"},
-    {"BM_LiveVerifiedMixMutex", "tl2", "commit-order", "windowed"},
-    {"BM_LiveVerifiedMixSharded", "tl2", "commit-order", "windowed"},
-    {"BM_LiveVerifiedMixTl2WindowFree", "tl2", "stamped-read", "window-free"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_LogAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_Crc32c", "tl2", "record-only", "windowed"},

@@ -25,8 +25,13 @@
 //     Slots store the record inline (no nodes), probing is cache-
 //     sequential, and the table only ever grows — the engines never erase
 //     a version, so no tombstones exist and a probe chain never has to
-//     step over deleted slots (the "tombstone-free epochs" property: a
-//     rehash starts a fresh epoch with every surviving slot reinserted).
+//     step over deleted slots. A rehash starts a fresh EPOCH with every
+//     slot reinserted; epoch() counts them. A record's address is a
+//     handle that stays valid for the rest of its epoch: the streaming
+//     monitor keeps one per register (its current version, closed at the
+//     next install without a probe), and resolve() re-finds a handle by
+//     key once the epoch has moved, so a stale address is never
+//     dereferenced.
 //
 //   * SmallWriteSet  — a transaction's executed writes, sorted by
 //     register: inline storage for the common small write set, spilling
@@ -196,6 +201,19 @@ class VersionTable {
     return const_cast<VersionTable*>(this)->find(obj, val);
   }
 
+  /// Rehashes so far. The address slot() or find() returned for a record
+  /// is valid while epoch() still equals its value when the address was
+  /// taken; every rehash moves every record.
+  [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
+
+  /// The record behind a handle (`rec`, taken in epoch `epoch`) for key
+  /// (obj, val): the address itself within its epoch, a fresh lookup by
+  /// key after a rehash. The stale address is never dereferenced.
+  [[nodiscard]] Rec* resolve(Rec* rec, std::uint32_t epoch, ObjId obj,
+                             Value val) noexcept {
+    return epoch == epoch_ ? rec : find(obj, val);
+  }
+
  private:
   struct Slot {
     Rec rec{};
@@ -231,6 +249,7 @@ class VersionTable {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_buckets, Slot{});
     mask_ = new_buckets - 1;
+    ++epoch_;
     for (Slot& s : old) {
       if (!s.used) continue;
       std::size_t i = bucket_of(s.obj, s.val);
@@ -242,6 +261,7 @@ class VersionTable {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+  std::uint32_t epoch_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -58,8 +58,7 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
                                                    VersionOrderPolicy policy)
     : model_(std::move(model)), policy_(policy), resolver_(policy) {
   finished_.phase = Phase::kDone;
-  current_.resize(model_.size());
-  holders_.resize(model_.size());
+  heads_.resize(model_.size());
   versions_.reserve(model_.size() + 16);
   if (policy_ == VersionOrderPolicy::kBlindWriteSmart) {
     retained_ = History(model_);
@@ -72,8 +71,13 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
     }
     // The initializer's version of every register: open from rank 0.
     const Value init = reg->initial_value();
-    versions_.slot(r, init) = VersionRec{kInitTx, true, 0, kOpen};
-    current_[r] = {r, init};
+    VersionRec& rec = versions_.slot(r, init);
+    rec = VersionRec{kInitTx, true, 0, kOpen};
+    heads_[r] = RegisterHead{.val = init,
+                             .open_rank = 0,
+                             .rec = &rec,
+                             .rec_epoch = versions_.epoch(),
+                             .writer = kInitTx};
   }
 }
 
@@ -82,8 +86,17 @@ void OnlineCertificateMonitor::reserve(std::size_t num_txs,
                                        std::size_t holders_per_register) {
   ids_.reserve(num_txs);
   versions_.reserve(num_versions);
-  if (holders_per_register > 0) {
-    for (auto& h : holders_) h.reserve(holders_per_register);
+  if (holders_per_register > RegisterHead::kInlineHolders) {
+    // Every register may overflow at once: one list each, sized for the
+    // holders past the inline ones.
+    free_overflow_.reserve(heads_.size());
+    while (overflow_.size() < heads_.size()) {
+      free_overflow_.push_back(static_cast<std::uint32_t>(overflow_.size()));
+      overflow_.emplace_back();
+    }
+    for (auto& list : overflow_) {
+      list.reserve(holders_per_register - RegisterHead::kInlineHolders);
+    }
   }
   const std::size_t slots = std::min(num_txs, kReservedSlots);
   if (live_.size() >= slots) return;
@@ -103,7 +116,12 @@ OnlineCertificateMonitor::Resident OnlineCertificateMonitor::resident()
   Resident r;
   r.live_txs = live_.size() - free_slots_.size();
   r.live_slots = live_.size();
-  for (const auto& h : holders_) r.holder_entries += h.size();
+  for (const RegisterHead& head : heads_) {
+    r.holder_entries += head.num_inline;
+    if (head.overflow != kNoOverflow) {
+      r.holder_entries += overflow_[head.overflow].size();
+    }
+  }
   r.versions = versions_.size();
   return r;
 }
@@ -140,17 +158,56 @@ void OnlineCertificateMonitor::retire(std::uint32_t& word) {
   word = kFinished;
 }
 
-void OnlineCertificateMonitor::hold(ObjId obj, TxId id) {
-  std::vector<TxId>& list = holders_[obj];
+void OnlineCertificateMonitor::hold(RegisterHead& head, TxId id) {
+  // A register read but never rewritten would keep every reader: drop the
+  // finished ones (their windows no longer matter) before spilling or
+  // growing.
+  const auto finished = [this](TxId h) { return *ids_.find(h) == kFinished; };
+  if (head.num_inline == RegisterHead::kInlineHolders) {
+    const auto first = head.holders.begin();
+    head.num_inline = static_cast<std::uint32_t>(
+        std::remove_if(first, first + head.num_inline, finished) - first);
+  }
+  if (head.num_inline < RegisterHead::kInlineHolders) {
+    head.holders[head.num_inline++] = id;
+    return;
+  }
+  if (head.overflow == kNoOverflow) {
+    if (free_overflow_.empty()) {
+      free_overflow_.push_back(static_cast<std::uint32_t>(overflow_.size()));
+      overflow_.emplace_back();
+      // Every list can be free at once: keep room to release them all.
+      free_overflow_.reserve(overflow_.capacity());
+    }
+    head.overflow = free_overflow_.back();
+    free_overflow_.pop_back();
+  }
+  std::vector<TxId>& list = overflow_[head.overflow];
   if (list.size() == list.capacity()) {
-    // A register read but never rewritten would keep every reader: drop
-    // the finished ones (their windows no longer matter) before growing.
     // Growing whenever more than half survive keeps this amortized O(1).
-    std::erase_if(list,
-                  [this](TxId h) { return *ids_.find(h) == kFinished; });
+    std::erase_if(list, finished);
     if (list.size() * 2 > list.capacity()) list.reserve(list.capacity() * 2);
   }
   list.push_back(id);
+}
+
+void OnlineCertificateMonitor::close_holders(RegisterHead& head,
+                                             std::size_t rank) {
+  const auto shrink = [&](TxId holder) {
+    const std::uint32_t word = *ids_.find(holder);
+    if (word == kFinished) return;
+    TxState& h = live_[word - 1];
+    if (rank < h.hi) h.hi = rank;
+  };
+  for (std::uint32_t i = 0; i < head.num_inline; ++i) shrink(head.holders[i]);
+  head.num_inline = 0;
+  if (head.overflow != kNoOverflow) {
+    std::vector<TxId>& list = overflow_[head.overflow];
+    for (const TxId holder : list) shrink(holder);
+    list.clear();
+    free_overflow_.push_back(head.overflow);
+    head.overflow = kNoOverflow;
+  }
 }
 
 bool OnlineCertificateMonitor::fail(CertFlagKind kind,
@@ -249,7 +306,16 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
     return true;
   }
 
-  const VersionRec* v = versions_.find(e.obj, e.ret);
+  // The register's current version answers from its head; only older or
+  // uncommitted values (and unwritten ones) need the table.
+  RegisterHead& head = heads_[e.obj];
+  VersionRec current;
+  const VersionRec* v = &current;
+  if (e.ret == head.val) {
+    current = VersionRec{head.writer, true, head.open_rank, kOpen};
+  } else {
+    v = versions_.find(e.obj, e.ret);
+  }
   if (v == nullptr) {
     return fail(CertFlagKind::kUnwrittenValue,
                 tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
@@ -293,7 +359,7 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
   // Intersect the snapshot window with the version's validity interval.
   if (rec.open_rank > tx.lo) tx.lo = rec.open_rank;
   if (rec.close_rank < tx.hi) tx.hi = rec.close_rank;
-  if (rec.close_rank == kOpen) hold(e.obj, e.tx);
+  if (rec.close_rank == kOpen) hold(head, e.tx);
 
   if (tx.lo >= tx.hi) {
     return fail(CertFlagKind::kSnapshotEmpty,
@@ -378,24 +444,22 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
     }
   }
   for (const auto& [obj, value] : tx.writes) {
-    auto& prev_key = current_[obj];
-    if (VersionRec* prev = versions_.find(prev_key.first, prev_key.second)) {
-      prev->close_rank = rank;
-    }
-    for (const TxId holder : holders_[obj]) {
-      const std::uint32_t word = *ids_.find(holder);
-      if (word == kFinished) continue;
-      TxState& h = live_[word - 1];
-      if (rank < h.hi) h.hi = rank;
-    }
-    holders_[obj].clear();
+    RegisterHead& head = heads_[obj];
+    versions_.resolve(head.rec, head.rec_epoch, obj, head.val)->close_rank =
+        rank;
+    close_holders(head, rank);
 
+    // The write response inserted the record: this lookup never rehashes.
     VersionRec& rec = versions_.slot(obj, value);
     rec.writer = id;
     rec.writer_committed = true;
     rec.open_rank = rank;
     rec.close_rank = kOpen;
-    prev_key = {obj, value};
+    head = RegisterHead{.val = value,
+                        .open_rank = rank,
+                        .rec = &rec,
+                        .rec_epoch = versions_.epoch(),
+                        .writer = id};
   }
   return true;
 }

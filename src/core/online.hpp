@@ -165,7 +165,9 @@
 //
 // HOT-PATH COST MODEL. A steady-state event performs ZERO heap allocations
 // and ZERO node-based hash-map probes, and touches state only of what is
-// live — its own transaction, one version record, one holder list:
+// live — its own transaction and, for a register operation, that
+// register's head line (plus one table slot when it writes or reads a value
+// other than the register's current one):
 //
 //   * every TxId owns one 32-bit word in a TxId-indexed slab (TxSlab —
 //     both recorders allocate ids densely from 1, so the id is the index;
@@ -180,37 +182,58 @@
 //     stream runs;
 //   * an event for a finished id sees one shared kDone state and flags
 //     kNotWellFormed exactly as a finished transaction's own state did;
+//   * every register owns one 64-byte REGISTER HEAD (one cache line): its
+//     current committed version's value, writer and open rank, a handle to
+//     that version's table record, and its first six holders (the live
+//     readers whose window the version bounds). A read that returns the
+//     current value — nearly every non-local read of a live run — builds
+//     its version record {writer, committed, open rank, open} from the
+//     head, identical to the table's, and pushes its holder there. The
+//     install at commit closes the previous version through the handle (a
+//     plain store, no probe), shrinks the holders' windows and rewrites
+//     the head; it probes the table once, for the new version's record;
 //   * the (register, value) version namespace is an open-addressing flat
 //     table (VersionTable — records inline, linear probing, no
-//     tombstones since versions are never erased). Each record carries
-//     whether its writer committed, set at commit on every value the
-//     transaction wrote, including values it overwrote itself (never
-//     installed, but committed with it). A read therefore never consults
-//     its writer's state, which may already be recycled;
+//     tombstones since versions are never erased). What still goes there:
+//     every write response (value uniqueness; the record the install later
+//     fills), the committed mark on values a transaction overwrote itself,
+//     and reads of any value but the current one (older versions,
+//     uncommitted or never-written values). Each record carries whether
+//     its writer committed, so a read never consults its writer's state,
+//     which may already be recycled. A rehash starts a new table epoch; a
+//     head's handle from an older epoch is re-found by key, never
+//     dereferenced;
 //   * a transaction's executed writes are a sorted SmallWriteSet: inline
 //     up to its capacity, then spilled into vectors RECYCLED through a
 //     per-monitor pool at transaction completion (same ascending-register
 //     iteration order as the std::map it replaced, so install order and
 //     every flag position are unchanged);
-//   * holder lists reuse their capacity and drop finished holders before
+//   * a holder push that finds the inline slots full first drops the
+//     finished holders in place; only a register that still has six live
+//     holders spills into an overflow list, taken from a pool and returned
+//     at the version's close. Overflow lists drop finished holders before
 //     they would grow, so a register read but never rewritten holds
 //     O(live) entries, not one per read; failure strings are built only
 //     when a flag actually fires.
 //
 // What still grows with the stream is the version table — one 40-byte
 // slot per (register, value) ever written, at most half full — plus 4 B
-// per transaction id. Certifying a window-free tl2 log serially peaks at
-// about 48 B per event (540 MB at 11.2M events; 78 B per event and 868 MB
-// while every transaction kept its full state). Retiring versions no live
-// transaction can read is the remaining step. kBlindWriteSmart also
-// retains the whole fed prefix for its §3.6 search: it stays O(history).
+// per transaction id. Per register the monitor keeps 64 B outside the
+// table (overflow lists only for registers that overflow). Certifying a
+// window-free tl2 log serially peaks at about 48 B per event (540 MB at
+// 11.2M events; 78 B per event and 868 MB while every transaction kept its
+// full state). Retiring versions no live transaction can read is the
+// remaining step. kBlindWriteSmart also retains the whole fed prefix for
+// its §3.6 search: it stays O(history).
 //
-// reserve() pre-sizes all of it (the id words, the version table, the
-// holder lists, and up to kReservedSlots live slots with their superseded
-// storage); tests/core/monitor_alloc_test.cpp feeds 100k+ events under a
-// counting operator-new and asserts literally zero allocations after
-// warm-up for kCommitOrder/kSnapshotRank/kStampedRead. resident() reports
-// what is held, for the tests that pin it flat.
+// reserve() pre-sizes all of it (the id words, the version table, one
+// overflow holder list per register when more holders than a head holds
+// inline are expected, and up to kReservedSlots live slots with their
+// superseded storage); tests/core/monitor_alloc_test.cpp feeds 100k+
+// events under a counting operator-new and asserts literally zero
+// allocations after warm-up for kCommitOrder/kSnapshotRank/kStampedRead,
+// and for a register with more live holders than its head holds inline.
+// resident() reports what is held, for the tests that pin it flat.
 // The design follows what production validation engines do to stay O(1)
 // per event (TL2's per-stripe version arrays, NOrec's value-based fast
 // path); behavioral equivalence with the pre-rebuild engine is enforced
@@ -226,6 +249,7 @@
 // verify_opacity_certificate replay.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -300,8 +324,10 @@ class OnlineCertificateMonitor {
 
   /// Pre-size the dense hot-path state: the per-id words (expected number
   /// of distinct TxIds), the version table (expected distinct (register,
-  /// value) pairs, writes plus initial values), optionally each register's
-  /// holder list, and min(num_txs, kReservedSlots) live-transaction slots.
+  /// value) pairs, writes plus initial values), optionally the holders of
+  /// each register (beyond the inline ones a register head keeps, one
+  /// overflow list per register), and min(num_txs, kReservedSlots)
+  /// live-transaction slots.
   /// After this, a feed within those bounds (and with at most that many
   /// transactions live at once) performs no heap allocation at all
   /// (monitor_alloc_test holds it to zero under a counting allocator).
@@ -325,7 +351,7 @@ class OnlineCertificateMonitor {
   struct Resident {
     std::size_t live_txs{0};        // first event seen, C or A not yet
     std::size_t live_slots{0};      // TxState slots allocated (live + free)
-    std::size_t holder_entries{0};  // summed over all registers
+    std::size_t holder_entries{0};  // inline + overflow, all registers
     std::size_t versions{0};        // (register, value) records
   };
   [[nodiscard]] Resident resident() const noexcept;
@@ -381,6 +407,30 @@ class OnlineCertificateMonitor {
     std::size_t close_rank{kOpen};
   };
 
+  static constexpr std::uint32_t kNoOverflow = ~std::uint32_t{0};
+
+  /// The register's current committed version, as the table holds it
+  /// ({writer, committed, open_rank, kOpen}), plus a handle to that table
+  /// record, and the transactions whose windows it bounds. A read of the
+  /// current value, the holder push and the install at commit all stay on
+  /// this line.
+  struct alignas(64) RegisterHead {
+    static constexpr std::size_t kInlineHolders = 6;
+    Value val{0};
+    std::size_t open_rank{0};
+    /// The current version's record in versions_, valid while
+    /// versions_.epoch() == rec_epoch (resolve() re-finds it otherwise).
+    VersionRec* rec{nullptr};
+    std::uint32_t rec_epoch{0};
+    TxId writer{kNoTx};
+    std::uint32_t num_inline{0};
+    /// Index into overflow_ of the list taking the holders past the inline
+    /// ones, or kNoOverflow.
+    std::uint32_t overflow{kNoOverflow};
+    std::array<TxId, kInlineHolders> holders{};
+  };
+  static_assert(sizeof(RegisterHead) == 64);
+
   bool fail(CertFlagKind kind, const std::string& reason);
   bool on_operation_response(const Event& e, TxState& tx);
   bool on_commit(const Event& c, TxState& tx, TxId id);
@@ -389,8 +439,11 @@ class OnlineCertificateMonitor {
   [[nodiscard]] std::uint32_t acquire_slot();
   /// Release a live transaction's slot at C or A; its id becomes finished.
   void retire(std::uint32_t& word);
-  /// Record `id` as a holder of `obj`'s current version.
-  void hold(ObjId obj, TxId id);
+  /// Record `id` as a holder of `head`'s current version.
+  void hold(RegisterHead& head, TxId id);
+  /// Shrink every holder's window to `rank` (the current version closes
+  /// there) and empty the holder list.
+  void close_holders(RegisterHead& head, std::size_t rank);
   /// kBlindWriteSmart: called at a would-be repairable flag; tries the §3.6
   /// search on the retained prefix and, on success, switches to search mode.
   bool try_retro_order();
@@ -427,16 +480,18 @@ class OnlineCertificateMonitor {
   /// Set to kDone at construction and never mutated after (every arm
   /// fails on kDone).
   TxState finished_;
-  /// (register, value) -> version record; value-unique writes. Every read
-  /// and write resolves against it, so it IS the hot path: an
-  /// open-addressing flat table, records inline, no per-probe chasing.
+  /// (register, value) -> version record; value-unique writes. Every write
+  /// response inserts here; reads of anything but a register's current
+  /// version resolve here: an open-addressing flat table, records inline.
   VersionTable<VersionRec> versions_;
-  /// Register -> key of its current committed version in versions_.
-  std::vector<std::pair<ObjId, Value>> current_;
-  /// Register -> transactions holding the current version in their window
-  /// (their hi must shrink when it closes). Finished holders are pruned
-  /// before a list would reallocate.
-  std::vector<std::vector<TxId>> holders_;
+  /// Register -> its head (current version and first holders).
+  std::vector<RegisterHead> heads_;
+  /// Holder lists of registers whose inline holders are all live and one
+  /// more arrives, and the free ones among them (capacity kept). Finished
+  /// holders are pruned before a list would reallocate; a list returns to
+  /// the free pool when its version closes.
+  std::vector<std::vector<TxId>> overflow_;
+  std::vector<std::uint32_t> free_overflow_;
   /// Recycled SmallWriteSet spill storage (see dense_state.hpp).
   SmallWriteSet::SpillPool spill_pool_;
 };

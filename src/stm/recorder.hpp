@@ -101,8 +101,9 @@
 // pending, or when some are pending and stamps_issued() has not moved for
 // DrainPump::kQuietPolls polls (the quiet-poll flush bounds the tail).
 // What is enforced is the size of each hand-over: DrainPump caps every
-// drain at exactly max_pending (drain()'s budget), so every batch the sink
-// sees, and the batch memory, stays within it. The backlog itself — and
+// drain at exactly max_pending (drain()'s budget; 2048 events, 96 KiB, by
+// default, so a batch stays in L2 from drain to sink), and every batch the
+// sink sees, and the batch memory, stays within it. The backlog itself — and
 // with it the events between a violation being recorded and the monitor
 // latching it — stays bounded only while the sink keeps up with the
 // producers; bounding it otherwise needs producer backpressure, which the

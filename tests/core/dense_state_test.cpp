@@ -85,6 +85,44 @@ TEST(VersionTable, FindAndInsertAcrossRehashes) {
   EXPECT_FALSE(inserted);
 }
 
+TEST(VersionTable, HandlesHoldWithinTheirEpochAndResolveByKeyAfter) {
+  VersionTable<int> table(2);
+  const std::uint32_t start = table.epoch();
+  int* handle = &table.slot(0, 1);
+  *handle = 41;
+  const std::uint32_t taken = table.epoch();
+  EXPECT_EQ(taken, start);  // one insert into 16 buckets: no rehash
+  // Lookups and re-slots of existing keys never rehash: the epoch stays,
+  // the handle is the live record.
+  EXPECT_EQ(table.find(0, 1), handle);
+  EXPECT_EQ(&table.slot(0, 1), handle);
+  EXPECT_EQ(table.epoch(), taken);
+  EXPECT_EQ(table.resolve(handle, taken, 0, 1), handle);
+  // reserve() within capacity does not rehash; past it, it does.
+  table.reserve(1);
+  EXPECT_EQ(table.epoch(), taken);
+  // Inserts grow the table: every rehash starts a new epoch and moves
+  // every record, so the old address must be resolved by key (and never
+  // read: under ASan, reading it would be a use-after-free).
+  std::uint32_t last = taken;
+  for (Value v = 2; v < 200; ++v) {
+    table.slot(1, v) = static_cast<int>(v);
+    EXPECT_GE(table.epoch(), last);
+    last = table.epoch();
+  }
+  EXPECT_GE(table.epoch(), taken + 3);
+  int* moved = table.resolve(handle, taken, 0, 1);
+  ASSERT_NE(moved, nullptr);
+  EXPECT_EQ(moved, table.find(0, 1));
+  EXPECT_EQ(*moved, 41);
+  // A handle taken in the current epoch is its own address again.
+  EXPECT_EQ(table.resolve(moved, table.epoch(), 0, 1), moved);
+  const std::uint32_t before = table.epoch();
+  table.reserve(4096);
+  EXPECT_EQ(table.epoch(), before + 1);
+  EXPECT_EQ(*table.resolve(moved, before, 0, 1), 41);
+}
+
 TEST(SmallWriteSet, SortedUpsertInlineAndSpilled) {
   SmallWriteSet::SpillPool pool;
   SmallWriteSet ws;

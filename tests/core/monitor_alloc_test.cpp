@@ -20,6 +20,7 @@
 #include "stm/factory.hpp"
 #include "stm/recorder.hpp"
 #include "workload/workloads.hpp"
+#include "hot_register_stream.hpp"
 
 namespace {
 
@@ -197,6 +198,34 @@ TEST(MonitorAllocBatch, IngestAllocatesNothingSteadyState) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_TRUE(monitor.ok());
+  EXPECT_EQ(after - before, 0u);
+}
+
+/// More live holders of one register than its head holds inline: the
+/// overflow lists reserve() pre-sizes must absorb them, and releasing and
+/// re-taking them at every install must not allocate either.
+TEST(MonitorAllocOverflow, HolderOverflowAllocatesNothingSteadyState) {
+  constexpr std::uint32_t kReaders = 12;
+  HotRegisterStream stream(kReaders);
+  std::vector<Event> events(200'000);
+  for (Event& e : events) e = stream.next();
+
+  OnlineCertificateMonitor monitor(
+      ObjectModel::registers(HotRegisterStream::kRegisters),
+      VersionOrderPolicy::kStampedRead);
+  monitor.reserve(stream.txs_started() + 2, events.size(),
+                  /*holders_per_register=*/4 * kReaders);
+
+  std::size_t max_holders = 0;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (const Event& e : events) {
+    if (!monitor.feed(e)) break;
+    max_holders = std::max(max_holders, monitor.resident().holder_entries);
+  }
+  const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(monitor.ok()) << monitor.violation()->reason;
+  EXPECT_GT(monitor.commits_seen(), 3'000u);
+  EXPECT_GT(max_holders, 6u) << "the holders never spilled past the head";
   EXPECT_EQ(after - before, 0u);
 }
 

@@ -13,6 +13,7 @@
 #include "core/object_spec.hpp"
 #include "core/paper.hpp"
 #include "core/random_history.hpp"
+#include "hot_register_stream.hpp"
 
 namespace optm::core {
 namespace {
@@ -262,6 +263,25 @@ TEST(OnlineCertificate, ReadOfNeverInstalledOverwrittenValueFlagged) {
   return h;
 }
 
+// The policies the certificate checks incrementally (kBlindWriteSmart
+// replays prefixes instead).
+const auto kCertificatePolicies =
+    ::testing::Values(VersionOrderPolicy::kCommitOrder,
+                      VersionOrderPolicy::kSnapshotRank,
+                      VersionOrderPolicy::kStampedRead);
+
+std::string policy_name(
+    const ::testing::TestParamInfo<VersionOrderPolicy>& info) {
+  switch (info.param) {
+    case VersionOrderPolicy::kCommitOrder:
+      return "CommitOrder";
+    case VersionOrderPolicy::kSnapshotRank:
+      return "SnapshotRank";
+    default:
+      return "StampedRead";
+  }
+}
+
 class OnlineSupersededValue
     : public ::testing::TestWithParam<VersionOrderPolicy> {};
 
@@ -283,20 +303,8 @@ TEST_P(OnlineSupersededValue, AbortedWriterFlagsNonCommittedAtTheRead) {
   EXPECT_EQ(v->pos, 7u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, OnlineSupersededValue,
-                         ::testing::Values(VersionOrderPolicy::kCommitOrder,
-                                           VersionOrderPolicy::kSnapshotRank,
-                                           VersionOrderPolicy::kStampedRead),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case VersionOrderPolicy::kCommitOrder:
-                               return "CommitOrder";
-                             case VersionOrderPolicy::kSnapshotRank:
-                               return "SnapshotRank";
-                             default:
-                               return "StampedRead";
-                           }
-                         });
+INSTANTIATE_TEST_SUITE_P(Policies, OnlineSupersededValue, kCertificatePolicies,
+                         policy_name);
 
 // --- finished transactions ---------------------------------------------------------
 
@@ -409,6 +417,322 @@ TEST(OnlineCertificateResident, ReadOnlyRegisterKeepsHoldersAndSlotsFlat) {
   // Versions are the one part that grows: one per committed write.
   EXPECT_GE(m.resident().versions, m.commits_seen());
 }
+
+// --- register heads: the current version answers from its head ------------
+
+// A read of a register's current value resolves from the register's head;
+// any other value goes through the version table. The two paths must
+// flag (or not) exactly as the table alone did. Histories use the TL2
+// stamp convention: a commit at wv carries 2·wv, a read at snapshot rv
+// carries (2·rv+1, version). Under kCommitOrder and kSnapshotRank `ver`
+// is not checked, so a wrong one does not flag.
+
+void add_read(History& h, TxId t, ObjId x, Value v, std::uint64_t rv,
+              std::uint64_t ver) {
+  h.append(ev::inv(t, x, OpCode::kRead))
+      .append(ev::ret(t, x, OpCode::kRead, 0, v, 2 * rv + 1, ver));
+}
+void add_write(History& h, TxId t, ObjId x, Value v) {
+  h.append(ev::inv(t, x, OpCode::kWrite, v))
+      .append(ev::ret(t, x, OpCode::kWrite, v, 0));
+}
+void add_commit(History& h, TxId t, std::uint64_t stamp) {
+  h.append(ev::try_commit(t)).append(ev::commit(t, stamp));
+}
+
+struct HeadCase {
+  const char* name;
+  History (*build)();
+  /// First flag under kStampedRead, and under the other two policies
+  /// (kNone: the history certifies; pos is then unused).
+  CertFlagKind stamped_kind;
+  std::size_t stamped_pos;
+  CertFlagKind other_kind;
+  std::size_t other_pos;
+};
+
+// T1 installs x0=5 at wv 2; T2 reads it (the head) naming version `ver`.
+[[nodiscard]] History current_version_read(std::uint64_t ver) {
+  History h(ObjectModel::registers(2));
+  add_write(h, 1, 0, 5);
+  add_commit(h, 1, 4);
+  add_read(h, 2, 0, 5, 2, ver);
+  add_commit(h, 2, 5);
+  return h;
+}
+
+[[nodiscard]] History init_value_read(std::uint64_t ver) {
+  History h(ObjectModel::registers(2));
+  add_read(h, 1, 0, 0, 0, ver);
+  add_read(h, 1, 1, 0, 0, 0);
+  add_commit(h, 1, 1);
+  return h;
+}
+
+const HeadCase kHeadCases[] = {
+    {"CurrentVersionRightStamp", [] { return current_version_read(2); },
+     CertFlagKind::kNone, 0, CertFlagKind::kNone, 0},
+    {"CurrentVersionWrongStamp", [] { return current_version_read(3); },
+     CertFlagKind::kReadStampMismatch, 5, CertFlagKind::kNone, 0},
+    {"InitValue", [] { return init_value_read(0); }, CertFlagKind::kNone, 0,
+     CertFlagKind::kNone, 0},
+    {"InitValueWrongStamp", [] { return init_value_read(1); },
+     CertFlagKind::kReadStampMismatch, 1, CertFlagKind::kNone, 0},
+    // T2 is born after T1 overwrote the initial x0, then reads it.
+    {"OverwrittenInitIsStale",
+     [] {
+       History h(ObjectModel::registers(2));
+       add_write(h, 1, 0, 5);
+       add_commit(h, 1, 4);
+       add_read(h, 2, 0, 0, 2, 0);
+       return h;
+     },
+     CertFlagKind::kStaleRead, 5, CertFlagKind::kStaleRead, 5},
+    // T1 installs x0=5, T2 overwrites it with 7; T3, born after both,
+    // reads 5 from the table.
+    {"OverwrittenInstalledIsStale",
+     [] {
+       History h(ObjectModel::registers(2));
+       add_write(h, 1, 0, 5);
+       add_commit(h, 1, 4);
+       add_write(h, 2, 0, 7);
+       add_commit(h, 2, 6);
+       add_read(h, 3, 0, 5, 3, 2);
+       return h;
+     },
+     CertFlagKind::kStaleRead, 9, CertFlagKind::kStaleRead, 9},
+    // T2 holds x1's head; T1 overwrites x0 and x1, which shrinks T2's
+    // window to end at T1's rank; T2's read of the new x0 (a head read)
+    // then empties it.
+    {"HeldVersionOverwrittenThenNewValueRead",
+     [] {
+       History h(ObjectModel::registers(2));
+       add_read(h, 2, 1, 0, 0, 0);
+       add_write(h, 1, 0, 5);
+       add_write(h, 1, 1, 6);
+       add_commit(h, 1, 4);
+       add_read(h, 2, 0, 5, 2, 2);
+       return h;
+     },
+     CertFlagKind::kSnapshotEmpty, 9, CertFlagKind::kSnapshotEmpty, 9},
+    // The same, but T2 keeps reading its old snapshot from the table and
+    // commits read-only inside it.
+    {"HeldVersionOverwrittenOldValueRead",
+     [] {
+       History h(ObjectModel::registers(2));
+       add_read(h, 2, 1, 0, 0, 0);
+       add_write(h, 1, 0, 5);
+       add_commit(h, 1, 4);
+       add_read(h, 2, 0, 0, 0, 0);
+       add_commit(h, 2, 1);
+       return h;
+     },
+     CertFlagKind::kNone, 0, CertFlagKind::kNone, 0},
+    // T3 is born after T1 installed x0=5 and reads x1; T2 overwrites x0;
+    // T3 then reads 5 from the table, inside its snapshot.
+    {"ReadJustOverwrittenVersionInsideSnapshot",
+     [] {
+       History h(ObjectModel::registers(2));
+       add_write(h, 1, 0, 5);
+       add_commit(h, 1, 4);
+       add_read(h, 3, 1, 0, 2, 0);
+       add_write(h, 2, 0, 7);
+       add_commit(h, 2, 6);
+       add_read(h, 3, 0, 5, 2, 2);
+       add_commit(h, 3, 5);
+       return h;
+     },
+     CertFlagKind::kNone, 0, CertFlagKind::kNone, 0},
+};
+
+class OnlineRegisterHead
+    : public ::testing::TestWithParam<VersionOrderPolicy> {};
+
+TEST_P(OnlineRegisterHead, HeadAndTablePathsFlagAsTheTableAlone) {
+  const VersionOrderPolicy policy = GetParam();
+  for (const HeadCase& c : kHeadCases) {
+    const History h = c.build();
+    OnlineCertificateMonitor m(h.model(), policy);
+    const auto v = run_monitor(m, h);
+    const bool stamped = policy == VersionOrderPolicy::kStampedRead;
+    const CertFlagKind kind = stamped ? c.stamped_kind : c.other_kind;
+    const std::size_t pos = stamped ? c.stamped_pos : c.other_pos;
+    if (kind == CertFlagKind::kNone) {
+      EXPECT_FALSE(v.has_value()) << c.name << ": " << v->reason;
+      continue;
+    }
+    ASSERT_TRUE(v.has_value()) << c.name;
+    EXPECT_EQ(v->kind, kind) << c.name << ": " << v->reason;
+    EXPECT_EQ(v->pos, pos) << c.name;
+  }
+}
+
+// More live readers of one register than its head holds inline (6): the
+// overflow holders' windows must shrink at the next install exactly like
+// the inline ones. Four finished readers come first, so the inline slots
+// are also compacted in place before anything spills.
+constexpr TxId kFinishedReaders = 4;
+constexpr TxId kLiveReaders = 9;
+constexpr TxId kFirstLive = 11;
+constexpr TxId kOverwriter = 100;
+
+/// The readers hold x0's initial version, T100 overwrites it at wv 2.
+[[nodiscard]] History many_holders_then_overwrite() {
+  History h(ObjectModel::registers(2));
+  for (TxId t = 1; t <= kFinishedReaders; ++t) {
+    add_read(h, t, 0, 0, 0, 0);
+    add_commit(h, t, 1);
+  }
+  for (TxId t = kFirstLive; t < kFirstLive + kLiveReaders; ++t) {
+    add_read(h, t, 0, 0, 0, 0);
+  }
+  add_write(h, kOverwriter, 0, 100);
+  add_commit(h, kOverwriter, 4);
+  return h;
+}
+
+class OnlineHolderOverflow
+    : public ::testing::TestWithParam<VersionOrderPolicy> {};
+
+TEST_P(OnlineHolderOverflow, EveryHolderWindowShrinksAtTheInstall) {
+  const History base = many_holders_then_overwrite();
+  for (TxId reader = kFirstLive; reader < kFirstLive + kLiveReaders;
+       ++reader) {
+    // The reader now reads the overwriter's x0: its window, closed at the
+    // overwriter's rank, cannot also open there.
+    History h = base;
+    add_read(h, reader, 0, 100, 2, 2);
+    OnlineCertificateMonitor m(h.model(), GetParam());
+    const auto v = run_monitor(m, h);
+    ASSERT_TRUE(v.has_value()) << "T" << reader;
+    EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
+    EXPECT_EQ(v->pos, 39u) << "T" << reader;
+  }
+  // A reader born after the overwrite reads the same value cleanly.
+  History h = base;
+  add_read(h, 200, 0, 100, 2, 2);
+  add_commit(h, 200, 5);
+  OnlineCertificateMonitor m(h.model(), GetParam());
+  EXPECT_FALSE(run_monitor(m, h).has_value()) << m.violation()->reason;
+}
+
+TEST_P(OnlineHolderOverflow, ResidentCountsInlineAndOverflowHolders) {
+  const History h = many_holders_then_overwrite();
+  OnlineCertificateMonitor m(h.model(), GetParam());
+  // Up to the overwriter's first event: the finished readers are pruned,
+  // the live ones all count.
+  const std::size_t overwriter_first = h.size() - 4;
+  for (std::size_t i = 0; i < overwriter_first; ++i) {
+    ASSERT_TRUE(m.feed(h[i])) << m.violation()->reason;
+  }
+  EXPECT_EQ(m.resident().holder_entries, std::size_t{kLiveReaders});
+  for (std::size_t i = overwriter_first; i < h.size(); ++i) {
+    ASSERT_TRUE(m.feed(h[i])) << m.violation()->reason;
+  }
+  EXPECT_EQ(m.resident().holder_entries, 0u);
+}
+
+TEST(OnlineCertificateResident, HotRegisterHoldersStayBoundedPastInline) {
+  // Twelve reader lanes keep up to 12 live holders on x0 while a writer
+  // lane keeps overwriting it: holder lists spill past the inline slots
+  // and are released at every install. Holder entries must stay bounded.
+  constexpr std::uint32_t kReaders = 12;
+  constexpr std::size_t kEvents = 1'200'000;
+  constexpr std::size_t kWarm = 100'000;
+  HotRegisterStream stream(kReaders);
+  OnlineCertificateMonitor m(
+      ObjectModel::registers(HotRegisterStream::kRegisters));
+  std::size_t max_holders = 0;
+  std::size_t max_slots = 0;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    ASSERT_TRUE(m.feed(stream.next())) << m.violation()->reason;
+    if (i >= kWarm && i % 1024 == 0) {
+      const auto r = m.resident();
+      max_holders = std::max(max_holders, r.holder_entries);
+      max_slots = std::max(max_slots, r.live_slots);
+    }
+  }
+  EXPECT_GT(m.commits_seen(), 20'000u);  // x0 was overwritten throughout
+  EXPECT_LE(max_slots, std::size_t{kReaders + 1});
+  EXPECT_LE(max_holders, std::size_t{4 * kReaders});
+}
+
+// --- version-table rehash under cached register handles --------------------
+
+// A monitor left unreserved starts its version table at the register count
+// plus 16 and rehashes as versions accumulate; every register head caches
+// its current version's table address. The stream below writes register
+// x0 once at the start and again only at the very end, after all the
+// rehashes, so that install must find the record by key. A reader born
+// after it then reads x0's first value: the monitor must flag the stale
+// read, which it can only do if the close landed on the live record.
+constexpr std::uint32_t kRehashRegisters = 64;
+
+[[nodiscard]] History rehash_stream(bool stale_tail) {
+  History h(ObjectModel::registers(kRehashRegisters));
+  TxId next = 1;
+  add_write(h, next, 0, 1);
+  add_commit(h, next++, 0);
+  // Serial transactions: blind-write two of x1..x63 with fresh values,
+  // then read one back.
+  Value value = 2;
+  std::vector<Value> current(kRehashRegisters, 0);
+  current[0] = 1;
+  std::uint64_t rng = 20261017;
+  while (h.size() < 220'000) {
+    rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+    const auto a = static_cast<ObjId>(1 + (rng >> 33) % (kRehashRegisters - 1));
+    const auto b = static_cast<ObjId>(1 + (rng >> 45) % (kRehashRegisters - 1));
+    const TxId t = next++;
+    add_write(h, t, a, value);
+    current[a] = value++;
+    if (b != a) {
+      add_write(h, t, b, value);
+      current[b] = value++;
+    }
+    add_commit(h, t, 0);
+    const TxId r = next++;
+    h.append(ev::inv(r, b, OpCode::kRead))
+        .append(ev::ret(r, b, OpCode::kRead, 0, current[b]));
+    add_commit(h, r, 0);
+  }
+  add_write(h, next, 0, value);
+  add_commit(h, next++, 0);
+  const TxId r = next++;
+  h.append(ev::inv(r, 0, OpCode::kRead))
+      .append(ev::ret(r, 0, OpCode::kRead, 0, stale_tail ? 1 : value));
+  add_commit(h, r, 0);
+  return h;
+}
+
+class OnlineRehash : public ::testing::TestWithParam<VersionOrderPolicy> {};
+
+TEST_P(OnlineRehash, UnreservedMonitorMatchesReservedAcrossRehashes) {
+  for (const bool stale_tail : {false, true}) {
+    const History h = rehash_stream(stale_tail);
+    OnlineCertificateMonitor unreserved(h.model(), GetParam());
+    OnlineCertificateMonitor reserved(h.model(), GetParam());
+    reserved.reserve(h.size(), h.size());
+    const auto a = run_monitor(unreserved, h);
+    const auto b = run_monitor(reserved, h);
+    ASSERT_EQ(a.has_value(), stale_tail) << (a ? a->reason : "");
+    ASSERT_EQ(b.has_value(), stale_tail) << (b ? b->reason : "");
+    EXPECT_GT(unreserved.resident().versions, 20'000u);  // many rehashes
+    if (!stale_tail) continue;
+    EXPECT_EQ(a->kind, CertFlagKind::kStaleRead) << a->reason;
+    EXPECT_EQ(a->pos, h.size() - 3);
+    EXPECT_EQ(a->kind, b->kind);
+    EXPECT_EQ(a->pos, b->pos);
+    EXPECT_EQ(a->reason, b->reason);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, OnlineRegisterHead, kCertificatePolicies,
+                         policy_name);
+INSTANTIATE_TEST_SUITE_P(Policies, OnlineHolderOverflow, kCertificatePolicies,
+                         policy_name);
+INSTANTIATE_TEST_SUITE_P(Policies, OnlineRehash, kCertificatePolicies,
+                         policy_name);
 
 // --- cross-validation: certificate is SUFFICIENT for opacity ------------------------
 
