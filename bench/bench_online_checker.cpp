@@ -6,17 +6,19 @@
 // recorded history grows, plus the certificate monitor alone on long runs
 // the definitional backend could never touch.
 //
-// It also measures the batch-ingestion path fed by the sharded recorder's
-// drain(), the parallel streaming certifier and the sharded offline
-// verification driver across shard counts, and the drain loop's sink
-// overhead. End-to-end pipeline throughput (recorder, drain and monitor
-// under live producers) is perfbench's job, not this file's.
+// It also measures the sharded recorder's drain() on its own, the
+// batch-ingestion path it feeds, the parallel streaming certifier and the
+// sharded offline verification driver across shard counts, and the drain
+// loop's sink overhead. End-to-end pipeline throughput (recorder, drain
+// and monitor under live producers) is perfbench's job, not this file's.
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
 #include <filesystem>
 #include <span>
+#include <unordered_map>
+#include <vector>
 
 #include "core/online.hpp"
 #include "core/parallel_stream.hpp"
@@ -32,14 +34,16 @@
 namespace optm::bench {
 namespace {
 
+constexpr std::size_t kMixVars = 8;
+
 /// Record a mix run of the given size on an opaque STM.
 core::History recorded_mix(std::uint64_t txs_per_thread) {
-  const auto stm = stm::make_stm("tl2", 8);
-  stm::Recorder recorder(8);
+  const auto stm = stm::make_stm("tl2", kMixVars);
+  stm::Recorder recorder(kMixVars);
   stm->set_recorder(&recorder);
   wl::MixParams params;
   params.threads = 3;
-  params.vars = 8;
+  params.vars = kMixVars;
   params.txs_per_thread = txs_per_thread;
   params.seed = 4242;
   (void)wl::run_random_mix(*stm, params);
@@ -104,6 +108,86 @@ void BM_BatchCertificateMonitor(benchmark::State& state) {
   }
   if (!clean) {
     state.SkipWithError("certificate violation on an opaque STM's run");
+    return;
+  }
+  state.counters["events"] = static_cast<double>(h.size());
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(h.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+// --- the drain layer ----------------------------------------------------------
+
+/// Record `h` again into `recorder` from this one thread, dealing its
+/// transactions (in order of their first event) whole to `lanes` lanes in
+/// turn: lanes that interleave at transaction granularity, as the
+/// producer threads of a live run do.
+void record_dealt(stm::Recorder& recorder, const core::History& h,
+                  std::uint32_t lanes) {
+  std::unordered_map<core::TxId, std::size_t> rank;
+  std::vector<std::vector<core::Event>> txs;
+  for (const core::Event& e : h.events()) {
+    const auto [it, fresh] = rank.try_emplace(e.tx, txs.size());
+    if (fresh) txs.emplace_back();
+    txs[it->second].push_back(e);
+  }
+  for (std::size_t t = 0; t < txs.size(); ++t) {
+    const auto lane = static_cast<std::uint32_t>(t % lanes);
+    for (const core::Event& e : txs[t]) {
+      const auto var = static_cast<stm::VarId>(e.obj);
+      switch (e.kind) {
+        case core::EventKind::kInvoke:
+          recorder.on_inv(lane, e.tx, var, e.op, e.arg);
+          break;
+        case core::EventKind::kResponse:
+          recorder.on_ret(lane, e.tx, var, e.op, e.arg, e.ret, e.stamp,
+                          e.ver);
+          break;
+        case core::EventKind::kTryCommit:
+          recorder.on_try_commit(lane, e.tx);
+          break;
+        case core::EventKind::kCommit:
+          recorder.on_commit(lane, e.tx, e.stamp);
+          break;
+        case core::EventKind::kTryAbort:
+          recorder.on_try_abort(lane, e.tx);
+          break;
+        case core::EventKind::kAbort:
+          recorder.on_abort(lane, e.tx, e.stamp);
+          break;
+      }
+    }
+  }
+}
+
+/// Recorder::drain alone: three lanes filled outside the timed region,
+/// then drained in DrainPump-sized hand-overs (2048 events, its default
+/// max_pending) until empty, on the wall clock. No thread is spawned and
+/// no sink runs, so the rate is the +drain layer's own.
+void BM_RecorderDrain(benchmark::State& state) {
+  const core::History h = recorded_mix(4096);
+  constexpr std::size_t kCap = 2048;
+  stm::EventBatch batch;
+  batch.reserve(kCap);
+  std::unique_ptr<stm::Recorder> recorder;
+  std::size_t drained = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    recorder = std::make_unique<stm::Recorder>(kMixVars);
+    record_dealt(*recorder, h, 3);
+    state.ResumeTiming();
+    drained = 0;
+    std::size_t n = 0;
+    do {
+      batch.clear();
+      n = recorder->drain(batch, kCap);
+      drained += n;
+    } while (n > 0);
+    benchmark::DoNotOptimize(batch.span().data());
+    benchmark::ClobberMemory();
+  }
+  if (drained != h.size()) {
+    state.SkipWithError("the drains lost or repeated events");
     return;
   }
   state.counters["events"] = static_cast<double>(h.size());
@@ -198,6 +282,8 @@ BENCHMARK(BM_BatchCertificateMonitor)
     ->RangeMultiplier(8)
     ->Range(1, 4096)
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_RecorderDrain)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 BENCHMARK(BM_ParallelStreamMonitor)
     ->RangeMultiplier(2)
@@ -340,6 +426,7 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_CertificateMonitor", "tl2", "commit-order", "windowed"},
     {"BM_DefinitionalMonitor", "tl2", "definitional", "windowed"},
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
+    {"BM_RecorderDrain", "tl2", "record-only", "windowed"},
     {"BM_ParallelStreamMonitor", "tl2", "commit-order", "windowed"},
     {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},

@@ -72,20 +72,27 @@
 //
 // Two implementations:
 //   * Recorder      — the sharded engine: per-lane (per-process) buffers,
-//     lock-free against each other, merged on demand by stamp order. The
+//     lock-free against each other, put in stamp order on demand. The
 //     default; scales with recording threads.
 //   * MutexRecorder — the original single-mutex engine, kept as the
 //     baseline for benchmarking and as a differential-testing oracle.
 //
-// DRAIN SIDE (the live-verification feed). drain() merges each lane's
-// published prefix directly out of the lanes' stable chunks into a
-// caller-owned, reusable EventBatch — no intermediate per-lane copy, no
-// per-drain allocation: the drain cursors cache the chunk pointers (chunks
-// never move once allocated, so the per-lane spinlock is taken only when a
-// lane has GROWN since the last drain), the k-way merge heap is a reused
-// member, and the batch keeps its high-water capacity across drains. A
-// consumer therefore pays exactly one copy per event, recorder chunk ->
-// batch, for the lifetime of the pipeline.
+// DRAIN SIDE (the live-verification feed). Every event draws exactly one
+// ticket from one counter, so tickets are dense and an event's place in a
+// drained batch is its ticket minus the first undrained one. drain()
+// therefore places each lane's published run straight from the lane's
+// stable chunks at its ticket's offset in a caller-owned, reusable
+// EventBatch: no heap, no comparison between lanes, no intermediate
+// per-lane copy, and a cost of O(window + lanes) for a window of tickets.
+// A ticket drawn but not yet published is a hole: the batch ends there,
+// and the events already placed past it are discarded and placed again
+// by a later drain, so none is lost or delivered twice. The drain cursors
+// cache the chunk pointers (chunks never move once allocated, so the
+// per-lane spinlock is taken only when a lane has GROWN since the last
+// drain), the placement marks are a reused member, and the batch keeps
+// its high-water storage across drains. A consumer therefore pays exactly
+// one copy per event, recorder chunk -> batch, for the lifetime of the
+// pipeline.
 //
 // CONSUMPTION is decoupled from draining by stm::EventSink (sink.hpp):
 // the DrainPump loop owns the pacing and the reusable batch, and hands
@@ -116,6 +123,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
@@ -200,17 +208,18 @@ namespace detail {
 
 }  // namespace detail
 
-/// Caller-owned, reusable drain buffer: a thin wrapper over a contiguous
-/// event array whose capacity survives clear(), so a steady-state
-/// drain/ingest loop allocates nothing. Recorder::drain APPENDS to it;
-/// consumers clear() between drains and hand span() to
-/// OnlineCertificateMonitor::ingest.
+/// Caller-owned, reusable drain buffer: a contiguous event array whose
+/// storage survives clear(), so a steady-state drain/ingest loop allocates
+/// nothing. Recorder::drain APPENDS to it; consumers clear() between
+/// drains and hand span() to OnlineCertificateMonitor::ingest. The slots
+/// past size() keep the events of earlier, larger batches, so growing
+/// back to the high-water size initialises nothing.
 class EventBatch {
  public:
-  void clear() noexcept { events_.clear(); }
+  void clear() noexcept { size_ = 0; }
   void reserve(std::size_t n) { events_.reserve(n); }
-  [[nodiscard]] std::size_t size() const noexcept { return events_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return events_.empty(); }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept {
     return events_.capacity();
   }
@@ -218,14 +227,35 @@ class EventBatch {
     return events_[i];
   }
   [[nodiscard]] std::span<const core::Event> span() const noexcept {
-    return events_;
+    return {events_.data(), size_};
   }
-  [[nodiscard]] auto begin() const noexcept { return events_.begin(); }
-  [[nodiscard]] auto end() const noexcept { return events_.end(); }
-  void push_back(const core::Event& e) { events_.push_back(e); }
+  [[nodiscard]] const core::Event* begin() const noexcept {
+    return events_.data();
+  }
+  [[nodiscard]] const core::Event* end() const noexcept {
+    return events_.data() + size_;
+  }
+  void push_back(const core::Event& e) {
+    if (size_ == events_.size()) {
+      events_.push_back(e);
+    } else {
+      events_[size_] = e;
+    }
+    ++size_;
+  }
+
+  /// Grow or shrink to `n` events and return the first slot. Slots past
+  /// the old size hold stale events for the caller to overwrite; only
+  /// growth past the high-water size value-initialises.
+  core::Event* resize_for_overwrite(std::size_t n) {
+    if (n > events_.size()) events_.resize(n);
+    size_ = n;
+    return events_.data();
+  }
 
  private:
-  std::vector<core::Event> events_;
+  std::vector<core::Event> events_;  // size() is the high-water mark
+  std::size_t size_ = 0;
 };
 
 /// Abstract recorder interface the runtimes talk to. `lane` is the
@@ -300,12 +330,12 @@ class RecorderBase {
 /// chunk, and publishes it with a release store of the lane's count — the
 /// hot path is one fetch_add and two plain stores, no lock. (The lane's
 /// spinlock guards only chunk-list growth, once per 4096 events, and
-/// reader snapshots.) A merge by stamp reconstructs the legal
-/// linearization. The stamps of published events are globally contiguous
-/// except for events still in flight on other lanes; drain() (the epoch
-/// merge) therefore consumes exactly the longest stamp-contiguous prefix,
-/// which is a complete, stable prefix of the linearization even while
-/// recording continues — the feed for live batch verification.
+/// reader snapshots.) Stamp order reconstructs the legal linearization.
+/// The stamps of published events are globally contiguous except for
+/// events still in flight on other lanes; drain() therefore consumes
+/// exactly the longest stamp-contiguous prefix, which is a complete,
+/// stable prefix of the linearization even while recording continues —
+/// the feed for live batch verification.
 class Recorder final : public RecorderBase {
  public:
   explicit Recorder(std::size_t num_vars)
@@ -401,68 +431,94 @@ class Recorder final : public RecorderBase {
            drained_events_.load(std::memory_order_acquire);
   }
 
-  /// Epoch merge: append to `out` every not-yet-drained event whose stamp
-  /// belongs to the contiguous completed prefix of the global ticket
-  /// sequence. Safe to call concurrently with recording (from ONE draining
-  /// thread); events in flight past the first ticket gap stay pending until
-  /// a later drain. A k-way merge over the per-lane chunk cursors (each
-  /// lane is stamp-sorted by construction), copying each event exactly
-  /// once, chunk -> out; the cursors cache the stable chunk pointers, so
-  /// the per-lane spinlock is touched only when a lane grew a new chunk,
-  /// and nothing is allocated once `out` and the cursor caches reach their
-  /// high-water capacity. Returns the number of events appended.
+  /// Append to `out` every not-yet-drained event whose ticket belongs to
+  /// the contiguous completed prefix of the global ticket sequence. Safe
+  /// to call concurrently with recording (from ONE draining thread); a
+  /// ticket drawn but not yet published ends the batch, and the events
+  /// past it stay pending until a later drain. Returns the number of
+  /// events appended.
+  ///
+  /// Tickets are dense (every event draws exactly one), so an event's
+  /// place in the batch is its ticket minus next_seq_: each lane's
+  /// published run is copied straight from its chunks to that offset,
+  /// chunk -> out — no heap, no comparison between lanes, O(window +
+  /// lanes) per call. When fewer events than the window were placed, one
+  /// bit per offset finds the first hole; those placement marks and the
+  /// cursors' chunk-pointer caches are reused members, and `out` keeps its
+  /// high-water storage, so a warm drain allocates nothing.
   ///
   /// Budget: one call appends at most `max_events` events. next_seq_
-  /// always names the first ticket not yet emitted, and the cursors carry
-  /// over, so the next call resumes exactly where this one stopped — the
-  /// concatenation of capped drains is the uncapped drain, event for event.
+  /// always names the first ticket not yet emitted, and each cursor stops
+  /// exactly past the events it gave to the emitted prefix, so the next
+  /// call resumes where this one stopped — the concatenation of capped
+  /// drains is the uncapped drain, event for event.
   std::size_t drain(EventBatch& out,
                     std::size_t max_events = static_cast<std::size_t>(-1)) {
-    const std::lock_guard<std::mutex> guard(merge_mu_);
-    if (next_seq_ == seq_.load(std::memory_order_acquire)) return 0;
-    heap_.clear();
-    for (std::size_t l = 0; l < lanes_.size(); ++l) {
+    const std::lock_guard<std::mutex> guard(drain_mu_);
+    const std::uint64_t base = next_seq_;
+    const std::size_t window = static_cast<std::size_t>(std::min<std::uint64_t>(
+        max_events, seq_.load(std::memory_order_acquire) - base));
+    if (window == 0) return 0;
+    const std::size_t old_size = out.size();
+    core::Event* dst = out.resize_for_overwrite(old_size + window) + old_size;
+
+    // Place every published event whose ticket falls in the window. Lanes
+    // are stamp-sorted, so a lane stops at its first ticket past the
+    // window; once every ticket is placed no other lane can hold one.
+    std::size_t placed = 0;
+    std::size_t lanes_seen = 0;
+    for (std::size_t l = 0; l < lanes_.size() && placed < window; ++l) {
       DrainCursor& cur = cursors_[l];
       refresh_cursor(l, cur);
-      if (cur.taken < cur.published) {
-        heap_.push_back({stamp_at(cur, cur.taken), l});
+      std::size_t i = cur.taken;
+      while (i < cur.published) {
+        const Chunk::Slot* slot =
+            &cur.chunks[i / kChunkSize]->slots[i % kChunkSize];
+        const std::size_t run_end =
+            std::min(cur.published, (i / kChunkSize + 1) * kChunkSize);
+        for (; i < run_end; ++i, ++slot) {
+          const std::uint64_t off = slot->value.seq - base;
+          if (off >= window) break;
+          dst[off] = slot->value.event;
+        }
+        if (i < run_end) break;
       }
+      cur.placed_end = i;
+      placed += i - cur.taken;
+      lanes_seen = l + 1;
     }
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
 
-    std::size_t consumed = 0;
-    while (consumed < max_events && !heap_.empty() &&
-           heap_.front().first == next_seq_) {
-      const std::size_t l = heap_.front().second;
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      heap_.pop_back();
-      DrainCursor& cur = cursors_[l];
-      // Consume the lane's whole run of consecutive tickets before going
-      // back to the heap (runs are long when one thread records a burst).
-      while (consumed < max_events) {
-        if (cur.taken == cur.published) {
-          // One reload catches a tail published since the cursor refresh.
-          const std::size_t before = cur.published;
-          refresh_cursor(l, cur);
-          if (cur.published == before) break;
+    // Keep the longest fully placed prefix: a hole (a ticket drawn but not
+    // yet published) ends it, and the events placed past the hole are
+    // discarded here and placed again by a later drain.
+    std::size_t emitted = window;
+    if (placed < window) {
+      placed_.assign((window + 63) / 64, 0);
+      for (std::size_t l = 0; l < lanes_seen; ++l) {
+        const DrainCursor& cur = cursors_[l];
+        for (std::size_t i = cur.taken; i < cur.placed_end; ++i) {
+          const std::uint64_t off = stamp_at(cur, i) - base;
+          placed_[off / 64] |= std::uint64_t{1} << (off % 64);
         }
-        const std::uint64_t s = stamp_at(cur, cur.taken);
-        if (s != next_seq_) {
-          // This lane's next ticket is not adjacent: back into the heap.
-          heap_.push_back({s, l});
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-          break;
-        }
-        out.push_back(event_at(cur, cur.taken));
-        ++cur.taken;
-        ++next_seq_;
-        ++consumed;
       }
+      emitted = 0;
+      while (placed_[emitted / 64] == ~std::uint64_t{0}) emitted += 64;
+      emitted += static_cast<std::size_t>(
+          std::countr_one(placed_[emitted / 64]));
     }
+    const std::uint64_t limit = base + emitted;
+    for (std::size_t l = 0; l < lanes_seen; ++l) {
+      DrainCursor& cur = cursors_[l];
+      std::size_t end = cur.placed_end;
+      while (end > cur.taken && stamp_at(cur, end - 1) >= limit) --end;
+      cur.taken = end;
+    }
+    out.resize_for_overwrite(old_size + emitted);
+    next_seq_ = limit;
     drained_events_.store(
-        drained_events_.load(std::memory_order_relaxed) + consumed,
+        drained_events_.load(std::memory_order_relaxed) + emitted,
         std::memory_order_release);
-    return consumed;
+    return emitted;
   }
 
   [[nodiscard]] const core::ObjectModel& model() const noexcept {
@@ -470,6 +526,10 @@ class Recorder final : public RecorderBase {
   }
 
  private:
+  /// Test seam (sharded_recorder_test): stages a ticket on one lane and
+  /// publishes it later, so a drain meets a hole deterministically.
+  friend struct RecorderTestPeer;
+
   struct StampedEvent {
     std::uint64_t seq = 0;
     core::Event event;
@@ -517,6 +577,14 @@ class Recorder final : public RecorderBase {
     // single-writer lane and wedge drain() on a never-published stamp.
     assert(lane_id < sim::kMaxThreads);
     Lane& lane = lanes_[lane_id];
+    const std::size_t i = stage(lane, e);
+    lane.count.store(i + 1, std::memory_order_release);
+  }
+
+  /// Store `e` under a fresh ticket in the lane's next slot and return the
+  /// slot's index, leaving it unpublished until the release store of
+  /// `count` (push() makes it at once).
+  std::size_t stage(Lane& lane, const core::Event& e) {
     const std::size_t i = lane.count.load(std::memory_order_relaxed);
     if (i == lane.chunks.size() * kChunkSize) {
       // Default-init (`new Chunk`, not make_unique's value-init `new
@@ -540,7 +608,7 @@ class Recorder final : public RecorderBase {
     StampedEvent& slot = lane.tail->slots[i % kChunkSize].value;
     slot.seq = seq_.fetch_add(1, std::memory_order_relaxed);
     slot.event = e;
-    lane.count.store(i + 1, std::memory_order_release);
+    return i;
   }
   void push(std::uint32_t lane_id, const core::Event& e, core::TxId tx,
             std::uint64_t stamp) {
@@ -589,20 +657,18 @@ class Recorder final : public RecorderBase {
   util::SharedSpinLock window_lock_;
 
   /// Drain-side view of one lane: consumed count, last loaded published
-  /// count, and the cached (stable) chunk pointers.
+  /// count, where the current drain's placement stopped, and the cached
+  /// (stable) chunk pointers.
   struct DrainCursor {
     std::vector<Chunk*> chunks;
     std::size_t taken = 0;
     std::size_t published = 0;
+    std::size_t placed_end = 0;
   };
 
   [[nodiscard]] static std::uint64_t stamp_at(const DrainCursor& cur,
                                               std::size_t i) noexcept {
     return cur.chunks[i / kChunkSize]->slots[i % kChunkSize].value.seq;
-  }
-  [[nodiscard]] static const core::Event& event_at(const DrainCursor& cur,
-                                                   std::size_t i) noexcept {
-    return cur.chunks[i / kChunkSize]->slots[i % kChunkSize].value.event;
   }
 
   /// Reload a cursor's published count and (only if the lane grew a chunk)
@@ -618,10 +684,10 @@ class Recorder final : public RecorderBase {
     }
   }
 
-  // Epoch-merge cursor state (drain side only, under merge_mu_).
-  std::mutex merge_mu_;
+  // Drain-side state, guarded by drain_mu_.
+  std::mutex drain_mu_;
   std::array<DrainCursor, sim::kMaxThreads> cursors_;
-  std::vector<std::pair<std::uint64_t, std::size_t>> heap_;  // (stamp, lane)
+  std::vector<std::uint64_t> placed_;  // one bit per window offset
   std::uint64_t next_seq_ = 0;  // first stamp not yet drained
 };
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
@@ -122,7 +123,8 @@ TEST_P(WindowFreeRecorderFuzz, MutexAndShardedAgreeIncludingStamps) {
     const core::History a = mutex_recorder.history();
 
     // Drain path (what live verification consumes), not history(): the
-    // stamp fields must survive the chunked-lane copy and the k-way merge.
+    // stamp fields must survive the chunked-lane copy and the placement by
+    // ticket offset.
     EventBatch drained;
     while (sharded_recorder.drain(drained) > 0) {
     }
@@ -384,6 +386,122 @@ TEST(CappedDrain, StopsOnlyAtTicketBoundaries) {
     EXPECT_EQ(out[i].arg, static_cast<core::Value>(i)) << "event " << i;
   }
   EXPECT_EQ(out[7].kind, core::EventKind::kCommit);
+}
+
+}  // namespace
+
+/// Reaches into the recorder to open a hole: one lane draws a ticket and
+/// stores its event, but publishes it only when the test says so.
+struct RecorderTestPeer {
+  static std::size_t hold(Recorder& recorder, std::uint32_t lane,
+                          const core::Event& e) {
+    return recorder.stage(recorder.lanes_[lane], e);
+  }
+  static void publish(Recorder& recorder, std::uint32_t lane,
+                      std::size_t held) {
+    recorder.lanes_[lane].count.store(held + 1, std::memory_order_release);
+  }
+};
+
+namespace {
+
+/// Read invocation whose `arg` is the ticket it is expected to draw.
+core::Event numbered(std::uint64_t ticket) {
+  return core::ev::inv(1, 0, core::OpCode::kRead,
+                       static_cast<core::Value>(ticket));
+}
+
+TEST(CappedDrain, HoleEndsEveryDrainUntilItsTicketIsPublished) {
+  // Tickets 0-3 published on lanes 1 and 2, ticket 4 held on lane 0,
+  // tickets 5-12 published on lanes 1 and 2 around it: whatever the cap,
+  // the drains stop at the hole, and once it is published they deliver
+  // ticket 4 and everything after it exactly once.
+  constexpr std::uint64_t kHole = 4;
+  constexpr std::uint64_t kTickets = 13;
+  for (const std::size_t cap : {static_cast<std::size_t>(-1), std::size_t{3},
+                                std::size_t{6}}) {
+    SCOPED_TRACE("cap " + std::to_string(cap));
+    Recorder recorder(4);
+    std::size_t held = 0;
+    for (std::uint64_t t = 0; t < kTickets; ++t) {
+      if (t == kHole) {
+        held = RecorderTestPeer::hold(recorder, 0, numbered(t));
+      } else {
+        recorder.on_inv(1 + static_cast<std::uint32_t>(t % 2), 1, 0,
+                        core::OpCode::kRead, static_cast<core::Value>(t));
+      }
+    }
+    ASSERT_EQ(recorder.stamps_issued(), kTickets);
+
+    EventBatch out;
+    auto drain_all = [&] {
+      while (true) {
+        const std::size_t n = recorder.drain(out, cap);
+        EXPECT_LE(n, cap);
+        if (n == 0) break;
+      }
+    };
+    drain_all();
+    ASSERT_EQ(out.size(), kHole);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].arg, static_cast<core::Value>(i)) << "event " << i;
+    }
+    EXPECT_EQ(recorder.approx_pending(), kTickets - kHole);
+
+    RecorderTestPeer::publish(recorder, 0, held);
+    drain_all();
+    ASSERT_EQ(out.size(), kTickets);
+    const core::History h = recorder.history();
+    ASSERT_EQ(h.size(), kTickets);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].arg, static_cast<core::Value>(i)) << "event " << i;
+      EXPECT_EQ(out[i], h[i]) << "event " << i;
+    }
+    EXPECT_EQ(recorder.approx_pending(), 0u);
+  }
+}
+
+TEST(CappedDrain, ConcurrentRotatingCapsConcatenateToTheHistory) {
+  // Three producers record window-free while one drainer rotates its cap:
+  // however each drain is cut, and whatever holes the in-flight tickets
+  // leave, the concatenated drains are the history, event for event.
+  const auto stm = make_stm("tl2", 16);
+  ASSERT_TRUE(stm->set_window_free(true));
+  Recorder recorder(16);
+  stm->set_recorder(&recorder);
+
+  wl::MixParams params;
+  params.threads = 3;
+  params.vars = 16;
+  params.txs_per_thread = 1500;
+  params.seed = 57;
+
+  constexpr std::size_t kCaps[] = {1, 3, 64, 2048,
+                                   static_cast<std::size_t>(-1)};
+  EventBatch out;
+  std::size_t turn = 0;
+  auto drain_once = [&] {
+    const std::size_t cap = kCaps[turn++ % std::size(kCaps)];
+    const std::size_t n = recorder.drain(out, cap);
+    EXPECT_LE(n, cap);
+    return n;
+  };
+  std::atomic<bool> done{false};
+  std::thread producers([&] {
+    (void)wl::run_random_mix(*stm, params);
+    done.store(true, std::memory_order_release);
+  });
+  while (!done.load(std::memory_order_acquire)) (void)drain_once();
+  producers.join();
+  while (drain_once() > 0) {
+  }
+
+  const core::History h = recorder.history();
+  ASSERT_EQ(out.size(), h.size());
+  for (std::size_t i = 0; i < h.size(); ++i) {
+    ASSERT_EQ(out[i], h[i]) << "capped drains diverged at event " << i;
+  }
+  EXPECT_EQ(recorder.approx_pending(), 0u);
 }
 
 /// Forwards to a MonitorSink and keeps the largest batch it was handed.
