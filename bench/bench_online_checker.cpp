@@ -7,9 +7,8 @@
 // the definitional backend could never touch.
 //
 // It also measures the sharded recorder's drain() on its own, the
-// batch-ingestion path it feeds, the parallel streaming certifier and the
-// sharded offline verification driver across shard counts, and the drain
-// loop's sink overhead. End-to-end pipeline throughput (recorder, drain
+// batch-ingestion path it feeds, the sharded offline verification driver
+// across shard counts, and the drain loop's sink overhead. End-to-end pipeline throughput (recorder, drain
 // and monitor under live producers) is perfbench's job, not this file's.
 #include "bench_common.hpp"
 
@@ -21,7 +20,6 @@
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/parallel_stream.hpp"
 #include "core/parallel_verify.hpp"
 #include "log/log_sink.hpp"
 #include "log/writer.hpp"
@@ -196,46 +194,6 @@ void BM_RecorderDrain(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// --- parallel streaming certification -----------------------------------------
-
-/// The parallel streaming certifier (core/parallel_stream.hpp) over the
-/// same recorded history the monitor benches consume, swept across shard
-/// counts (range(0) register shards -> range(0)+1 pipeline threads). The
-/// 1-shard point prices the pipeline itself (channels, barriers, the
-/// extra pass-0 thread) against BM_BatchCertificateMonitor; higher shard
-/// counts show how certification scales once the scan is the bottleneck.
-/// On a single-core CI runner the whole sweep degenerates to serialized
-/// context switching — read the shape, not the absolute numbers.
-void BM_ParallelStreamMonitor(benchmark::State& state) {
-  const core::History h = recorded_mix(4096);
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  constexpr std::size_t kIngestChunk = 8192;
-  bool clean = true;
-  for (auto _ : state) {
-    core::ParallelStreamCertifier::Options options;
-    options.num_shards = shards;
-    core::ParallelStreamCertifier cert(h.model(),
-                                       core::VersionOrderPolicy::kCommitOrder,
-                                       options);
-    cert.reserve(/*num_txs=*/16384, /*num_versions=*/h.size() / 3 + 64);
-    const std::span<const core::Event> events(h.events());
-    for (std::size_t i = 0; i < events.size(); i += kIngestChunk) {
-      (void)cert.ingest(
-          events.subspan(i, std::min(kIngestChunk, events.size() - i)));
-    }
-    clean = cert.finish();
-    benchmark::DoNotOptimize(clean);
-  }
-  if (!clean) {
-    state.SkipWithError("parallel certifier flagged an opaque STM's run");
-    return;
-  }
-  state.counters["events"] = static_cast<double>(h.size());
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(h.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
 // --- sharded offline verification ---------------------------------------------
 
 void BM_ParallelOfflineVerify(benchmark::State& state) {
@@ -284,12 +242,6 @@ BENCHMARK(BM_BatchCertificateMonitor)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_RecorderDrain)->Unit(benchmark::kMicrosecond)->UseRealTime();
-
-BENCHMARK(BM_ParallelStreamMonitor)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
 
 BENCHMARK(BM_ParallelOfflineVerify)
     ->RangeMultiplier(2)
@@ -427,7 +379,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_DefinitionalMonitor", "tl2", "definitional", "windowed"},
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
     {"BM_RecorderDrain", "tl2", "record-only", "windowed"},
-    {"BM_ParallelStreamMonitor", "tl2", "commit-order", "windowed"},
     {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_LogAppendDrain", "tl2", "record-only", "windowed"},

@@ -14,19 +14,16 @@
 // printing the comparison matrix the paper develops in prose.
 //
 // `certify-log` streams a durable segmented binary log (written by
-// recorded_soak --log-dir, format: src/log/format.hpp) through the
-// windowed verification front-end (core/stream_verify.hpp): logs that fit
-// --window-events are verified by the sharded parallel driver, larger
-// ones fall over to a streaming engine — the parallel streaming certifier
-// with --stream-threads > 1, the serial certificate monitor otherwise —
-// with the same verdict and flag position the in-RAM monitor produces.
-// Only the event buffer is bounded by the window: the serial monitor
-// keeps full state only for live transactions, but a record for every
-// version it has seen, so peak memory still grows with the log (about
-// 48 B per event, 540 MB at 11.2M events, serially). The policy defaults
-// to the one recorded in the segment headers. certlog.elapsed_s and
-// certlog.events_per_s time the run by the wall clock, from opening the
-// log to the verdict.
+// recorded_soak --log-dir, format: src/log/format.hpp) through
+// core::verify_event_stream: every block the reader returns goes straight
+// into one OnlineCertificateMonitor, so the verdict and flag position are
+// the in-RAM monitor's. No events are buffered; the monitor keeps full
+// state only for live transactions, but a record for every version it
+// has seen, so peak memory still grows with the log (297 MB at 9.24M
+// events of a window-free tl2 log, about 32 B per event). The policy
+// defaults to the one recorded in the segment headers. certlog.elapsed_s
+// and certlog.events_per_s time the run by the wall clock, from opening
+// the log to the verdict.
 //
 // Bare legacy invocations (checker_tool --history=h2) still work: no
 // subcommand means `certify`.
@@ -150,22 +147,11 @@ int cmd_certify(int argc, char** argv) {
 int cmd_certify_log(int argc, char** argv) {
   optm::util::Cli cli("checker_tool certify-log",
                       "stream a segmented binary event log from disk through "
-                      "the windowed certifier");
+                      "the certificate monitor");
   cli.positional("dir", "log directory written by recorded_soak --log-dir");
   cli.flag("policy", "",
            "version-order policy override (default: the policy recorded "
            "in the segment headers)");
-  cli.flag("window-events", std::int64_t{1'048'576},
-           "materialization window: logs up to this many events use the "
-           "sharded parallel driver, larger ones stream through the "
-           "monitor in windows of this size");
-  cli.flag("shards", std::int64_t{0},
-           "register shards (0 = auto: follows --stream-threads, so the "
-           "parallel certifier runs exactly --stream-threads threads)");
-  cli.flag("stream-threads", std::int64_t{1},
-           "verification threads (0 = auto): >1 runs the sharded driver "
-           "multi-threaded, and streams oversized logs through the parallel "
-           "certifier instead of the serial monitor");
   if (!cli.parse(argc, argv)) return 1;
 
   // Wall clock from reader open to verdict: the certify-from-disk rate.
@@ -198,10 +184,6 @@ int cmd_certify_log(int argc, char** argv) {
 
   optm::core::StreamVerifyOptions options;
   options.policy = *policy;
-  options.window_events =
-      static_cast<std::size_t>(cli.get_int("window-events"));
-  options.num_shards = static_cast<std::size_t>(cli.get_int("shards"));
-  options.num_threads = static_cast<std::size_t>(cli.get_int("stream-threads"));
   const auto model =
       optm::core::ObjectModel::registers(meta.num_vars, 0);
   const auto result = optm::core::verify_event_stream(
@@ -219,18 +201,6 @@ int cmd_certify_log(int argc, char** argv) {
                 static_cast<unsigned long long>(reader.dropped_bytes()));
   }
   std::printf("certlog.events=%zu\n", result.events);
-  std::printf("certlog.engine=%s\n",
-              result.used_sharded_driver
-                  ? "sharded-driver"
-                  : (result.used_parallel_certifier ? "parallel-certifier"
-                                                    : "streaming-monitor"));
-  std::printf("certlog.threads=%zu\n", result.threads_used);
-  if (result.used_sharded_driver || result.used_parallel_certifier) {
-    std::printf("certlog.shards=%zu\n", result.shards_used);
-  }
-  if (!result.used_sharded_driver) {
-    std::printf("certlog.windows=%zu\n", result.windows);
-  }
   std::printf("certlog.elapsed_s=%.3f\n", elapsed_s);
   std::printf("certlog.events_per_s=%.0f\n",
               elapsed_s > 0 ? static_cast<double>(result.events) / elapsed_s
@@ -299,23 +269,30 @@ void on_signal(int) { g_stop_requested = 1; }
 int cmd_serve(int argc, char** argv) {
   optm::util::Cli cli("checker_tool serve",
                       "run the networked certification service: one "
-                      "connection-private engine per client stream");
+                      "connection-private monitor per client stream");
   cli.flag("bind", "127.0.0.1", "IPv4 address to listen on");
   cli.flag("port", std::int64_t{0},
            "TCP port (0 = ephemeral; the bound port is printed)");
-  cli.flag("stream-threads", std::int64_t{1},
-           "certification threads per stream: >1 gives each connection a "
-           "parallel streaming certifier where its policy can shard");
   cli.flag("credit-events", std::int64_t{1} << 16,
            "per-stream in-flight credit window, in events");
   cli.flag("max-connections", std::int64_t{256},
            "concurrent tenant connections accepted");
   if (!cli.parse(argc, argv)) return 1;
+  const std::int64_t port = cli.get_int("port");
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "serve: --port must be in [0, 65535]\n%s",
+                 cli.usage().c_str());
+    return 1;
+  }
+  if (cli.get_int("credit-events") < 0) {
+    std::fprintf(stderr, "serve: --credit-events must not be negative\n%s",
+                 cli.usage().c_str());
+    return 1;
+  }
 
   optm::net::ServerOptions options;
   options.bind_address = cli.get("bind");
-  options.port = static_cast<std::uint16_t>(cli.get_int("port"));
-  options.stream_threads = static_cast<std::size_t>(cli.get_int("stream-threads"));
+  options.port = static_cast<std::uint16_t>(port);
   options.credit_events = static_cast<std::uint64_t>(cli.get_int("credit-events"));
   options.max_connections = static_cast<std::size_t>(cli.get_int("max-connections"));
 
@@ -326,7 +303,6 @@ int cmd_serve(int argc, char** argv) {
   }
   std::printf("serve.bind=%s\n", options.bind_address.c_str());
   std::printf("serve.port=%u\n", server.port());
-  std::printf("serve.stream_threads=%zu\n", options.stream_threads);
   std::fflush(stdout);  // scripts scrape serve.port before connecting
 
   std::signal(SIGINT, on_signal);

@@ -34,9 +34,6 @@ int main(int argc, char** argv) {
   cli.flag("vars", std::int64_t{64}, "shared registers");
   cli.flag("ops-per-tx", std::int64_t{4}, "operations per transaction");
   cli.flag("shards", std::int64_t{4}, "register shards for the offline driver");
-  cli.flag("stream-threads", std::int64_t{1},
-           "live certification threads: 1 = serial monitor, >1 = parallel "
-           "streaming certifier (same verdict, same flag position)");
   cli.flag("log-dir", "",
            "also append every drained batch to a segmented binary log in "
            "this directory (re-certify with: checker_tool certify-log)");
@@ -61,8 +58,6 @@ int main(int argc, char** argv) {
   options.vars = static_cast<std::uint32_t>(cli.get_int("vars"));
   options.ops_per_tx = static_cast<std::uint32_t>(cli.get_int("ops-per-tx"));
   options.shards = static_cast<std::size_t>(cli.get_int("shards"));
-  options.live_stream_threads =
-      static_cast<std::size_t>(cli.get_int("stream-threads"));
 
   optm::log::LogMetadata meta;
   meta.runtime = flags->stm;
@@ -136,10 +131,6 @@ int main(int argc, char** argv) {
   // max_pending events.
   std::printf("soak.max_batch=%zu\n", result.live_max_batch);
   std::printf("soak.max_batch_bound=%zu\n", result.live_max_batch_bound);
-  std::printf("soak.live_certifier=%s\n",
-              result.live_parallel ? "parallel" : "serial");
-  std::printf("soak.live_threads=%zu\n", result.live_threads_used);
-  std::printf("soak.live_shards=%zu\n", result.live_shards_used);
   std::printf("soak.live_monitor=%s\n", result.live_ok ? "clean" : "VIOLATION");
   if (!result.live_ok) {
     std::printf("soak.live_monitor_reason=%s\n",
@@ -217,9 +208,6 @@ int main(int argc, char** argv) {
         "  \"live_batches\": %zu,\n"
         "  \"max_batch\": %zu,\n"
         "  \"max_batch_bound\": %zu,\n"
-        "  \"live_certifier\": \"%s\",\n"
-        "  \"live_threads\": %zu,\n"
-        "  \"live_shards\": %zu,\n"
         "  \"offline_events_per_sec\": %.0f,\n"
         "  \"offline_shards\": %zu",
         result.stm.c_str(), to_string(result.policy),
@@ -227,9 +215,7 @@ int main(int argc, char** argv) {
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,
         result.live_max_batch, result.live_max_batch_bound,
-        result.live_parallel ? "parallel" : "serial", result.live_threads_used,
-        result.live_shards_used, result.offline_events_per_sec,
-        result.offline_shards);
+        result.offline_events_per_sec, result.offline_shards);
     std::fprintf(f, "\n}\n");
     std::fclose(f);
   }

@@ -18,7 +18,7 @@
 //     engine, so it should be small: the streaming monitor keeps one
 //     32-bit word per id (unborn, finished, or its live slot) and holds a
 //     live transaction's full state in a recycled pool of its own
-//     (core/online.hpp); the parallel engines keep a TxMeta per id.
+//     (core/online.hpp); the sharded offline driver keeps a TxMeta per id.
 //
 //   * VersionTable<R> — an open-addressing, linear-probing flat table over
 //     (register, value) keys, the §5.4 value-unique version namespace.
@@ -44,9 +44,8 @@
 //     installation order (and therefore every verdict and flag position)
 //     is preserved byte for byte.
 //
-// All three are shared by OnlineCertificateMonitor (core/online.hpp), the
-// parallel streaming certifier and the sharded offline driver
-// (core/parallel_stream.cpp, core/parallel_verify.cpp); the monitor's
+// All three are shared by OnlineCertificateMonitor (core/online.hpp) and
+// the sharded offline driver (core/parallel_verify.cpp); the monitor's
 // reserve() pre-sizes them so a soak-scale feed performs no allocation at
 // all after warm-up (tests/core/monitor_alloc_test.cpp holds it to that
 // under a counting operator-new).

@@ -26,13 +26,11 @@
 //    produce them, because the recorder window makes commit points atomic
 //    with their C events.
 //
-// Both backends are single-threaded. When live certification needs to
-// scale past one core, core::ParallelStreamCertifier
-// (parallel_stream.hpp) shards the certificate pass across worker
-// threads with the SAME verdict and first condemned position as
-// OnlineCertificateMonitor (differentially fuzz-tested) — the trade is
-// verdict latency: it answers at merge barriers and finish(), not per
-// event.
+// Both backends are single-threaded. OnlineCertificateMonitor is the one
+// streaming certification engine: live pipelines (stm::MonitorSink), the
+// certification service (net/server.hpp) and log replay
+// (core::verify_event_stream) all run it, so each reports the verdict and
+// first condemned position this class defines.
 //
 // The committed VERSION ORDER the certificate checks against is no longer
 // hard-wired to the commit (C-record) order: the monitor takes a
@@ -318,8 +316,8 @@ class OnlineCertificateMonitor {
   /// violation handling across the batch. Returns false once a violation
   /// has been latched. Live pipelines usually reach this through
   /// stm::MonitorSink fed by a DrainPump (stm/sink.hpp); the same spans
-  /// also arrive replayed from disk via log::SegmentReader and the
-  /// windowed front-end core::verify_event_stream.
+  /// also arrive replayed from disk via log::SegmentReader and
+  /// core::verify_event_stream, which ingests each pulled span as is.
   bool ingest(std::span<const Event> batch);
 
   /// Pre-size the dense hot-path state: the per-id words (expected number

@@ -1,14 +1,18 @@
 #include "core/parallel_verify.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "core/dense_state.hpp"
 #include "core/object_spec.hpp"
-#include "core/window_merge.hpp"
+#include "core/version_order.hpp"
 #include "util/pool.hpp"
 
 namespace optm::core {
@@ -17,15 +21,281 @@ namespace {
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
 constexpr std::size_t kOpenRank = static_cast<std::size_t>(-1);
 
-using detail::tx_tag;
+[[nodiscard]] std::string tx_tag(TxId tx) {
+  return "T" + std::to_string(tx);
+}
 
-/// Field-for-field the shared merge types (window_merge.hpp) — the merge
-/// sweep, the pass-0 lifecycle step and the per-transaction state all live
-/// there now, shared with the streaming certifier.
-using Flag = detail::MergeFlag;
-using ReadRec = detail::MergeReadRec;
-using TxMeta = detail::MergeTxState;
-using detail::to_merge_meta;
+/// §4 life-cycle, mirroring OnlineCertificateMonitor's state machine.
+enum class TxPhase : std::uint8_t {
+  kIdle,
+  kOpPending,
+  kCommitPending,
+  kAbortPending,
+  kDone,
+};
+
+/// The per-transaction pass-0 state. Default construction means "never
+/// seen" (TxSlab absence).
+struct TxMeta {
+  TxPhase phase{TxPhase::kIdle};
+  Event pending{};
+  bool born{false};
+  bool committed{false};
+  bool has_write{false};
+  std::size_t birth_rank{0};
+  std::size_t commit_pos{kNone};
+  std::size_t commit_rank{0};   // meaningful for committed update txs
+  std::size_t ro_point{kNone};  // pinned read-only serialization point
+  std::uint64_t max_read_stamp{0};  // kStampedRead: largest read snapshot
+};
+
+/// One certificate flag, as the passes stage it internally.
+struct Flag {
+  std::size_t pos;
+  std::string reason;
+  CertFlagKind kind;
+  TxId tx;
+  std::size_t shard;
+};
+
+/// One pass-0 step: the §4 lifecycle transition for event `e` at position
+/// `i`, plus birth floors and the VersionOrderResolver rank assignment.
+/// This mirrors OnlineCertificateMonitor::feed condition-for-condition,
+/// including flag positions — the contract is verdict and position
+/// equivalence with the streaming monitor under kCommitOrder,
+/// kSnapshotRank and kStampedRead, and the BatchEquivalence,
+/// MvSnapshotFuzz and conformance suites enforce it; change the monitor
+/// and this function together. Pass0 calls it for every event in record
+/// order.
+void pass0_step(TxMeta& tx, const Event& e, std::size_t i,
+                const ObjectModel& model, VersionOrderPolicy policy,
+                VersionOrderResolver& resolver, std::vector<Flag>& flags) {
+  if (!tx.born) {
+    tx.born = true;
+    tx.birth_rank = resolver.floor();
+  }
+  switch (e.kind) {
+    case EventKind::kInvoke:
+      if (tx.phase != TxPhase::kIdle) {
+        flags.push_back({i, tx_tag(e.tx) +
+                                " invoked an operation while not idle "
+                                "(well-formedness)",
+                         CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else if (!model.contains(e.obj)) {
+        flags.push_back({i, tx_tag(e.tx) +
+                                " invoked an operation on unknown object x" +
+                                std::to_string(e.obj),
+                         CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kOpPending;
+        tx.pending = e;
+      }
+      break;
+    case EventKind::kResponse:
+      if (tx.phase != TxPhase::kOpPending || !tx.pending.matches(e)) {
+        flags.push_back({i, tx_tag(e.tx) +
+                                " received a response with no matching "
+                                "invocation (well-formedness)",
+                         CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kIdle;
+        if (e.op == OpCode::kWrite) tx.has_write = true;
+        if (policy == VersionOrderPolicy::kStampedRead &&
+            e.op == OpCode::kRead && e.stamp > tx.max_read_stamp) {
+          tx.max_read_stamp = e.stamp;
+        }
+      }
+      break;
+    case EventKind::kTryCommit:
+      if (tx.phase != TxPhase::kIdle) {
+        flags.push_back(
+            {i, tx_tag(e.tx) + " issued tryC while not idle (well-formedness)",
+             CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kCommitPending;
+      }
+      break;
+    case EventKind::kCommit:
+      if (tx.phase != TxPhase::kCommitPending) {
+        flags.push_back(
+            {i, tx_tag(e.tx) + " committed without tryC (well-formedness)",
+             CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kDone;
+        tx.committed = true;
+        tx.commit_pos = i;
+        if (policy == VersionOrderPolicy::kStampedRead && e.stamp != 0 &&
+            e.stamp < tx.max_read_stamp) {
+          flags.push_back({i, tx_tag(e.tx) + " committed at stamp " +
+                                  std::to_string(e.stamp) +
+                                  " below its latest read snapshot " +
+                                  std::to_string(tx.max_read_stamp),
+                           CertFlagKind::kReadStampMismatch, e.tx, kNoShard});
+        }
+        if (tx.has_write) {
+          tx.commit_rank = resolver.update_commit_rank(e);
+        } else if (const auto point = resolver.read_only_point(e)) {
+          tx.ro_point = *point;
+        }
+      }
+      break;
+    case EventKind::kTryAbort:
+      if (tx.phase != TxPhase::kIdle) {
+        flags.push_back(
+            {i, tx_tag(e.tx) + " issued tryA while not idle (well-formedness)",
+             CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kAbortPending;
+      }
+      break;
+    case EventKind::kAbort:
+      if (tx.phase == TxPhase::kDone) {
+        flags.push_back(
+            {i, tx_tag(e.tx) + " aborted after completing (well-formedness)",
+             CertFlagKind::kNotWellFormed, e.tx, kNoShard});
+      } else {
+        tx.phase = TxPhase::kDone;
+      }
+      break;
+  }
+}
+
+/// One non-local read, with its version's validity interval resolved by a
+/// shard pass; `close_pos` dates the close so the merge sweep can apply it
+/// with the streaming monitor's timing.
+struct ReadRec {
+  TxId tx;
+  std::size_t pos;
+  ObjId obj;
+  std::size_t shard;
+  std::size_t open_rank;
+  std::size_t close_rank;  // kOpenRank if never overwritten
+  std::size_t close_pos;   // kNone if never overwritten
+};
+
+/// (close_pos, (close_rank, shard)) — min-heap element of the sweep.
+using Close = std::pair<std::size_t, std::pair<std::size_t, std::size_t>>;
+
+/// Replay one transaction's snapshot window over its reads (all shards,
+/// sorted by position; `count` >= 1), applying version closes only once
+/// their closing C event precedes the current position, then run the
+/// serialization-point check at the commit position. `closes` is caller
+/// scratch (reused across transactions so the sweep allocates nothing once
+/// warm). Flags are appended with monitor-identical positions.
+void sweep_tx_windows(TxId id, const TxMeta& meta, const ReadRec* reads,
+                      std::size_t count, bool snapshot_rank,
+                      std::vector<Close>& closes, std::vector<Flag>& flags) {
+  std::size_t lo = 0;
+  std::size_t hi = kOpenRank;
+  std::size_t hi_shard = kNoShard;
+  closes.clear();
+  const auto apply_closes_before = [&](std::size_t pos) {
+    while (!closes.empty() && closes.front().first < pos) {
+      if (closes.front().second.first < hi) {
+        hi = closes.front().second.first;
+        hi_shard = closes.front().second.second;
+      }
+      std::pop_heap(closes.begin(), closes.end(), std::greater<Close>{});
+      closes.pop_back();
+    }
+  };
+
+  bool flagged = false;
+  for (std::size_t i = 0; i < count && !flagged; ++i) {
+    const ReadRec& r = reads[i];
+    apply_closes_before(r.pos);
+    if (r.open_rank > lo) lo = r.open_rank;
+    if (r.close_pos != kNone) {
+      if (r.close_pos < r.pos) {
+        if (r.close_rank < hi) {
+          hi = r.close_rank;
+          hi_shard = r.shard;
+        }
+      } else {
+        closes.push_back({r.close_pos, {r.close_rank, r.shard}});
+        std::push_heap(closes.begin(), closes.end(), std::greater<Close>{});
+      }
+    }
+    if (lo >= hi) {
+      flags.push_back({r.pos, tx_tag(id) +
+                                  "'s reads form no consistent snapshot "
+                                  "(window empty after reading x" +
+                                  std::to_string(r.obj) + ")",
+                       CertFlagKind::kSnapshotEmpty, id, r.shard});
+      flagged = true;
+    } else if (hi <= meta.birth_rank) {
+      flags.push_back({r.pos, tx_tag(id) + " read the outdated x" +
+                                  std::to_string(r.obj) +
+                                  ", overwritten before the transaction's "
+                                  "first event (real-time order)",
+                       CertFlagKind::kStaleRead, id, r.shard});
+      flagged = true;
+    }
+  }
+  if (!flagged && meta.committed && meta.commit_pos != kNone) {
+    apply_closes_before(meta.commit_pos);
+    if (meta.has_write) {
+      if (snapshot_rank) {
+        const std::size_t rank = meta.commit_rank;
+        if (rank < lo || rank >= hi || rank <= meta.birth_rank) {
+          flags.push_back({meta.commit_pos,
+                           tx_tag(id) + " committed updates at rank " +
+                               std::to_string(rank) +
+                               " outside its snapshot window (version order)",
+                           CertFlagKind::kNotCurrentAtCommit, id,
+                           hi_shard != kNoShard ? hi_shard : reads[0].shard});
+        }
+      } else if (hi != kOpenRank) {
+        flags.push_back({meta.commit_pos,
+                         tx_tag(id) +
+                             " committed updates although a version it read "
+                             "was overwritten (reads not current at commit)",
+                         CertFlagKind::kNotCurrentAtCommit, id, hi_shard});
+      }
+    } else if (meta.ro_point != kNone) {
+      const std::size_t point = meta.ro_point;
+      if (point < lo || point >= hi || point <= meta.birth_rank) {
+        flags.push_back({meta.commit_pos,
+                         tx_tag(id) +
+                             " (read-only) committed at snapshot point " +
+                             std::to_string(point) +
+                             " outside its snapshot window",
+                         CertFlagKind::kNoReadOnlyPoint, id,
+                         hi_shard != kNoShard ? hi_shard : reads[0].shard});
+      }
+    } else if (lo >= hi || hi <= meta.birth_rank) {
+      flags.push_back({meta.commit_pos,
+                       tx_tag(id) +
+                           " (read-only) committed with no serialization "
+                           "point compatible with real-time order",
+                       CertFlagKind::kNoReadOnlyPoint, id,
+                       hi_shard != kNoShard ? hi_shard : reads[0].shard});
+    }
+  }
+}
+
+/// The birth-floor check for committed transactions with NO non-local
+/// reads (they never enter sweep_tx_windows, which iterates read groups);
+/// only meaningful under the stamp-space policies — the monitor fires it
+/// at the C event.
+void check_readless_tx(TxId id, const TxMeta& meta, std::vector<Flag>& flags) {
+  if (!meta.committed) return;
+  if (meta.has_write) {
+    if (meta.commit_rank <= meta.birth_rank) {
+      flags.push_back({meta.commit_pos,
+                       tx_tag(id) + " committed updates at rank " +
+                           std::to_string(meta.commit_rank) +
+                           " outside its snapshot window (version order)",
+                       CertFlagKind::kNotCurrentAtCommit, id, kNoShard});
+    }
+  } else if (meta.ro_point != kNone && meta.ro_point <= meta.birth_rank) {
+    flags.push_back({meta.commit_pos,
+                     tx_tag(id) + " (read-only) committed at snapshot point " +
+                         std::to_string(meta.ro_point) +
+                         " outside its snapshot window",
+                     CertFlagKind::kNoReadOnlyPoint, id, kNoShard});
+  }
+}
 
 /// Pass 0: well-formedness + the serialization-rank assignment. Everything
 /// that couples registers together is computed here, sequentially and
@@ -34,8 +304,7 @@ using detail::to_merge_meta;
 /// synchronize. Per-transaction state lives in a TxId-indexed slab
 /// (dense_state.hpp): recorder tx ids are dense, so the sequential pass is
 /// one vector index per event instead of a hash probe. The lifecycle step
-/// itself is the shared detail::pass0_step (window_merge.hpp), which the
-/// streaming certifier's pass-0 worker runs too.
+/// itself is pass0_step above.
 struct Pass0 {
   TxSlab<TxMeta> txs;
   std::vector<Flag> flags;
@@ -45,16 +314,15 @@ struct Pass0 {
     const std::vector<Event>& events = h.events();
     for (std::size_t i = 0; i < events.size(); ++i) {
       const Event& e = events[i];
-      (void)detail::pass0_step(txs.get(e.tx), e, i, h.model(), policy,
-                               resolver, flags);
+      pass0_step(txs.get(e.tx), e, i, h.model(), policy, resolver, flags);
     }
   }
 };
 
 /// Pass 1 worker: the register-local certificate for one shard. Each read
-/// resolves to a detail::MergeReadRec against the FINAL version-chain
-/// state after the scan; `close_pos` dates the close so the merge sweep
-/// can apply it with the streaming monitor's timing.
+/// resolves to a ReadRec against the FINAL version-chain state after the
+/// scan; `close_pos` dates the close so the merge sweep can apply it with
+/// the streaming monitor's timing.
 struct ShardPass {
   const History* h;
   const Pass0* pass0;
@@ -275,9 +543,8 @@ struct ShardPass {
 /// Merge: replay each transaction's snapshot window over its reads from
 /// all shards, in position order, applying closes only once their closing
 /// C event precedes the current position — the streaming monitor's exact
-/// knowledge timing. The per-transaction sweep itself is the shared
-/// detail::sweep_tx_windows (window_merge.hpp), which the parallel
-/// streaming certifier runs too.
+/// knowledge timing. The per-transaction sweep itself is sweep_tx_windows
+/// above.
 void merge_windows(const Pass0& pass0, VersionOrderPolicy policy,
                    std::vector<ReadRec>& all_reads, std::vector<Flag>& flags) {
   const bool snapshot_rank = stamp_space(policy);
@@ -289,7 +556,7 @@ void merge_windows(const Pass0& pass0, VersionOrderPolicy policy,
 
   // Close-heap scratch, reused across transactions so the sweep allocates
   // nothing once warm.
-  std::vector<detail::MergeClose> closes;
+  std::vector<Close> closes;
 
   std::size_t begin = 0;
   while (begin < all_reads.size()) {
@@ -299,9 +566,8 @@ void merge_windows(const Pass0& pass0, VersionOrderPolicy policy,
     }
     const TxId id = all_reads[begin].tx;
     const TxMeta& meta = *pass0.txs.find(id);
-    detail::sweep_tx_windows(id, to_merge_meta(meta),
-                             all_reads.data() + begin, end - begin,
-                             snapshot_rank, closes, flags);
+    sweep_tx_windows(id, meta, all_reads.data() + begin, end - begin,
+                     snapshot_rank, closes, flags);
     begin = end;
   }
 }
@@ -318,7 +584,7 @@ void check_readless_points(const Pass0& pass0, std::vector<Flag>& flags,
   for (const ReadRec& r : all_reads) with_reads.insert(r.tx);
   pass0.txs.for_each([&](TxId id, const TxMeta& meta) {
     if (!meta.committed || with_reads.count(id) != 0) return;
-    detail::check_readless_tx(id, to_merge_meta(meta), flags);
+    check_readless_tx(id, meta, flags);
   });
 }
 

@@ -103,9 +103,8 @@ struct VerifyConcurrency {
   std::size_t shards{1};   // register shards (>= 1)
 };
 
-/// THE one resolution rule behind every `num_shards` / `num_threads`
-/// option pair in the verification drivers (ShardVerifyOptions,
-/// StreamVerifyOptions, ParallelStreamCertifier::Options): 0 threads means
+/// The resolution rule behind ShardVerifyOptions' `num_shards` /
+/// `num_threads` pair: 0 threads means
 /// std::thread::hardware_concurrency() (at least 1), 0 shards means
 /// min(#registers, threads) (at least 1). Explicit values pass through
 /// unclamped — a caller may deliberately oversubscribe a one-core box

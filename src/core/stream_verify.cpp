@@ -1,134 +1,21 @@
 #include "core/stream_verify.hpp"
 
-#include <algorithm>
-#include <memory>
-#include <utility>
-
-#include "core/history.hpp"
-#include "core/parallel_stream.hpp"
-#include "util/pool.hpp"
-
 namespace optm::core {
 
 StreamVerifyResult verify_event_stream(const ObjectModel& model,
                                        const EventPull& next,
                                        const StreamVerifyOptions& options) {
-  const std::size_t window = std::max<std::size_t>(options.window_events, 1);
-  // The one per-stream concurrency resolution: both the sharded driver
-  // and the streaming engines below inherit it, so "0 = auto" means the
-  // same thing on every path.
-  const VerifyConcurrency conc = resolve_verify_concurrency(
-      model.size(), options.num_shards, options.num_threads);
-  StreamVerifyResult out;
-
-  // Phase 1: buffer optimistically, hoping the stream fits the window.
-  History buffered(model);
-  std::span<const Event> carry;  // unconsumed remainder of the last pull
-  bool exhausted = false;
-  while (buffered.size() < window) {
-    carry = next();
-    if (carry.empty()) {
-      exhausted = true;
-      break;
-    }
-    const std::size_t take = std::min(carry.size(), window - buffered.size());
-    buffered.append_batch(carry.first(take));
-    carry = carry.subspan(take);
-    if (!carry.empty()) break;  // window full mid-pull
-  }
-
-  if (exhausted) {
-    util::ThreadPool pool(conc.threads);
-    ShardVerifyOptions sharded;
-    sharded.policy = options.policy;
-    sharded.num_shards = options.num_shards;
-    const ParallelVerifyResult r = verify_history_sharded(buffered, pool,
-                                                          sharded);
-    out.certified = r.certified;
-    out.violation = r.violation;
-    out.events = buffered.size();
-    out.used_sharded_driver = true;
-    out.shards_used = r.shards_used;
-    out.threads_used = conc.threads;
-    return out;
-  }
-
-  // Phase 2: the stream outgrew the window — fall over to a streaming
-  // engine, constructed ONCE for the whole stream (engine state and its
-  // thread pool are reused across every window; the old code had no pool
-  // here, but its successor pattern — an engine per window — is the churn
-  // this guards against). With more than one resolved thread the engine is
-  // the parallel certifier (parallel_stream.hpp), whose verdict and flag
-  // position match the monitor's exactly; kBlindWriteSmart cannot shard
-  // (see parallel_stream.hpp) and single-thread resolutions keep the
-  // serial monitor. Replay the buffer, drop it, then feed the rest
-  // straight from the source in window-bounded spans.
-  const bool parallel = conc.threads > 1 &&
-                        options.policy != VersionOrderPolicy::kBlindWriteSmart;
-  std::unique_ptr<ParallelStreamCertifier> certifier;
-  std::unique_ptr<OnlineCertificateMonitor> monitor;
-  if (parallel) {
-    ParallelStreamCertifier::Options popts;
-    popts.num_shards = options.num_shards;
-    popts.num_threads = options.num_threads;
-    popts.merge_window_events = std::min(window, std::size_t{1} << 16);
-    certifier = std::make_unique<ParallelStreamCertifier>(model,
-                                                          options.policy,
-                                                          popts);
-  } else {
-    monitor = std::make_unique<OnlineCertificateMonitor>(model,
-                                                         options.policy);
-  }
+  OnlineCertificateMonitor monitor(model, options.policy);
   if (options.reserve_txs != 0 || options.reserve_versions != 0) {
-    if (certifier) {
-      certifier->reserve(options.reserve_txs, options.reserve_versions);
-    } else {
-      monitor->reserve(options.reserve_txs, options.reserve_versions);
-    }
+    monitor.reserve(options.reserve_txs, options.reserve_versions);
   }
-  // The certifier copies each ingested span into a pipeline chunk, so cap
-  // its feed granularity — a multi-megaevent window would otherwise sit
-  // queued in RAM up to max_queued_chunks deep.
-  const std::size_t feed =
-      certifier ? std::min(window, std::size_t{1} << 13) : window;
-  const auto ingest_windowed = [&](std::span<const Event> span) {
-    while (!span.empty()) {
-      std::span<const Event> win = span.first(std::min(span.size(), window));
-      span = span.subspan(win.size());
-      ++out.windows;
-      while (!win.empty()) {
-        const std::size_t take = std::min(win.size(), feed);
-        if (certifier) {
-          (void)certifier->ingest(win.first(take));
-        } else {
-          (void)monitor->ingest(win.first(take));
-        }
-        win = win.subspan(take);
-      }
-    }
-  };
-  ingest_windowed(buffered.events());
-  {
-    History drop(model);
-    std::swap(buffered, drop);  // release the window's memory
-  }
-  ingest_windowed(carry);
   for (std::span<const Event> batch = next(); !batch.empty(); batch = next()) {
-    ingest_windowed(batch);
+    (void)monitor.ingest(batch);
   }
-  if (certifier) {
-    out.certified = certifier->finish();
-    out.violation = certifier->violation();
-    out.events = certifier->events_fed();
-    out.used_parallel_certifier = true;
-    out.shards_used = certifier->shards_used();
-    out.threads_used = certifier->threads_used();
-  } else {
-    out.certified = monitor->ok();
-    out.violation = monitor->violation();
-    out.events = monitor->events_fed();
-    out.threads_used = 1;
-  }
+  StreamVerifyResult out;
+  out.certified = monitor.ok();
+  out.violation = monitor.violation();
+  out.events = monitor.events_fed();
   return out;
 }
 

@@ -224,8 +224,8 @@ bool CertClient::apply_resp(const RespFrame& r, const std::string& reason) {
       verdict_.certified = r.certified != 0;
       verdict_.events = r.events;
       if (r.certified == 0) {
-        // kFinal's violation is authoritative (the engine's finish() ran);
-        // it supersedes any provisional mid-stream flag.
+        // kFinal's violation is authoritative (the whole stream was
+        // ingested); it supersedes any provisional mid-stream flag.
         verdict_.violation = core::OnlineViolation{
             r.flag_pos, reason, static_cast<core::CertFlagKind>(r.flag_kind)};
       }

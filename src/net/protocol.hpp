@@ -21,9 +21,8 @@
 // HANDSHAKE. HelloFrame carries the segment-header provenance fields
 // (runtime / policy / window-mode / vars / threads — the optm-soak-v1
 // vocabulary) plus engine pre-sizing hints, so the server can configure
-// each connection's OnlineCertificateMonitor (or ParallelStreamCertifier)
-// with the right model, version-order policy and reserve() before the
-// first event arrives.
+// each connection's OnlineCertificateMonitor with the right model,
+// version-order policy and reserve() before the first event arrives.
 //
 // RESPONSES. The server answers with RespFrames:
 //   * kAck    — credit/backpressure: `events` = cumulative events the
@@ -38,8 +37,8 @@
 //               CertFlagKind, reason text). The stream continues: like
 //               MonitorSink, a violation is not a transport failure, and
 //               the recording stays complete for post-mortems.
-//   * kFinal  — the definitive verdict, sent after FIN once the engine's
-//               finish() ran: certified flag + earliest violation.
+//   * kFinal  — the definitive verdict, sent after FIN once every event
+//               was ingested: certified flag + earliest violation.
 //   * kError  — protocol failure (bad magic/CRC, event-size mismatch,
 //               unknown policy, stamp discontinuity). The server closes
 //               the connection after sending it; other tenants are

@@ -14,10 +14,10 @@
 #include <cstring>
 #include <exception>
 #include <list>
+#include <optional>
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/parallel_stream.hpp"
 #include "core/version_order.hpp"
 #include "net/protocol.hpp"
 
@@ -28,6 +28,27 @@ namespace {
 [[nodiscard]] bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+}
+
+/// Largest rx backlog a credit-respecting client can legitimately
+/// accumulate: the handshake, a full credit window of events (worst case
+/// framed as one-event blocks), and one maximal block of slack. A backlog
+/// beyond this means the sender is ignoring its window. Empty when the
+/// sum does not fit a size_t.
+[[nodiscard]] std::optional<std::size_t> rx_bound_of(const ServerOptions& o) {
+  constexpr std::size_t kPerEvent =
+      sizeof(core::Event) + sizeof(log::BlockHeader);
+  constexpr std::size_t kFixed = sizeof(HelloFrame) + sizeof(log::BlockHeader);
+  std::size_t window = 0;
+  std::size_t block = 0;
+  std::size_t bound = 0;
+  if (__builtin_mul_overflow(o.credit_events, kPerEvent, &window) ||
+      __builtin_mul_overflow(o.max_block_events, sizeof(core::Event), &block) ||
+      __builtin_add_overflow(window, block, &bound) ||
+      __builtin_add_overflow(bound, kFixed, &bound)) {
+    return std::nullopt;
+  }
+  return bound;
 }
 
 }  // namespace
@@ -57,38 +78,14 @@ struct CertServer::Conn {
   std::uint64_t events_ingested = 0;
   std::uint64_t last_acked = 0;
 
-  // Exactly one of these is live after a valid handshake.
+  // Set by a valid handshake.
   std::unique_ptr<core::OnlineCertificateMonitor> monitor;
-  std::unique_ptr<core::ParallelStreamCertifier> certifier;
 
   [[nodiscard]] std::size_t rx_avail() const noexcept {
     return rx.size() - rx_off;
   }
   [[nodiscard]] const unsigned char* rx_data() const noexcept {
     return rx.data() + rx_off;
-  }
-
-  [[nodiscard]] bool engine_ok() const {
-    if (monitor) return monitor->ok();
-    if (certifier) return certifier->ok();
-    return true;
-  }
-  [[nodiscard]] const std::optional<core::OnlineViolation>& engine_violation()
-      const {
-    static const std::optional<core::OnlineViolation> none;
-    if (monitor) return monitor->violation();
-    if (certifier) return certifier->violation();
-    return none;
-  }
-  void engine_ingest(std::span<const core::Event> events) {
-    if (monitor) {
-      (void)monitor->ingest(events);
-    } else if (certifier) {
-      (void)certifier->ingest(events);
-    }
-  }
-  void engine_finish() {
-    if (certifier) (void)certifier->finish();
   }
 };
 
@@ -137,16 +134,8 @@ struct CertServer::Loop {
   }
 
   /// Largest rx backlog a credit-respecting client can legitimately
-  /// accumulate: the handshake, a full credit window of events (worst
-  /// case framed as one-event blocks), and one maximal block of slack.
-  /// A backlog beyond this means the sender is ignoring its window.
-  [[nodiscard]] std::size_t rx_bound() {
-    const ServerOptions& o = options();
-    return sizeof(HelloFrame) +
-           static_cast<std::size_t>(o.credit_events) *
-               (sizeof(core::Event) + sizeof(log::BlockHeader)) +
-           o.max_block_events * sizeof(core::Event) + sizeof(log::BlockHeader);
-  }
+  /// accumulate (rx_bound_of); start() has checked that it fits.
+  std::size_t rx_bound = 0;
 
   /// Best-effort tx push with no close/arm logic — used on paths that
   /// close the connection regardless of whether the bytes got out.
@@ -186,9 +175,6 @@ struct CertServer::Loop {
 
   void close_conn(std::list<Conn>::iterator it) {
     Conn& c = *it;
-    // A parallel certifier must be drained before destruction; ignore the
-    // verdict — the stream is already accounted for.
-    c.engine_finish();
     if (c.failed) {
       bump(&ServerStats::streams_failed);
     }
@@ -239,28 +225,14 @@ struct CertServer::Loop {
         std::min(hello.reserve_versions, options().max_reserve_hint);
     try {
       auto model = core::ObjectModel::registers(hello.num_vars, 0);
-      const bool parallel =
-          options().stream_threads > 1 &&
-          *policy != core::VersionOrderPolicy::kBlindWriteSmart;
-      if (parallel) {
-        core::ParallelStreamCertifier::Options popts;
-        popts.num_threads = options().stream_threads;
-        c.certifier = std::make_unique<core::ParallelStreamCertifier>(
-            std::move(model), *policy, popts);
-        if (reserve_txs != 0 || reserve_versions != 0) {
-          c.certifier->reserve(reserve_txs, reserve_versions);
-        }
-      } else {
-        c.monitor = std::make_unique<core::OnlineCertificateMonitor>(
-            std::move(model), *policy);
-        if (reserve_txs != 0 || reserve_versions != 0) {
-          c.monitor->reserve(reserve_txs, reserve_versions);
-        }
+      c.monitor = std::make_unique<core::OnlineCertificateMonitor>(
+          std::move(model), *policy);
+      if (reserve_txs != 0 || reserve_versions != 0) {
+        c.monitor->reserve(reserve_txs, reserve_versions);
       }
     } catch (const std::exception&) {
-      // bad_alloc/length_error (or a pool that failed to spawn): a
-      // per-connection failure, never a server crash.
-      c.certifier.reset();
+      // bad_alloc/length_error: a per-connection failure, never a server
+      // crash.
       c.monitor.reset();
       protocol_error(c, "engine setup failed");
       return false;
@@ -270,17 +242,16 @@ struct CertServer::Loop {
     return true;
   }
 
-  /// FIN marker: run the engine's final barrier and queue the verdict.
+  /// FIN marker: queue the verdict.
   void handle_fin(Conn& c, const log::BlockHeader& bh) {
     if (bh.event_count != 0 || bh.first_stamp != c.events_ingested) {
       protocol_error(c, "malformed FIN marker");
       return;
     }
-    c.engine_finish();
     RespFrame f;
     f.kind = static_cast<std::uint32_t>(RespKind::kFinal);
     f.events = c.events_ingested;
-    const auto& violation = c.engine_violation();
+    const auto& violation = c.monitor->violation();
     f.certified = violation ? 0 : 1;
     std::string reason;
     if (violation) {
@@ -337,14 +308,14 @@ struct CertServer::Loop {
     c.scratch.resize(bh.event_count);
     std::memcpy(c.scratch.data(), body, payload);
     c.rx_off += sizeof(bh) + payload;
-    c.engine_ingest(c.scratch);
+    (void)c.monitor->ingest(c.scratch);
     c.events_ingested += bh.event_count;
     bump(&ServerStats::events_ingested, bh.event_count);
-    if (!c.flag_sent && !c.engine_ok()) {
+    if (!c.flag_sent && !c.monitor->ok()) {
       // Early warning; the stream keeps flowing (the recording stays
       // complete), kFinal repeats the verdict authoritatively.
       c.flag_sent = true;
-      const auto& violation = c.engine_violation();
+      const auto& violation = c.monitor->violation();
       RespFrame f;
       f.kind = static_cast<std::uint32_t>(RespKind::kFlag);
       f.events = c.events_ingested;
@@ -363,9 +334,8 @@ struct CertServer::Loop {
   void on_readable(std::list<Conn>::iterator it) {
     Conn& c = *it;
     char buf[65536];
-    const std::size_t bound = rx_bound();
     for (;;) {
-      if (c.rx.size() - c.rx_off > bound) {
+      if (c.rx.size() - c.rx_off > rx_bound) {
         // The sender is ignoring the credit window (a compliant client
         // never has more than the window in flight). Mirror the
         // slow-reader rule: best-effort kError, then drop — buffering
@@ -517,6 +487,13 @@ CertServer::~CertServer() { stop(); }
 
 bool CertServer::start() {
   if (started_) return true;
+  // Every client rejects a zero window at the handshake, and a window
+  // whose rx bound overflows would disable the credit check.
+  const std::optional<std::size_t> rx_bound = rx_bound_of(options_);
+  if (options_.credit_events == 0 || !rx_bound) {
+    error_ = "credit_events out of range";
+    return false;
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     error_ = "socket() failed";
@@ -548,6 +525,7 @@ bool CertServer::start() {
   wake_fd_ = ::eventfd(0, EFD_NONBLOCK);
   loop_ = std::make_unique<Loop>();
   loop_->server = this;
+  loop_->rx_bound = *rx_bound;
   loop_->epoll_fd = ::epoll_create1(0);
   if (wake_fd_ < 0 || loop_->epoll_fd < 0) {
     error_ = "epoll/eventfd setup failed";

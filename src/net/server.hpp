@@ -4,9 +4,7 @@
 // stream speaking optm-net-v1 (protocol.hpp): a CRC-sealed HelloFrame
 // carrying the segment-header provenance fields, then optm-log-v1 blocks
 // of raw events, then a FIN marker. Per connection the server stands up
-// its own certification engine — an OnlineCertificateMonitor, or a
-// ParallelStreamCertifier when Options::stream_threads > 1 and the
-// stream's policy can shard — configured and reserve()d from the
+// its own OnlineCertificateMonitor, configured and reserve()d from the
 // handshake, and multiplexes kAck (credit/backpressure), kFlag (violation
 // latched, stream continues), kFinal (definitive verdict) and kError
 // frames back.
@@ -36,9 +34,8 @@
 // with kError instead of growing the rx buffer without bound.
 //
 // THREADING. One loop thread owns the epoll set, all connection state and
-// all serial engines; ParallelStreamCertifier connections additionally
-// own their private worker pools (stream_threads - 1 shards + a pass-0
-// worker each). start()/stop()/stats()/port() are safe from any thread.
+// every connection's monitor; no other thread touches them.
+// start()/stop()/stats()/port() are safe from any thread.
 #pragma once
 
 #include <atomic>
@@ -55,11 +52,8 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 = let the kernel pick an ephemeral port (read it back via port()).
   std::uint16_t port = 0;
-  /// Live-certification threads per stream: 1 = the serial monitor, > 1 =
-  /// a per-connection ParallelStreamCertifier with this worker budget
-  /// (streams whose policy cannot shard fall back to the monitor).
-  std::size_t stream_threads = 1;
   /// Per-stream in-flight credit, in events (announced in the first ack).
+  /// start() refuses 0 and windows whose receive bound overflows.
   std::uint64_t credit_events = std::uint64_t{1} << 16;
   /// Accepted connections beyond this are closed immediately.
   std::size_t max_connections = 256;
@@ -97,7 +91,7 @@ class CertServer {
   CertServer& operator=(const CertServer&) = delete;
 
   /// Bind + listen + spawn the loop thread. False (with error()) if the
-  /// socket could not be set up. port() is valid once this returns true.
+  /// options are out of range or the socket could not be set up. port() is valid once this returns true.
   [[nodiscard]] bool start();
 
   /// Stop accepting, close every connection, join the loop. Idempotent.

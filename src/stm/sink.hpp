@@ -24,7 +24,6 @@
 
 #include "core/history.hpp"
 #include "core/online.hpp"
-#include "core/parallel_stream.hpp"
 #include "stm/recorder.hpp"
 
 namespace optm::stm {
@@ -62,28 +61,6 @@ class MonitorSink final : public EventSink {
 
  private:
   core::OnlineCertificateMonitor* monitor_;
-};
-
-/// Feeds batches to a core::ParallelStreamCertifier — live certification
-/// that scales past one monitor core (parallel_stream.hpp). Same contract
-/// as MonitorSink: a latched violation is not a sink failure; finish()
-/// runs the certifier's final merge barrier so ok()/violation() are
-/// definitive after the pump returns.
-class ParallelMonitorSink final : public EventSink {
- public:
-  explicit ParallelMonitorSink(core::ParallelStreamCertifier& cert) noexcept
-      : cert_(&cert) {}
-  bool accept(std::span<const core::Event> batch) override {
-    (void)cert_->ingest(batch);
-    return true;
-  }
-  bool finish() override {
-    (void)cert_->finish();
-    return true;
-  }
-
- private:
-  core::ParallelStreamCertifier* cert_;
 };
 
 /// Appends batches to a core::History (the in-RAM baseline the offline

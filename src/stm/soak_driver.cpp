@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -58,48 +57,26 @@ SoakResult SoakDriver::run() {
   result.window_mode = stm->window_free() ? "window-free" : "windowed";
   result.policy = o.run.policy;
 
-  // The sink chain: live certification engine and/or the caller's extra
-  // sink (a log writer, usually), fanned out by a tee when both are
-  // present. live_stream_threads > 1 swaps the serial monitor for the
-  // parallel streaming certifier — same verdict, same flag position, but
-  // the certification keeps up with more producer cores.
-  const bool want_parallel =
-      o.live_monitor && o.live_stream_threads > 1 &&
-      o.run.policy != core::VersionOrderPolicy::kBlindWriteSmart;
+  // The sink chain: the live certificate monitor and/or the caller's
+  // extra sink (a log writer, usually), fanned out by a tee when both are
+  // present.
   core::OnlineCertificateMonitor monitor(recorder.model(), o.run.policy);
-  std::unique_ptr<core::ParallelStreamCertifier> certifier;
-  if (want_parallel) {
-    core::ParallelStreamCertifier::Options popts;
-    popts.num_threads = o.live_stream_threads;
-    certifier = std::make_unique<core::ParallelStreamCertifier>(
-        recorder.model(), o.run.policy, popts);
-  }
   if (o.live_monitor) {
     // Versions are one per write response: ~a quarter of the events at
     // the mix's default write ratio (the table grows geometrically past
     // it).
-    const std::size_t reserve_txs = mix.txs_per_thread * o.threads + 16;
-    const std::size_t reserve_versions = o.target_events / 3 + o.vars + 16;
-    if (certifier) {
-      certifier->reserve(reserve_txs, reserve_versions);
-    } else {
-      monitor.reserve(reserve_txs, reserve_versions);
-    }
+    monitor.reserve(mix.txs_per_thread * o.threads + 16,
+                    o.target_events / 3 + o.vars + 16);
   }
   MonitorSink monitor_sink(monitor);
-  std::unique_ptr<ParallelMonitorSink> certifier_sink;
-  if (certifier) certifier_sink = std::make_unique<ParallelMonitorSink>(*certifier);
-  EventSink* live_sink =
-      certifier ? static_cast<EventSink*>(certifier_sink.get())
-                : static_cast<EventSink*>(&monitor_sink);
   NullSink null_sink;
   TeeSink tee;
   EventSink* sink = &null_sink;
   if (o.live_monitor && o.extra_sink != nullptr) {
-    tee.add(live_sink).add(o.extra_sink);
+    tee.add(&monitor_sink).add(o.extra_sink);
     sink = &tee;
   } else if (o.live_monitor) {
-    sink = live_sink;
+    sink = &monitor_sink;
   } else if (o.extra_sink != nullptr) {
     sink = o.extra_sink;
   }
@@ -124,17 +101,8 @@ SoakResult SoakDriver::run() {
       events_per_sec(result.recorded_events, record_t0, record_t1);
   result.sink_ok = pump_stats.sink_ok;
   if (o.live_monitor) {
-    if (certifier) {
-      // The pump's sink finish() already ran the final merge barrier.
-      result.live_ok = certifier->ok();
-      result.live_violation = certifier->violation();
-      result.live_parallel = !certifier->serial_fallback();
-      result.live_threads_used = certifier->threads_used();
-      result.live_shards_used = certifier->shards_used();
-    } else {
-      result.live_ok = monitor.ok();
-      result.live_violation = monitor.violation();
-    }
+    result.live_ok = monitor.ok();
+    result.live_violation = monitor.violation();
   }
 
   // Offline: the sharded parallel driver over the complete history.

@@ -3,10 +3,10 @@
 // One call runs the full recorded-mode pipeline that examples/recorded_soak
 // used to hand-roll: a multi-threaded random mix recording into the
 // sharded Recorder, a verifier thread pumping stamp-contiguous drained
-// batches through an EventSink chain (live certificate monitor, and
-// optionally any extra sink — e.g. log::LogWriterSink for a durable
-// audit trail), then the sharded offline driver re-verifying the complete
-// history. Options in, structured results out; the example binaries are
+// batches through an EventSink chain (the serial OnlineCertificateMonitor,
+// on the pump thread, and optionally any extra sink — e.g.
+// log::LogWriterSink for a durable audit trail), then the sharded offline
+// driver re-verifying the complete history. Options in, structured results out; the example binaries are
 // thin CLI wrappers over this class.
 #pragma once
 
@@ -32,12 +32,6 @@ struct SoakOptions {
   /// default. Set offline_verify=false to skip that stage entirely.
   std::size_t shards = 4;
   bool live_monitor = true;
-  /// Worker threads for the LIVE certification path: 1 keeps the serial
-  /// OnlineCertificateMonitor; > 1 certifies live with the parallel
-  /// streaming certifier (core/parallel_stream.hpp, shards resolved from
-  /// this budget), whose verdict and flag position are identical.
-  /// kBlindWriteSmart ignores this (serial fallback — it cannot shard).
-  std::size_t live_stream_threads = 1;
   bool offline_verify = true;
   /// Tee'd into the drain pipeline next to the live monitor (not owned).
   EventSink* extra_sink = nullptr;
@@ -58,12 +52,6 @@ struct SoakResult {
   double live_events_per_sec = 0.0;
   bool live_ok = true;
   std::optional<core::OnlineViolation> live_violation;
-  /// True when the live path ran the parallel streaming certifier rather
-  /// than the serial monitor (live_stream_threads > 1 and the policy can
-  /// shard). threads/shards echo what the certifier actually used.
-  bool live_parallel = false;
-  std::size_t live_threads_used = 1;
-  std::size_t live_shards_used = 1;
 
   /// False if the extra sink reported a failure (e.g. a log write error).
   bool sink_ok = true;

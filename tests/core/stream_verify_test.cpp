@@ -1,13 +1,17 @@
-// verify_event_stream's memory bound, pinned to what holds: the event
-// buffer. A stream several windows long that arrives as ONE oversized span
-// from the EventPull still reaches the engine in window-sized ingests, and
-// the verdict (and first-flag position) equals the in-RAM monitor's. The
-// engine's own state is not bounded by the window — it grows with the
-// transactions and versions seen — so no test here claims that.
+// verify_event_stream buffers nothing, so the EventPull contract — a span
+// need only stay valid until the next call — is all that bounds its event
+// memory. The pull here hands out every span from ONE reused buffer and
+// overwrites that buffer with garbage on each call: an engine that kept a
+// span past the next pull would certify garbage. The verdict and the first
+// flag (position and kind) must equal the in-RAM monitor's under every
+// policy, for a clean and for a poisoned recording.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <iterator>
 #include <span>
+#include <vector>
 
 #include "core/history.hpp"
 #include "core/online.hpp"
@@ -18,7 +22,14 @@ namespace optm::core {
 namespace {
 
 constexpr std::size_t kVars = 8;
-constexpr std::size_t kWindow = 256;
+constexpr std::size_t kNoPoison = static_cast<std::size_t>(-1);
+
+constexpr VersionOrderPolicy kPolicies[] = {
+    VersionOrderPolicy::kCommitOrder,
+    VersionOrderPolicy::kBlindWriteSmart,
+    VersionOrderPolicy::kSnapshotRank,
+    VersionOrderPolicy::kStampedRead,
+};
 
 /// A sequential recording: committed writers, each followed by a reader
 /// of the value it wrote. With `poison_at` set, the transaction at that
@@ -43,28 +54,40 @@ constexpr std::size_t kWindow = 256;
   return rec.history();
 }
 
-[[nodiscard]] StreamVerifyResult expect_window_bounded_and_equivalent(const History& h,
-                                                        std::size_t threads) {
-  OnlineCertificateMonitor reference(h.model());
+/// An event no recording holds: a response of an unborn transaction on a
+/// register outside the model, which the monitor would flag at once.
+[[nodiscard]] Event garbage() {
+  return ev::ret(0xdeadbeef, 0xbad, OpCode::kRead, 0, 0x5eed);
+}
+
+/// Streams `h` through verify_event_stream in uneven spans, all carved
+/// from one buffer that is overwritten with garbage at the next call, and
+/// checks the result against the in-RAM monitor under `policy`.
+[[nodiscard]] StreamVerifyResult expect_matches_in_ram_monitor(
+    const History& h, VersionOrderPolicy policy) {
+  OnlineCertificateMonitor reference(h.model(), policy);
   (void)reference.ingest(h.events());
 
-  bool pulled = false;
+  constexpr std::size_t kSpanSizes[] = {1, 7, 64, 3, 300};
+  std::vector<Event> buffer(*std::max_element(std::begin(kSpanSizes),
+                                              std::end(kSpanSizes)));
+  std::size_t next = 0;
+  std::size_t calls = 0;
   const EventPull pull = [&]() -> std::span<const Event> {
-    if (pulled) return {};
-    pulled = true;
-    return h.events();  // the whole stream in one span
+    std::fill(buffer.begin(), buffer.end(), garbage());
+    const std::size_t n = std::min(
+        kSpanSizes[calls++ % std::size(kSpanSizes)], h.size() - next);
+    std::copy_n(h.events().begin() + static_cast<std::ptrdiff_t>(next), n,
+                buffer.begin());
+    next += n;
+    return std::span<const Event>(buffer.data(), n);
   };
   StreamVerifyOptions options;
-  options.window_events = kWindow;
-  options.num_threads = threads;
+  options.policy = policy;
   const StreamVerifyResult result = verify_event_stream(h.model(), pull,
                                                         options);
 
-  EXPECT_GE(h.size(), 4 * kWindow);
-  EXPECT_FALSE(result.used_sharded_driver);
   EXPECT_EQ(result.events, h.size());
-  EXPECT_GE(result.windows, h.size() / kWindow)
-      << "the oversized span was not split into window-sized ingests";
   EXPECT_EQ(result.certified, reference.ok());
   EXPECT_EQ(result.violation.has_value(), reference.violation().has_value());
   if (result.violation && reference.violation()) {
@@ -74,23 +97,21 @@ constexpr std::size_t kWindow = 256;
   return result;
 }
 
-TEST(StreamVerifyWindow, OversizedSpanIsIngestedInWindows) {
-  const History clean = record(200, static_cast<std::size_t>(-1));
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(threads);
-    EXPECT_TRUE(
-        expect_window_bounded_and_equivalent(clean, threads).certified);
+TEST(StreamVerifyPull, ReusedSpanBufferCertifiesLikeInRamMonitor) {
+  const History clean = record(200, kNoPoison);
+  for (const VersionOrderPolicy policy : kPolicies) {
+    SCOPED_TRACE(to_string(policy));
+    EXPECT_TRUE(expect_matches_in_ram_monitor(clean, policy).certified);
   }
 }
 
-TEST(StreamVerifyWindow, FlagPastTheFirstWindowMatchesInRamMonitor) {
+TEST(StreamVerifyPull, ReusedSpanBufferFlagsWhereInRamMonitorDoes) {
   const History poisoned = record(200, 150);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE(threads);
+  for (const VersionOrderPolicy policy : kPolicies) {
+    SCOPED_TRACE(to_string(policy));
     const StreamVerifyResult r =
-        expect_window_bounded_and_equivalent(poisoned, threads);
+        expect_matches_in_ram_monitor(poisoned, policy);
     ASSERT_TRUE(r.violation.has_value());
-    EXPECT_GT(r.violation->pos, kWindow);
     EXPECT_EQ(r.violation->kind, CertFlagKind::kUnwrittenValue);
   }
 }

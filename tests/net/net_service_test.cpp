@@ -243,27 +243,21 @@ TEST(NetService, FlaggedStreamMatchesLocalMonitor) {
   EXPECT_EQ(server.stats().streams_flagged, 1u);
 }
 
-TEST(NetService, PerStreamParallelCertifierMatchesMonitor) {
-  net::ServerOptions options;
-  options.stream_threads = 3;
-  net::CertServer server(options);
-  ASSERT_TRUE(server.start()) << server.error();
+TEST(NetService, StartRefusesAnUnusableCreditWindow) {
+  // Every client rejects a zero window at the handshake, so a server
+  // announcing one could complete no stream.
+  net::ServerOptions zero;
+  zero.credit_events = 0;
+  net::CertServer zero_server(zero);
+  EXPECT_FALSE(zero_server.start());
+  EXPECT_FALSE(zero_server.error().empty());
 
-  const auto bad = flagged_stream(64);
-  const auto local = local_verdict(bad, 4, "commit-order");
-  ASSERT_TRUE(local.has_value());
-
-  net::RemoteVerdict verdict;
-  ASSERT_TRUE(stream_to(server.port(), bad, meta_for(4, "commit-order"),
-                        verdict));
-  EXPECT_FALSE(verdict.certified);
-  ASSERT_TRUE(verdict.violation.has_value());
-  EXPECT_EQ(verdict.violation->pos, local->pos);
-
-  net::RemoteVerdict clean;
-  ASSERT_TRUE(stream_to(server.port(), certified_stream(100),
-                        meta_for(4, "commit-order"), clean));
-  EXPECT_TRUE(clean.certified);
+  // A window whose receive bound overflows would disable the credit check.
+  net::ServerOptions huge;
+  huge.credit_events = ~std::uint64_t{0};
+  net::CertServer huge_server(huge);
+  EXPECT_FALSE(huge_server.start());
+  EXPECT_FALSE(huge_server.error().empty());
 }
 
 TEST(NetService, BackpressureWithTinyCreditWindowCompletes) {

@@ -6,7 +6,8 @@ flat ``key=value`` stream printed by ``examples/recorded_soak`` (keys ending
 in ``_events_per_sec`` are throughputs; ``soak.window_mode`` / ``soak.policy``
 make the artifacts self-describing). This tool diffs the current artifacts
 against the previous nightly's and FAILS (exit 1) when any throughput
-regressed by more than the threshold.
+regressed by more than the threshold. An artifact present only in the
+previous run is listed as a ``dropped artifact`` row, not a failure.
 
 The default threshold is deliberately loose (25%): the CI runners and the
 repository's 4-vCPU measurement host are VMs shared with other tenants,
@@ -100,6 +101,12 @@ def main() -> int:
             rows.append((curr_path.name, key,
                          f"{prev[key]:,.0f}", f"{curr[key]:,.0f}",
                          f"{status} ({ratio:.1%} of previous)"))
+    # A baseline artifact this run no longer produces: report it, so a
+    # deliberately retired leg is visible, but do not fail on it.
+    curr_names = {path.name for path in curr_files}
+    for prev_path in sorted(prev_dir.glob("soak_*.txt")):
+        if prev_path.name not in curr_names:
+            rows.append((prev_path.name, "-", "-", "-", "dropped artifact"))
 
     name_w = max((len(r[0]) for r in rows), default=10)
     key_w = max((len(r[1]) for r in rows), default=10)
