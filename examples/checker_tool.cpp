@@ -19,11 +19,13 @@
 // into one OnlineCertificateMonitor, so the verdict and flag position are
 // the in-RAM monitor's. No events are buffered; the monitor keeps full
 // state only for live transactions, but a record for every version it
-// has seen, so peak memory still grows with the log (297 MB at 9.24M
-// events of a window-free tl2 log, about 32 B per event). The policy
-// defaults to the one recorded in the segment headers. certlog.elapsed_s
-// and certlog.events_per_s time the run by the wall clock, from opening
-// the log to the verdict.
+// has seen, so peak memory still grows with the log: one 32-byte archive
+// entry per version, plus 8-byte index slots at most half full, plus a
+// 1.5× index-only transient while the index doubles. certlog.versions and
+// certlog.version_bytes report that table at the end of the run. The
+// policy defaults to the one recorded in the segment headers.
+// certlog.elapsed_s and certlog.events_per_s time the run by the wall
+// clock, from opening the log to the verdict.
 //
 // Bare legacy invocations (checker_tool --history=h2) still work: no
 // subcommand means `certify`.
@@ -201,6 +203,8 @@ int cmd_certify_log(int argc, char** argv) {
                 static_cast<unsigned long long>(reader.dropped_bytes()));
   }
   std::printf("certlog.events=%zu\n", result.events);
+  std::printf("certlog.versions=%zu\n", result.resident.versions);
+  std::printf("certlog.version_bytes=%zu\n", result.resident.version_bytes);
   std::printf("certlog.elapsed_s=%.3f\n", elapsed_s);
   std::printf("certlog.events_per_s=%.0f\n",
               elapsed_s > 0 ? static_cast<double>(result.events) / elapsed_s

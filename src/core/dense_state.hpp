@@ -16,22 +16,23 @@
 //     of ballooning the slab: an id more than kGrowSlack past the dense
 //     frontier is judged non-dense. A slab entry lives as long as the
 //     engine, so it should be small: the streaming monitor keeps one
-//     32-bit word per id (unborn, finished, or its live slot) and holds a
-//     live transaction's full state in a recycled pool of its own
-//     (core/online.hpp); the sharded offline driver keeps a TxMeta per id.
+//     32-bit word per id (unborn, committed, aborted, or its live slot)
+//     and holds a live transaction's full state in a recycled pool of its
+//     own (core/online.hpp); the sharded offline driver keeps a TxMeta per
+//     id.
 //
-//   * VersionTable<R> — an open-addressing, linear-probing flat table over
-//     (register, value) keys, the §5.4 value-unique version namespace.
-//     Slots store the record inline (no nodes), probing is cache-
-//     sequential, and the table only ever grows — the engines never erase
-//     a version, so no tombstones exist and a probe chain never has to
-//     step over deleted slots. A rehash starts a fresh EPOCH with every
-//     slot reinserted; epoch() counts them. A record's address is a
-//     handle that stays valid for the rest of its epoch: the streaming
-//     monitor keeps one per register (its current version, closed at the
-//     next install without a probe), and resolve() re-finds a handle by
-//     key once the epoch has moved, so a stale address is never
-//     dereferenced.
+//   * VersionTable<R> — the §5.4 value-unique version namespace over
+//     (register, value) keys: an append-only ARCHIVE of records in fixed
+//     chunks under a compact exact INDEX of 8-byte slots (a 32-bit hash
+//     fingerprint and a 32-bit archive position, linear probing, at most
+//     half full). Records never move: a record's address is a handle that
+//     stays valid for the table's lifetime, so the streaming monitor keeps
+//     one per register (its current version, closed at the next install
+//     without a probe). The engines never erase a version, so no
+//     tombstones exist; when the index doubles it is rebuilt from a
+//     sequential scan of the archive, and only the index is reallocated.
+//     Per version that is one archive entry (32 B for the monitor's
+//     record) plus 16–32 B of index slots.
 //
 //   * SmallWriteSet  — a transaction's executed writes, sorted by
 //     register: inline storage for the common small write set, spilling
@@ -53,7 +54,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <concepts>
 #include <cstdint>
+#include <limits>
+#include <memory>
+#include <stdexcept>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -149,118 +156,178 @@ class TxSlab {
 // VersionTable
 // ---------------------------------------------------------------------------
 
-/// Open-addressing flat hash table over (register, value) keys. Linear
-/// probing, power-of-two capacity, load factor <= 1/2, records inline. No
-/// erase — the version namespace only grows — hence no tombstones.
+/// What VersionTable asks of its record type: the (register, value) key as
+/// members `obj` and `val`, and nothing to destroy. The table writes the
+/// key when it inserts the record and compares it to confirm every index
+/// hit; every other member belongs to the engine, which must never
+/// overwrite the key (assign fields, not whole records).
 template <typename Rec>
+concept VersionRecord =
+    std::is_trivially_destructible_v<Rec> && requires(Rec& r) {
+      { r.obj } -> std::same_as<ObjId&>;
+      { r.val } -> std::same_as<Value&>;
+    };
+
+/// Append-only record archive under an exact (register, value) index. No
+/// erase — the version namespace only grows — hence no tombstones.
+///
+///   * The archive holds the records in insertion order, in chunks of
+///     kChunkRecords that are never moved or freed before the table: the
+///     address slot() or find() returns stays valid for the table's life.
+///   * The index is one 8-byte slot per bucket, linear probing, load
+///     factor <= 1/2: the upper 32 bits of the key's hash (its
+///     fingerprint) over the record's archive position + 1 (0 = empty).
+///     The home bucket is the hash's top bits, so keys that share a
+///     fingerprint share a probe chain. A fingerprint match is confirmed
+///     against the archived key: the index is exact, not a filter.
+///   * When the index would pass half full it doubles, rebuilt by one
+///     sequential scan of the archive; the records stay where they are.
+template <VersionRecord Rec>
 class VersionTable {
  public:
+  /// Records per archive chunk, allocated whole.
+  static constexpr std::size_t kChunkRecords = 4096;
+  /// Most records a table holds: an index slot names one by a 32-bit
+  /// position + 1.
+  static constexpr std::size_t kMaxRecords =
+      std::numeric_limits<std::uint32_t>::max();
+
   explicit VersionTable(std::size_t expected_entries = 16) {
-    rehash(bucket_count_for(expected_entries));
+    reserve(expected_entries);
   }
 
+  /// Size the index and the archive for `entries` records: inserts up to
+  /// that count allocate nothing. Throws std::length_error past
+  /// kMaxRecords.
   void reserve(std::size_t entries) {
-    const std::size_t want = bucket_count_for(entries);
-    if (want > slots_.size()) rehash(want);
+    const std::size_t buckets = bucket_count_for(entries);
+    if (buckets > index_.size()) rebuild(buckets);
+    const std::size_t chunks = (entries + kChunkRecords - 1) / kChunkRecords;
+    chunks_.reserve(chunks);
+    while (chunks_.size() < chunks) add_chunk();
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
-  /// Find the record for (obj, val), default-inserting one if absent (the
-  /// emplace of the map API this replaces). `inserted` reports which. The
-  /// growth check runs only when the probe actually inserts, so a lookup
-  /// of an existing key can never rehash — reserve() sized exactly to the
-  /// load stays allocation-free, as the monitor's reserve() contract
-  /// promises.
+  /// Bytes held: the index's slots plus every archive chunk.
+  [[nodiscard]] std::size_t bytes() const noexcept {
+    return index_.capacity() * sizeof(std::uint64_t) +
+           chunks_.size() * kChunkRecords * sizeof(Rec);
+  }
+
+  /// Find the record for (obj, val), appending a default one if absent
+  /// (the emplace of the map API this replaces). `inserted` reports which.
+  /// Growth runs only when the probe actually inserts, so a lookup of an
+  /// existing key never allocates — reserve() sized exactly to the load
+  /// stays allocation-free, as the monitor's reserve() contract promises.
   [[nodiscard]] Rec& slot(ObjId obj, Value val, bool* inserted = nullptr) {
-    std::size_t i = find_slot(obj, val);
-    if (slots_[i].used) {
+    const std::uint64_t h = hash(obj, val);
+    std::size_t i = probe(h, obj, val);
+    if (index_[i] != 0) {
       if (inserted != nullptr) *inserted = false;
-      return slots_[i].rec;
+      return record(index_[i]);
     }
-    if ((size_ + 1) * 2 > slots_.size()) {
-      rehash(slots_.size() * 2);
-      i = find_slot(obj, val);  // empty slot in the new epoch
+    if (size_ == kMaxRecords) {
+      throw std::length_error("VersionTable: more than 2^32 - 1 records");
     }
-    Slot& s = slots_[i];
-    s.used = true;
-    s.obj = obj;
-    s.val = val;
-    s.rec = Rec{};
+    if ((size_ + 1) * 2 > index_.size()) {
+      rebuild(index_.size() * 2);
+      i = probe(h, obj, val);  // the key's empty slot in the new index
+    }
+    if (size_ == chunks_.size() * kChunkRecords) add_chunk();
+    Rec* rec = std::construct_at(chunks_[size_ / kChunkRecords].get() +
+                                 size_ % kChunkRecords);
+    rec->obj = obj;
+    rec->val = val;
     ++size_;
+    index_[i] = (h & kFingerprintMask) | size_;
     if (inserted != nullptr) *inserted = true;
-    return s.rec;
+    return *rec;
   }
 
   [[nodiscard]] Rec* find(ObjId obj, Value val) noexcept {
-    Slot& s = slots_[find_slot(obj, val)];
-    return s.used ? &s.rec : nullptr;
+    const std::uint64_t s = index_[probe(hash(obj, val), obj, val)];
+    return s == 0 ? nullptr : &record(s);
   }
   [[nodiscard]] const Rec* find(ObjId obj, Value val) const noexcept {
     return const_cast<VersionTable*>(this)->find(obj, val);
   }
 
-  /// Rehashes so far. The address slot() or find() returned for a record
-  /// is valid while epoch() still equals its value when the address was
-  /// taken; every rehash moves every record.
-  [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
-
-  /// The record behind a handle (`rec`, taken in epoch `epoch`) for key
-  /// (obj, val): the address itself within its epoch, a fresh lookup by
-  /// key after a rehash. The stale address is never dereferenced.
-  [[nodiscard]] Rec* resolve(Rec* rec, std::uint32_t epoch, ObjId obj,
-                             Value val) noexcept {
-    return epoch == epoch_ ? rec : find(obj, val);
+  /// The key's full hash: fingerprint in the upper 32 bits, home bucket in
+  /// the top log2(buckets) bits.
+  [[nodiscard]] static std::uint64_t hash(ObjId obj, Value val) noexcept {
+    return util::mix64(
+        util::hash_combine(obj, static_cast<std::uint64_t>(val)));
   }
 
  private:
-  struct Slot {
-    Rec rec{};
-    Value val{0};
-    ObjId obj{0};
-    bool used{false};
-  };
+  static constexpr std::uint64_t kFingerprintMask = ~std::uint64_t{0} << 32;
 
-  [[nodiscard]] static std::size_t bucket_count_for(
-      std::size_t entries) noexcept {
+  struct FreeChunk {
+    void operator()(Rec* chunk) const noexcept {
+      std::allocator<Rec>{}.deallocate(chunk, kChunkRecords);
+    }
+  };
+  using Chunk = std::unique_ptr<Rec[], FreeChunk>;
+
+  /// Buckets for `entries` at load factor <= 1/2. The kMaxRecords check
+  /// comes first, so `entries * 2` cannot wrap and the doubling ends.
+  [[nodiscard]] static std::size_t bucket_count_for(std::size_t entries) {
+    if (entries > kMaxRecords) {
+      throw std::length_error("VersionTable: more than 2^32 - 1 records");
+    }
     std::size_t cap = 16;
-    while (cap < entries * 2) cap *= 2;  // keep load factor <= 1/2
+    while (cap < entries * 2) cap *= 2;
     return cap;
   }
 
-  [[nodiscard]] std::size_t bucket_of(ObjId obj, Value val) const noexcept {
-    const std::uint64_t key =
-        util::hash_combine(obj, static_cast<std::uint64_t>(val));
-    return static_cast<std::size_t>(util::mix64(key)) & mask_;
+  /// The archived record an occupied index slot names.
+  [[nodiscard]] Rec& record(std::uint64_t slot) const noexcept {
+    const std::size_t pos = (slot & ~kFingerprintMask) - 1;
+    return chunks_[pos / kChunkRecords][pos % kChunkRecords];
   }
 
-  /// Probe to the key's slot or the first empty slot of its chain.
-  [[nodiscard]] std::size_t find_slot(ObjId obj, Value val) const noexcept {
-    std::size_t i = bucket_of(obj, val);
-    for (;;) {
-      const Slot& s = slots_[i];
-      if (!s.used || (s.obj == obj && s.val == val)) return i;
-      i = (i + 1) & mask_;
+  /// The index slot holding the key, or the first empty slot of its chain.
+  [[nodiscard]] std::size_t probe(std::uint64_t h, ObjId obj,
+                                  Value val) const noexcept {
+    for (std::size_t i = h >> shift_;; i = (i + 1) & mask_) {
+      const std::uint64_t s = index_[i];
+      if (s == 0) return i;
+      if ((s & kFingerprintMask) == (h & kFingerprintMask)) {
+        const Rec& rec = record(s);
+        if (rec.obj == obj && rec.val == val) return i;
+      }
     }
   }
 
-  void rehash(std::size_t new_buckets) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_buckets, Slot{});
-    mask_ = new_buckets - 1;
-    ++epoch_;
-    for (Slot& s : old) {
-      if (!s.used) continue;
-      std::size_t i = bucket_of(s.obj, s.val);
-      while (slots_[i].used) i = (i + 1) & mask_;
-      slots_[i] = std::move(s);
+  /// Replace the index by one of `buckets` slots, filled by a sequential
+  /// scan of the archive.
+  void rebuild(std::size_t buckets) {
+    std::vector<std::uint64_t> index(buckets, 0);
+    const std::size_t mask = buckets - 1;
+    const int shift = std::countl_zero(buckets) + 1;
+    for (std::size_t pos = 0; pos < size_; ++pos) {
+      const Rec& rec = chunks_[pos / kChunkRecords][pos % kChunkRecords];
+      const std::uint64_t h = hash(rec.obj, rec.val);
+      std::size_t i = h >> shift;
+      while (index[i] != 0) i = (i + 1) & mask;
+      index[i] = (h & kFingerprintMask) | (pos + 1);
     }
+    index_ = std::move(index);
+    mask_ = mask;
+    shift_ = shift;
   }
 
-  std::vector<Slot> slots_;
+  void add_chunk() {
+    Chunk chunk(std::allocator<Rec>{}.allocate(kChunkRecords));
+    chunks_.push_back(std::move(chunk));
+  }
+
+  std::vector<std::uint64_t> index_;
   std::size_t mask_ = 0;
+  int shift_ = 64;
   std::size_t size_ = 0;
-  std::uint32_t epoch_ = 0;
+  std::vector<Chunk> chunks_;
 };
 
 // ---------------------------------------------------------------------------

@@ -72,12 +72,11 @@ OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
     // The initializer's version of every register: open from rank 0.
     const Value init = reg->initial_value();
     VersionRec& rec = versions_.slot(r, init);
-    rec = VersionRec{kInitTx, true, 0, kOpen};
-    heads_[r] = RegisterHead{.val = init,
-                             .open_rank = 0,
-                             .rec = &rec,
-                             .rec_epoch = versions_.epoch(),
-                             .writer = kInitTx};
+    rec.writer = kInitTx;
+    rec.open_rank = 0;
+    rec.close_rank = kOpen;
+    heads_[r] = RegisterHead{
+        .val = init, .open_rank = 0, .rec = &rec, .writer = kInitTx};
   }
 }
 
@@ -106,9 +105,7 @@ void OnlineCertificateMonitor::reserve(std::size_t num_txs,
   for (std::size_t i = slots; i-- > live_.size();) {
     free_slots_.push_back(static_cast<std::uint32_t>(i));
   }
-  while (live_.size() < slots) {
-    live_.emplace_back().superseded.reserve(SmallWriteSet::kInlineCapacity);
-  }
+  live_.resize(slots);
 }
 
 OnlineCertificateMonitor::Resident OnlineCertificateMonitor::resident()
@@ -123,6 +120,7 @@ OnlineCertificateMonitor::Resident OnlineCertificateMonitor::resident()
     }
   }
   r.versions = versions_.size();
+  r.version_bytes = versions_.bytes();
   return r;
 }
 
@@ -144,25 +142,29 @@ std::uint32_t OnlineCertificateMonitor::acquire_slot() {
   tx.lo = 0;
   tx.hi = kOpen;
   tx.max_read_stamp = 0;
-  tx.superseded.clear();
   return slot + 1;
 }
 
-void OnlineCertificateMonitor::retire(std::uint32_t& word) {
+void OnlineCertificateMonitor::retire(std::uint32_t& word, bool committed) {
   // From here on every event of the id sees finished_ (phase kDone).
   const std::uint32_t slot = word - 1;
   // The write set is installed or discarded: recycle any spill storage
   // for the next write-heavy transaction.
   live_[slot].writes.release(spill_pool_);
   free_slots_.push_back(slot);
-  word = kFinished;
+  word = committed ? kCommitted : kAborted;
+}
+
+bool OnlineCertificateMonitor::has_committed(TxId tx) const noexcept {
+  const std::uint32_t* word = ids_.find(tx);
+  return word != nullptr && *word == kCommitted;
 }
 
 void OnlineCertificateMonitor::hold(RegisterHead& head, TxId id) {
   // A register read but never rewritten would keep every reader: drop the
   // finished ones (their windows no longer matter) before spilling or
   // growing.
-  const auto finished = [this](TxId h) { return *ids_.find(h) == kFinished; };
+  const auto finished = [this](TxId h) { return is_finished(*ids_.find(h)); };
   if (head.num_inline == RegisterHead::kInlineHolders) {
     const auto first = head.holders.begin();
     head.num_inline = static_cast<std::uint32_t>(
@@ -195,7 +197,7 @@ void OnlineCertificateMonitor::close_holders(RegisterHead& head,
                                              std::size_t rank) {
   const auto shrink = [&](TxId holder) {
     const std::uint32_t word = *ids_.find(holder);
-    if (word == kFinished) return;
+    if (is_finished(word)) return;
     TxState& h = live_[word - 1];
     if (rank < h.hi) h.hi = rank;
   };
@@ -283,10 +285,6 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
     }
     wrec.writer = e.tx;  // ranks assigned at commit
     tx.has_write = true;
-    if (const Value* prev = tx.writes.find(e.obj);
-        prev != nullptr && *prev != e.arg) {
-      tx.superseded.emplace_back(e.obj, *prev);
-    }
     tx.writes.set(e.obj, e.arg, spill_pool_);
     return true;
   }
@@ -309,10 +307,12 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
   // The register's current version answers from its head; only older or
   // uncommitted values (and unwritten ones) need the table.
   RegisterHead& head = heads_[e.obj];
+  const bool current_value = e.ret == head.val;
   VersionRec current;
   const VersionRec* v = &current;
-  if (e.ret == head.val) {
-    current = VersionRec{head.writer, true, head.open_rank, kOpen};
+  if (current_value) {
+    current.writer = head.writer;
+    current.open_rank = head.open_rank;
   } else {
     v = versions_.find(e.obj, e.ret);
   }
@@ -326,7 +326,9 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
     return fail(CertFlagKind::kSelfRead,
                 tx_tag(e.tx) + " read back its own value without a prior write");
   }
-  if (rec.writer != kInitTx && !rec.writer_committed) {
+  // The current version's writer committed (it installed the version);
+  // any other writer's id word says whether it did.
+  if (rec.writer != kInitTx && !current_value && !has_committed(rec.writer)) {
     // Possibly the H4 commit-pending case — conservative (see header).
     return fail(CertFlagKind::kReadFromNonCommitted,
                 tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
@@ -433,33 +435,24 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
   if (!tx.has_write) return true;
 
   // Install: one rank for the whole commit; each written register's
-  // previous version closes here. (Ascending-register order, exactly as
-  // the std::map-backed write set iterated.) Values the transaction
-  // overwrote itself stay uninstalled but committed: a read of one must
-  // flag its empty interval, not a non-committed writer.
+  // previous version closes here, through the head's record address.
+  // (Ascending-register order, exactly as the std::map-backed write set
+  // iterated.) Values the transaction overwrote itself stay uninstalled
+  // at [0, 0) and commit with it (its id word): a read of one flags its
+  // empty interval, not a non-committed writer.
   ++commits_;
-  for (const auto& [obj, value] : tx.superseded) {
-    if (VersionRec* rec = versions_.find(obj, value)) {
-      rec->writer_committed = true;
-    }
-  }
   for (const auto& [obj, value] : tx.writes) {
     RegisterHead& head = heads_[obj];
-    versions_.resolve(head.rec, head.rec_epoch, obj, head.val)->close_rank =
-        rank;
+    head.rec->close_rank = rank;
     close_holders(head, rank);
 
-    // The write response inserted the record: this lookup never rehashes.
+    // The write response inserted the record: this lookup never grows.
     VersionRec& rec = versions_.slot(obj, value);
     rec.writer = id;
-    rec.writer_committed = true;
     rec.open_rank = rank;
     rec.close_rank = kOpen;
-    head = RegisterHead{.val = value,
-                        .open_rank = rank,
-                        .rec = &rec,
-                        .rec_epoch = versions_.epoch(),
-                        .writer = id};
+    head = RegisterHead{
+        .val = value, .open_rank = rank, .rec = &rec, .writer = id};
   }
   return true;
 }
@@ -473,7 +466,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
   cur_tx_ = e.tx;
   std::uint32_t& word = ids_.get(e.tx);
   if (word == kUnborn) word = acquire_slot();
-  TxState& tx = word == kFinished ? finished_ : live_[word - 1];
+  TxState& tx = is_finished(word) ? finished_ : live_[word - 1];
 
   bool ok = true;
   switch (e.kind) {
@@ -524,7 +517,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
         } else {
           ok = on_commit(e, tx, e.tx);
         }
-        retire(word);
+        retire(word, /*committed=*/true);
       }
       break;
     case EventKind::kTryAbort:
@@ -541,7 +534,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " aborted after completing (well-formedness)");
       } else {
-        retire(word);  // aborted: writes never install
+        retire(word, /*committed=*/false);  // writes never install
       }
       break;
   }

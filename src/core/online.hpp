@@ -164,43 +164,44 @@
 // HOT-PATH COST MODEL. A steady-state event performs ZERO heap allocations
 // and ZERO node-based hash-map probes, and touches state only of what is
 // live — its own transaction and, for a register operation, that
-// register's head line (plus one table slot when it writes or reads a value
-// other than the register's current one):
+// register's head line (plus one index slot and its archived record when
+// it writes or reads a value other than the register's current one):
 //
 //   * every TxId owns one 32-bit word in a TxId-indexed slab (TxSlab —
 //     both recorders allocate ids densely from 1, so the id is the index;
 //     one bounds check + one vector index per event). The word says
-//     unborn, finished, or which live slot holds the transaction; it is
-//     all a transaction keeps after C or A;
+//     unborn, committed, aborted, or which live slot holds the
+//     transaction; it is all a transaction keeps after C or A;
 //   * a LIVE transaction's state (phase, birth floor, snapshot window,
-//     read stamp, pending invocation, write set, superseded values) sits
-//     in a pooled slot, taken at its first event and recycled at C or A.
+//     read stamp, pending invocation, write set) sits in a pooled slot,
+//     taken at its first event and recycled at C or A.
 //     The pool grows only to the most transactions ever live at once (or
 //     what reserve() pre-sized), so it stays in cache however long the
 //     stream runs;
 //   * an event for a finished id sees one shared kDone state and flags
 //     kNotWellFormed exactly as a finished transaction's own state did;
 //   * every register owns one 64-byte REGISTER HEAD (one cache line): its
-//     current committed version's value, writer and open rank, a handle to
-//     that version's table record, and its first six holders (the live
-//     readers whose window the version bounds). A read that returns the
-//     current value — nearly every non-local read of a live run — builds
-//     its version record {writer, committed, open rank, open} from the
+//     current committed version's value, writer and open rank, the
+//     address of that version's table record, and its first six holders
+//     (the live readers whose window the version bounds). A read that
+//     returns the current value — nearly every non-local read of a live
+//     run — builds its version record {writer, open rank, open} from the
 //     head, identical to the table's, and pushes its holder there. The
-//     install at commit closes the previous version through the handle (a
-//     plain store, no probe), shrinks the holders' windows and rewrites
+//     install at commit closes the previous version through the address
+//     (a plain store, no probe), shrinks the holders' windows and rewrites
 //     the head; it probes the table once, for the new version's record;
-//   * the (register, value) version namespace is an open-addressing flat
-//     table (VersionTable — records inline, linear probing, no
-//     tombstones since versions are never erased). What still goes there:
-//     every write response (value uniqueness; the record the install later
-//     fills), the committed mark on values a transaction overwrote itself,
-//     and reads of any value but the current one (older versions,
-//     uncommitted or never-written values). Each record carries whether
-//     its writer committed, so a read never consults its writer's state,
-//     which may already be recycled. A rehash starts a new table epoch; a
-//     head's handle from an older epoch is re-found by key, never
-//     dereferenced;
+//   * the (register, value) version namespace is a VersionTable: 32-byte
+//     records appended to fixed chunks that never move, under an index of
+//     8-byte slots (32-bit fingerprint, 32-bit archive position; linear
+//     probing, at most half full, no tombstones since versions are never
+//     erased). A fingerprint hit is confirmed against the archived key.
+//     What still goes there: every write response (value uniqueness; the
+//     record the install later fills) and reads of any value but the
+//     current one (older versions, uncommitted or never-written values).
+//     Such a read asks the writer's id word whether it committed — a
+//     value the writer overwrote itself commits with it — never the
+//     writer's live state, which may already be recycled. An index
+//     rebuild moves no record, so a head's address never goes stale;
 //   * a transaction's executed writes are a sorted SmallWriteSet: inline
 //     up to its capacity, then spilled into vectors RECYCLED through a
 //     per-monitor pool at transaction completion (same ascending-register
@@ -214,23 +215,26 @@
 //     O(live) entries, not one per read; failure strings are built only
 //     when a flag actually fires.
 //
-// What still grows with the stream is the version table — one 40-byte
-// slot per (register, value) ever written, at most half full — plus 4 B
-// per transaction id. Per register the monitor keeps 64 B outside the
+// What still grows with the stream is the version table — one 32-byte
+// archive entry per (register, value) ever written, plus 8-byte index
+// slots at most half full (16–32 B per version), plus, while the index
+// doubles, the old index beside the new one (1.5× the index, never the
+// records) — and 4 B per transaction id. resident().version_bytes counts
+// the table exactly. Per register the monitor keeps 64 B outside the
 // table (overflow lists only for registers that overflow). Certifying a
-// window-free tl2 log serially peaks at about 48 B per event (540 MB at
-// 11.2M events; 78 B per event and 868 MB while every transaction kept its
-// full state). Retiring versions no live transaction can read is the
-// remaining step. kBlindWriteSmart also retains the whole fed prefix for
-// its §3.6 search: it stays O(history).
+// window-free tl2 log serially peaks at 103 MB at 2.84M events and 409 MB
+// at 28.4M (5.70M versions, 56 B each; Release, GCC 12, 4-vCPU Xeon VM).
+// Retiring versions no live transaction can read is the remaining step.
+// kBlindWriteSmart also retains the whole fed prefix for its §3.6 search:
+// it stays O(history).
 //
-// reserve() pre-sizes all of it (the id words, the version table, one
-// overflow holder list per register when more holders than a head holds
-// inline are expected, and up to kReservedSlots live slots with their
-// superseded storage); tests/core/monitor_alloc_test.cpp feeds 100k+
-// events under a counting operator-new and asserts literally zero
-// allocations after warm-up for kCommitOrder/kSnapshotRank/kStampedRead,
-// and for a register with more live holders than its head holds inline.
+// reserve() pre-sizes all of it (the id words, the version index and
+// archive, one overflow holder list per register when more holders than a
+// head holds inline are expected, and up to kReservedSlots live slots);
+// tests/core/monitor_alloc_test.cpp feeds 100k+ events under a counting
+// operator-new and asserts literally zero allocations after warm-up for
+// kCommitOrder/kSnapshotRank/kStampedRead, and for a register with more
+// live holders than its head holds inline.
 // resident() reports what is held, for the tests that pin it flat.
 // The design follows what production validation engines do to stay O(1)
 // per event (TL2's per-stripe version arrays, NOrec's value-based fast
@@ -329,6 +333,7 @@ class OnlineCertificateMonitor {
   /// After this, a feed within those bounds (and with at most that many
   /// transactions live at once) performs no heap allocation at all
   /// (monitor_alloc_test holds it to zero under a counting allocator).
+  /// Throws std::length_error for more than 2^32 - 1 versions.
   void reserve(std::size_t num_txs, std::size_t num_versions,
                std::size_t holders_per_register = 0);
 
@@ -351,6 +356,7 @@ class OnlineCertificateMonitor {
     std::size_t live_slots{0};      // TxState slots allocated (live + free)
     std::size_t holder_entries{0};  // inline + overflow, all registers
     std::size_t versions{0};        // (register, value) records
+    std::size_t version_bytes{0};   // index slots + archive chunks
   };
   [[nodiscard]] Resident resident() const noexcept;
 
@@ -367,12 +373,17 @@ class OnlineCertificateMonitor {
   };
 
   /// Per-id word in ids_: an id is unborn (no event yet), live (the word
-  /// is its live_ slot + 1) or finished (C or A seen). The word is all that
-  /// outlives a transaction.
+  /// is its live_ slot + 1), committed (C seen) or aborted (A seen). The
+  /// word is all that outlives a transaction; a read of a table version
+  /// asks it whether the version's writer committed.
   static constexpr std::uint32_t kUnborn = 0;
-  static constexpr std::uint32_t kFinished = ~std::uint32_t{0};
-  /// Live slots (each with superseded storage) reserve() pre-sizes: the
-  /// concurrently live transactions of a recorded run, one per thread.
+  static constexpr std::uint32_t kAborted = ~std::uint32_t{0} - 1;
+  static constexpr std::uint32_t kCommitted = ~std::uint32_t{0};
+  [[nodiscard]] static bool is_finished(std::uint32_t word) noexcept {
+    return word >= kAborted;
+  }
+  /// Live slots reserve() pre-sizes: the concurrently live transactions of
+  /// a recorded run, one per thread.
   static constexpr std::size_t kReservedSlots = 64;
 
   /// State of one LIVE transaction, recycled through free_slots_ at C or A.
@@ -389,37 +400,34 @@ class OnlineCertificateMonitor {
     /// Executed writes, latest value per register, ascending-register
     /// order (spill storage recycled via spill_pool_ at completion).
     SmallWriteSet writes;
-    /// (register, value) pairs this transaction wrote and then overwrote
-    /// itself: never installed, but marked committed if it commits.
-    /// Capacity survives slot reuse.
-    std::vector<std::pair<ObjId, Value>> superseded;
   };
 
+  /// One version: its (register, value) key, which the table owns, and
+  /// its writer and [open, close) rank interval. Whether the writer
+  /// committed is its id word's business (a value the writer overwrote
+  /// itself stays uninstalled at [0, 0) but committed with it).
   struct VersionRec {
+    Value val{0};
+    ObjId obj{0};
     TxId writer{kNoTx};
-    /// The writer committed: what a read needs from its writer, kept here
-    /// (in the padding after `writer`) so no read touches the writer's
-    /// state, which is recycled at C or A.
-    bool writer_committed{false};
     std::size_t open_rank{0};
     std::size_t close_rank{kOpen};
   };
+  static_assert(sizeof(VersionRec) == 32);
 
   static constexpr std::uint32_t kNoOverflow = ~std::uint32_t{0};
 
   /// The register's current committed version, as the table holds it
-  /// ({writer, committed, open_rank, kOpen}), plus a handle to that table
-  /// record, and the transactions whose windows it bounds. A read of the
-  /// current value, the holder push and the install at commit all stay on
-  /// this line.
+  /// ({writer, open_rank, kOpen}), plus the address of that table record
+  /// (records never move), and the transactions whose windows it bounds.
+  /// A read of the current value, the holder push and the install at
+  /// commit all stay on this line.
   struct alignas(64) RegisterHead {
     static constexpr std::size_t kInlineHolders = 6;
     Value val{0};
     std::size_t open_rank{0};
-    /// The current version's record in versions_, valid while
-    /// versions_.epoch() == rec_epoch (resolve() re-finds it otherwise).
+    /// The current version's record in versions_.
     VersionRec* rec{nullptr};
-    std::uint32_t rec_epoch{0};
     TxId writer{kNoTx};
     std::uint32_t num_inline{0};
     /// Index into overflow_ of the list taking the holders past the inline
@@ -435,8 +443,11 @@ class OnlineCertificateMonitor {
   /// Take a free live slot (or grow the pool) for a transaction's first
   /// event; returns its ids_ word.
   [[nodiscard]] std::uint32_t acquire_slot();
-  /// Release a live transaction's slot at C or A; its id becomes finished.
-  void retire(std::uint32_t& word);
+  /// Release a live transaction's slot at C or A; its id becomes committed
+  /// or aborted.
+  void retire(std::uint32_t& word, bool committed);
+  /// Whether `tx`'s C event has been seen.
+  [[nodiscard]] bool has_committed(TxId tx) const noexcept;
   /// Record `id` as a holder of `head`'s current version.
   void hold(RegisterHead& head, TxId id);
   /// Shrink every holder's window to `rank` (the current version closes
@@ -468,7 +479,8 @@ class OnlineCertificateMonitor {
   std::vector<TxId> witness_;
   std::optional<OnlineViolation> violation_;
   /// TxId-indexed per-id words (dense by construction of both recorders;
-  /// sparse ids overflow gracefully): unborn, finished or a live slot.
+  /// sparse ids overflow gracefully): unborn, committed, aborted or a live
+  /// slot.
   TxSlab<std::uint32_t> ids_;
   /// Live transaction states and the free slots among them.
   std::vector<TxState> live_;
@@ -480,7 +492,8 @@ class OnlineCertificateMonitor {
   TxState finished_;
   /// (register, value) -> version record; value-unique writes. Every write
   /// response inserts here; reads of anything but a register's current
-  /// version resolve here: an open-addressing flat table, records inline.
+  /// version resolve here: records archived in place under an 8-byte
+  /// fingerprint index.
   VersionTable<VersionRec> versions_;
   /// Register -> its head (current version and first holders).
   std::vector<RegisterHead> heads_;

@@ -334,6 +334,8 @@ struct ShardPass {
   std::vector<ReadRec> reads;
 
   struct VersionRec {
+    Value val{0};  // the key, owned by the table
+    ObjId obj{0};
     TxId writer{kNoTx};
     std::size_t open_rank{0};
     std::size_t close_rank{kOpenRank};
@@ -374,10 +376,9 @@ struct ShardPass {
       if (!mine(r)) continue;
       const auto* reg = dynamic_cast<const RegisterSpec*>(&h->model().spec(r));
       const Value init_val = reg->initial_value();
-      VersionRec init;
+      VersionRec& init = versions.slot(r, init_val);
       init.writer = kInitTx;
       init.installed = true;
-      versions.slot(r, init_val) = init;
       current[r] = {r, init_val};
     }
 

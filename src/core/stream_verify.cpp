@@ -16,6 +16,7 @@ StreamVerifyResult verify_event_stream(const ObjectModel& model,
   out.certified = monitor.ok();
   out.violation = monitor.violation();
   out.events = monitor.events_fed();
+  out.resident = monitor.resident();
   return out;
 }
 

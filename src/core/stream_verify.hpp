@@ -8,10 +8,11 @@
 // kind) are the in-RAM monitor's on the same recording, under every
 // policy, by construction. The monitor's state still grows with the
 // history: a transaction's full state lives only while it is live, but
-// the monitor keeps a 4-byte word per transaction id and a record for
-// every version written (certifying a 9.24M-event window-free tl2 log
-// peaks at 297 MB, about 32 B per event, nearly all of it the version
-// table).
+// the monitor keeps a 4-byte word per transaction id and, for every
+// version written, one 32-byte archive entry plus 8-byte index slots at
+// most half full, plus a 1.5× index-only transient while the index
+// doubles (core/online.hpp has the measured peaks). The result carries
+// the monitor's final resident() counters, version bytes included.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +49,8 @@ struct StreamVerifyResult {
   /// what the in-RAM monitor latches on the same recording.
   std::optional<OnlineViolation> violation;
   std::size_t events = 0;
+  /// What the monitor held at the end of the stream.
+  OnlineCertificateMonitor::Resident resident;
   /// Always 1 (one serial monitor). Kept only for callers that still
   /// read them; due for removal.
   std::size_t shards_used = 1;

@@ -28,11 +28,11 @@ namespace optm::util {
   return seed ^ (v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
-/// splitmix64 finalizer: a full-avalanche 64-bit mix. The open-addressing
-/// tables mask the result down to a power-of-two bucket index, so every
-/// input bit must influence the LOW bits — hash_combine alone leaves the
-/// low bits too correlated for keys whose entropy sits in high bits (the
-/// recorder's value-unique write payloads put the thread id at bit 40).
+/// splitmix64 finalizer: a full-avalanche 64-bit mix. core::VersionTable
+/// takes its home bucket from the top bits of the result and a 32-bit
+/// fingerprint from the upper half, so every input bit must influence the
+/// HIGH bits — hash_combine alone leaves them nearly constant for keys
+/// whose entropy sits in low bits (small registers, counting values).
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
   x ^= x >> 30;
   x *= 0xbf58476d1ce4e5b9ULL;

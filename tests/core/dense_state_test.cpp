@@ -1,11 +1,16 @@
-// The dense hot-path containers (core/dense_state.hpp) — including the
+// The dense hot-path containers (core/dense_state.hpp). TxSlab carries the
 // regression for the overflow/dense shadowing bug: an id first judged
 // sparse (parked in the overflow map) must stay authoritative after the
 // dense frontier later grows past it (growth migrates the entry), or a
 // transaction's lifecycle state would silently reset mid-stream.
+// VersionTable's records must never move while its index rebuilds, and a
+// fingerprint match must never stand in for the archived key.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <unordered_map>
+#include <vector>
 
 #include "core/dense_state.hpp"
 
@@ -60,67 +65,137 @@ TEST(TxSlab, ReserveIsNeverOvershotByGeometricGrowth) {
   ASSERT_NE(slab.find(999), nullptr);
 }
 
-TEST(VersionTable, FindAndInsertAcrossRehashes) {
-  VersionTable<int> table(2);  // force several rehashes
+/// A VersionTable record: the key the table owns, and a payload.
+struct Rec {
+  Value val{0};
+  ObjId obj{0};
+  int payload{0};
+};
+using Table = VersionTable<Rec>;
+
+TEST(VersionTable, FindAndInsertAcrossRebuilds) {
+  Table table(2);  // 16 buckets: force several index rebuilds
   for (ObjId obj = 0; obj < 8; ++obj) {
     for (Value v = 0; v < 64; ++v) {
       bool inserted = false;
-      table.slot(obj, v, &inserted) = static_cast<int>(obj * 1000 + v);
+      Rec& rec = table.slot(obj, v, &inserted);
       EXPECT_TRUE(inserted);
+      EXPECT_EQ(rec.obj, obj);
+      EXPECT_EQ(rec.val, v);
+      rec.payload = static_cast<int>(obj * 1000 + v);
     }
   }
   EXPECT_EQ(table.size(), 8u * 64u);
   for (ObjId obj = 0; obj < 8; ++obj) {
     for (Value v = 0; v < 64; ++v) {
-      const int* rec = table.find(obj, v);
+      const Rec* rec = table.find(obj, v);
       ASSERT_NE(rec, nullptr) << obj << "," << v;
-      EXPECT_EQ(*rec, static_cast<int>(obj * 1000 + v));
+      EXPECT_EQ(rec->payload, static_cast<int>(obj * 1000 + v));
     }
   }
   EXPECT_EQ(table.find(9, 0), nullptr);
   EXPECT_EQ(table.find(0, 64), nullptr);
   // Re-slot of an existing key reports !inserted and keeps the record.
   bool inserted = true;
-  EXPECT_EQ(table.slot(3, 7, &inserted), 3007);
+  EXPECT_EQ(table.slot(3, 7, &inserted).payload, 3007);
   EXPECT_FALSE(inserted);
 }
 
-TEST(VersionTable, HandlesHoldWithinTheirEpochAndResolveByKeyAfter) {
-  VersionTable<int> table(2);
-  const std::uint32_t start = table.epoch();
-  int* handle = &table.slot(0, 1);
-  *handle = 41;
-  const std::uint32_t taken = table.epoch();
-  EXPECT_EQ(taken, start);  // one insert into 16 buckets: no rehash
-  // Lookups and re-slots of existing keys never rehash: the epoch stays,
-  // the handle is the live record.
-  EXPECT_EQ(table.find(0, 1), handle);
-  EXPECT_EQ(&table.slot(0, 1), handle);
-  EXPECT_EQ(table.epoch(), taken);
-  EXPECT_EQ(table.resolve(handle, taken, 0, 1), handle);
-  // reserve() within capacity does not rehash; past it, it does.
-  table.reserve(1);
-  EXPECT_EQ(table.epoch(), taken);
-  // Inserts grow the table: every rehash starts a new epoch and moves
-  // every record, so the old address must be resolved by key (and never
-  // read: under ASan, reading it would be a use-after-free).
-  std::uint32_t last = taken;
-  for (Value v = 2; v < 200; ++v) {
-    table.slot(1, v) = static_cast<int>(v);
-    EXPECT_GE(table.epoch(), last);
-    last = table.epoch();
+TEST(VersionTable, RecordsKeepAddressAndContentsAcrossIndexRebuilds) {
+  Table table;  // starts at 16 buckets
+  const std::size_t start_bytes = table.bytes();
+  // Past two archive chunks: the index doubles ten times on the way.
+  constexpr Value kRecords = 2 * Table::kChunkRecords + 100;
+  std::vector<const Rec*> addresses;
+  for (Value v = 0; v < kRecords; ++v) {
+    Rec& rec = table.slot(static_cast<ObjId>(v % 5), v);
+    rec.payload = static_cast<int>(v) * 3;
+    addresses.push_back(&rec);
+    // Every record taken so far is where it was, unchanged, after each
+    // insert (under ASan a moved record would read freed memory).
+    if ((v & (v - 1)) == 0) {
+      for (Value u = 0; u <= v; ++u) {
+        ASSERT_EQ(addresses[static_cast<std::size_t>(u)]->payload,
+                  static_cast<int>(u) * 3);
+      }
+    }
   }
-  EXPECT_GE(table.epoch(), taken + 3);
-  int* moved = table.resolve(handle, taken, 0, 1);
-  ASSERT_NE(moved, nullptr);
-  EXPECT_EQ(moved, table.find(0, 1));
-  EXPECT_EQ(*moved, 41);
-  // A handle taken in the current epoch is its own address again.
-  EXPECT_EQ(table.resolve(moved, table.epoch(), 0, 1), moved);
-  const std::uint32_t before = table.epoch();
-  table.reserve(4096);
-  EXPECT_EQ(table.epoch(), before + 1);
-  EXPECT_EQ(*table.resolve(moved, before, 0, 1), 41);
+  EXPECT_GE(table.bytes(), start_bytes + 3 * Table::kChunkRecords * sizeof(Rec));
+  for (Value v = 0; v < kRecords; ++v) {
+    const Rec* rec = table.find(static_cast<ObjId>(v % 5), v);
+    ASSERT_EQ(rec, addresses[static_cast<std::size_t>(v)]) << v;
+    EXPECT_EQ(rec->obj, static_cast<ObjId>(v % 5));
+    EXPECT_EQ(rec->val, v);
+    EXPECT_EQ(rec->payload, static_cast<int>(v) * 3);
+  }
+  // A reserve() past the load rebuilds the index again; records stay.
+  table.reserve(4 * kRecords);
+  EXPECT_EQ(table.find(0, 0), addresses[0]);
+  const Rec* last = table.find(static_cast<ObjId>((kRecords - 1) % 5), kRecords - 1);
+  ASSERT_EQ(last, addresses.back());
+  EXPECT_EQ(last->payload, static_cast<int>(kRecords - 1) * 3);
+}
+
+TEST(VersionTable, FingerprintTwinsResolveToTheirOwnRecords) {
+  // Brute-force two keys whose hashes share the upper 32 bits (the index
+  // fingerprint): about 2^18 hashes hold a few such pairs. Sharing the
+  // fingerprint, they share a home bucket, hence one probe chain.
+  std::unordered_map<std::uint32_t, Value> seen;
+  Value a = -1;
+  Value b = -1;
+  for (Value v = 0; v < (Value{1} << 20) && a < 0; ++v) {
+    const auto fp = static_cast<std::uint32_t>(Table::hash(0, v) >> 32);
+    const auto [it, fresh] = seen.emplace(fp, v);
+    if (!fresh) {
+      a = it->second;
+      b = v;
+    }
+  }
+  ASSERT_GE(a, 0) << "no fingerprint collision found";
+  const std::uint64_t ha = Table::hash(0, a);
+  ASSERT_NE(ha, Table::hash(0, b));
+  ASSERT_EQ(ha >> 32, Table::hash(0, b) >> 32);
+
+  Table table;
+  table.slot(0, a).payload = 1;
+  // The twin probes past a's slot, whose fingerprint matches: the archived
+  // key must tell them apart.
+  EXPECT_EQ(table.find(0, b), nullptr);
+  bool inserted = false;
+  table.slot(0, b, &inserted).payload = 2;
+  EXPECT_TRUE(inserted);
+  ASSERT_NE(table.find(0, a), nullptr);
+  ASSERT_NE(table.find(0, b), nullptr);
+  EXPECT_EQ(table.find(0, a)->payload, 1);
+  EXPECT_EQ(table.find(0, b)->payload, 2);
+  EXPECT_NE(table.find(0, a), table.find(0, b));
+
+  // A third key with the same fingerprint — here even the same full hash:
+  // hash_combine(seed, v) = seed ^ (v + k + (seed << 6) + (seed >> 2)),
+  // solved for v at another register — is absent.
+  constexpr std::uint64_t kCombine = 0x9e3779b97f4a7c15ULL;
+  const ObjId c_obj = 7;
+  const std::uint64_t combined =
+      util::hash_combine(0, static_cast<std::uint64_t>(a));
+  const auto c_val = static_cast<Value>((combined ^ c_obj) - kCombine -
+                                        (std::uint64_t{c_obj} << 6) -
+                                        (std::uint64_t{c_obj} >> 2));
+  ASSERT_EQ(Table::hash(c_obj, c_val), ha);
+  EXPECT_EQ(table.find(c_obj, c_val), nullptr);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(VersionTable, AbsurdReserveThrowsInsteadOfSpinning) {
+  Table table;
+  // One past the 32-bit archive positions, and sizes whose bucket count
+  // would wrap to 0 when doubled.
+  EXPECT_THROW(table.reserve(Table::kMaxRecords + 1), std::length_error);
+  EXPECT_THROW(table.reserve((std::size_t{1} << 62) + 1), std::length_error);
+  EXPECT_THROW(table.reserve(~std::size_t{0}), std::length_error);
+  EXPECT_THROW(Table{~std::size_t{0}}, std::length_error);
+  // The table is untouched and still works.
+  table.slot(1, 2).payload = 3;
+  EXPECT_EQ(table.find(1, 2)->payload, 3);
 }
 
 TEST(SmallWriteSet, SortedUpsertInlineAndSpilled) {

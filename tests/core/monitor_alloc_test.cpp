@@ -2,10 +2,11 @@
 // events through OnlineCertificateMonitor under a counting operator-new
 // and assert ZERO heap allocations after warm-up (reserve()), per policy.
 //
-// The monitor's per-event state is a TxId-indexed slab, an open-addressing
-// flat version table, pooled write-set spill storage and reusable holder
-// lists (core/dense_state.hpp); failure strings exist only on flags. With
-// the dense state pre-sized for the run, nothing on the feed path touches
+// The monitor's per-event state is a TxId-indexed slab, a version table
+// (a chunked record archive under a fingerprint index, both pre-sized by
+// reserve()), pooled write-set spill storage and reusable holder lists
+// (core/dense_state.hpp); failure strings exist only on flags. With the
+// dense state pre-sized for the run, nothing on the feed path touches
 // the heap — which is exactly what lets the live pipeline verify at
 // recording speed. kBlindWriteSmart is exempt by design: it retains the
 // prefix for the §3.6 reorder search (checker-scale, documented).

@@ -657,15 +657,16 @@ TEST(OnlineCertificateResident, HotRegisterHoldersStayBoundedPastInline) {
   EXPECT_LE(max_holders, std::size_t{4 * kReaders});
 }
 
-// --- version-table rehash under cached register handles --------------------
+// --- version-table growth under cached register handles --------------------
 
-// A monitor left unreserved starts its version table at the register count
-// plus 16 and rehashes as versions accumulate; every register head caches
-// its current version's table address. The stream below writes register
-// x0 once at the start and again only at the very end, after all the
-// rehashes, so that install must find the record by key. A reader born
-// after it then reads x0's first value: the monitor must flag the stale
-// read, which it can only do if the close landed on the live record.
+// A monitor left unreserved starts its version index at the register count
+// plus 16 and rebuilds it as versions accumulate; every register head
+// caches its current version's archive address. The stream below writes
+// register x0 once at the start and again only at the very end, after all
+// the rebuilds, so that install closes the first version through an
+// address taken before them. A reader born after it then reads x0's first
+// value: the monitor must flag the stale read, which it can only do if the
+// close landed on the live record.
 constexpr std::uint32_t kRehashRegisters = 64;
 
 [[nodiscard]] History rehash_stream(bool stale_tail) {
@@ -717,7 +718,7 @@ TEST_P(OnlineRehash, UnreservedMonitorMatchesReservedAcrossRehashes) {
     const auto b = run_monitor(reserved, h);
     ASSERT_EQ(a.has_value(), stale_tail) << (a ? a->reason : "");
     ASSERT_EQ(b.has_value(), stale_tail) << (b ? b->reason : "");
-    EXPECT_GT(unreserved.resident().versions, 20'000u);  // many rehashes
+    EXPECT_GT(unreserved.resident().versions, 20'000u);  // many rebuilds
     if (!stale_tail) continue;
     EXPECT_EQ(a->kind, CertFlagKind::kStaleRead) << a->reason;
     EXPECT_EQ(a->pos, h.size() - 3);

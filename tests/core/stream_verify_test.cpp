@@ -116,5 +116,43 @@ TEST(StreamVerifyPull, ReusedSpanBufferFlagsWhereInRamMonitorDoes) {
   }
 }
 
+// The version table's memory, from the counters the result carries. The
+// stream ends one version past an index doubling, where the index is at
+// its emptiest (load just over 1/4): an archive entry plus 8-byte index
+// slots then cost at most 64 B per version, chunk slack aside. A table of
+// 40-byte slots at the same point costs 160 B per version.
+TEST(StreamVerifyResident, VersionBytesStayUnder80PerVersionPastADoubling) {
+  constexpr std::size_t kVersions = (std::size_t{1} << 17) + 1;
+  constexpr std::size_t kWriters = kVersions - kVars;  // initial values too
+  // Writer i writes x(i % kVars) := i + 1 and commits; a reader reads it.
+  std::vector<Event> buffer;
+  std::size_t i = 0;
+  const EventPull pull = [&]() -> std::span<const Event> {
+    buffer.clear();
+    for (; i < kWriters && buffer.size() < 4096; ++i) {
+      const auto var = static_cast<ObjId>(i % kVars);
+      const auto value = static_cast<Value>(i + 1);
+      const auto w = static_cast<TxId>(2 * i + 1);
+      const TxId r = w + 1;
+      buffer.insert(buffer.end(),
+                    {ev::inv(w, var, OpCode::kWrite, value),
+                     ev::ret(w, var, OpCode::kWrite, value, 0),
+                     ev::try_commit(w), ev::commit(w),
+                     ev::inv(r, var, OpCode::kRead),
+                     ev::ret(r, var, OpCode::kRead, 0, value),
+                     ev::try_commit(r), ev::commit(r)});
+    }
+    return buffer;
+  };
+  const StreamVerifyResult r =
+      verify_event_stream(ObjectModel::registers(kVars, 0), pull);
+  EXPECT_TRUE(r.certified);
+  EXPECT_GE(r.events, 1'000'000u);
+  EXPECT_EQ(r.resident.versions, kVersions);
+  EXPECT_GE(r.resident.version_bytes, 32 * kVersions);
+  EXPECT_LE(r.resident.version_bytes, 80 * kVersions)
+      << r.resident.version_bytes / kVersions << " B per version";
+}
+
 }  // namespace
 }  // namespace optm::core
