@@ -7,13 +7,15 @@
 // the definitional backend could never touch.
 //
 // It also measures the sharded recorder's drain() on its own, the
-// batch-ingestion path it feeds, the sharded offline verification driver
+// batch-ingestion path it feeds (BM_CertifyStream on a stream whose
+// version index outgrows the cache), the sharded offline verification driver
 // across shard counts, and the drain loop's sink overhead. End-to-end pipeline throughput (recorder, drain
 // and monitor under live producers) is perfbench's job, not this file's.
 #include "bench_common.hpp"
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <span>
 #include <unordered_map>
@@ -109,6 +111,74 @@ void BM_BatchCertificateMonitor(benchmark::State& state) {
     return;
   }
   state.counters["events"] = static_cast<double>(h.size());
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(h.size()),
+      benchmark::Counter::kIsIterationInvariantRate);
+}
+
+// --- the monitor on a stream that outgrows the cache ---------------------------
+
+/// A window-free tl2 history of about `events` events on 4096 registers:
+/// three logical processes, four operations per transaction, half of them
+/// writes, interleaved by a fixed seed from this one thread (so every run
+/// certifies the same stream). Reads carry their (rv, version) stamps.
+core::History recorded_stream(std::size_t events) {
+  constexpr std::uint32_t kVars = 4096;
+  const auto stm = stm::make_stm("tl2", kVars);
+  (void)stm->set_window_free(true);
+  stm::Recorder recorder(kVars);
+  stm->set_recorder(&recorder);
+  wl::MixParams params;
+  params.threads = 3;
+  params.vars = kVars;
+  params.ops_per_tx = 4;
+  params.write_ratio = 0.5;
+  params.seed = 2210;
+  // A committed transaction records 2 events per operation plus tryC, C.
+  params.txs_per_thread = events / (3 * (2 * params.ops_per_tx + 2)) + 1;
+  (void)wl::run_interleaved_mix(*stm, params);
+  return recorder.history();
+}
+
+/// OnlineCertificateMonitor::ingest alone on `range(0)` events under
+/// kStampedRead, in 2048-event spans (DrainPump's largest hand-over), on
+/// the wall clock. The history is recorded once; each iteration's monitor
+/// is built and reserve()d outside the timed region. The version index
+/// and the register heads outgrow L2 here, unlike
+/// BM_BatchCertificateMonitor's 8-register history.
+void BM_CertifyStream(benchmark::State& state) {
+  const core::History h =
+      recorded_stream(static_cast<std::size_t>(state.range(0)));
+  std::size_t txs = 0;
+  std::size_t versions = h.model().size();
+  for (const core::Event& e : h.events()) {
+    txs = std::max<std::size_t>(txs, e.tx + std::size_t{1});
+    if (e.kind == core::EventKind::kResponse && e.op == core::OpCode::kWrite) {
+      ++versions;
+    }
+  }
+  constexpr std::size_t kSpan = 2048;
+  const std::span<const core::Event> events(h.events());
+  std::unique_ptr<core::OnlineCertificateMonitor> monitor;
+  for (auto _ : state) {
+    state.PauseTiming();
+    monitor = std::make_unique<core::OnlineCertificateMonitor>(
+        h.model(), core::VersionOrderPolicy::kStampedRead);
+    monitor->reserve(txs, versions);
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < events.size(); i += kSpan) {
+      (void)monitor->ingest(
+          events.subspan(i, std::min(kSpan, events.size() - i)));
+    }
+    benchmark::DoNotOptimize(monitor->ok());
+  }
+  if (monitor == nullptr || !monitor->ok()) {
+    state.SkipWithError("certificate violation on an opaque STM's run");
+    return;
+  }
+  state.counters["events"] = static_cast<double>(h.size());
+  state.counters["table_probes"] =
+      static_cast<double>(monitor->resident().table_probes);
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(h.size()),
       benchmark::Counter::kIsIterationInvariantRate);
@@ -240,6 +310,12 @@ BENCHMARK(BM_BatchCertificateMonitor)
     ->RangeMultiplier(8)
     ->Range(1, 4096)
     ->Unit(benchmark::kMillisecond);
+
+BENCHMARK(BM_CertifyStream)
+    ->Arg(240'000)
+    ->Arg(1'000'000)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 BENCHMARK(BM_RecorderDrain)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
@@ -378,6 +454,7 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_CertificateMonitor", "tl2", "commit-order", "windowed"},
     {"BM_DefinitionalMonitor", "tl2", "definitional", "windowed"},
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
+    {"BM_CertifyStream", "tl2", "stamped-read", "window-free"},
     {"BM_RecorderDrain", "tl2", "record-only", "windowed"},
     {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},

@@ -22,8 +22,12 @@
 // has seen, so peak memory still grows with the log: one 32-byte archive
 // entry per version, plus 8-byte index slots at most half full, plus a
 // 1.5× index-only transient while the index doubles. certlog.versions and
-// certlog.version_bytes report that table at the end of the run. The
-// policy defaults to the one recorded in the segment headers.
+// certlog.version_bytes report that table at the end of the run, and
+// certlog.table_probes the calls into its index (one per write response
+// and per read of a non-current value). The policy defaults to the one
+// recorded in the segment headers. A flagged verdict also prints the
+// flag's position, kind and reason (certlog.flag_pos / flag_kind /
+// flag_reason; certify-remote prints the same as certremote.*).
 // certlog.elapsed_s and certlog.events_per_s time the run by the wall
 // clock, from opening the log to the verdict.
 //
@@ -205,6 +209,7 @@ int cmd_certify_log(int argc, char** argv) {
   std::printf("certlog.events=%zu\n", result.events);
   std::printf("certlog.versions=%zu\n", result.resident.versions);
   std::printf("certlog.version_bytes=%zu\n", result.resident.version_bytes);
+  std::printf("certlog.table_probes=%zu\n", result.resident.table_probes);
   std::printf("certlog.elapsed_s=%.3f\n", elapsed_s);
   std::printf("certlog.events_per_s=%.0f\n",
               elapsed_s > 0 ? static_cast<double>(result.events) / elapsed_s
@@ -213,6 +218,7 @@ int cmd_certify_log(int argc, char** argv) {
               result.certified ? "certified" : "FLAGGED");
   if (!result.certified) {
     std::printf("certlog.flag_pos=%zu\n", result.violation->pos);
+    std::printf("certlog.flag_kind=%s\n", to_string(result.violation->kind));
     std::printf("certlog.flag_reason=%s\n", result.violation->reason.c_str());
     return 1;
   }
@@ -394,6 +400,7 @@ int cmd_certify_remote(int argc, char** argv) {
               verdict.certified ? "certified" : "FLAGGED");
   if (!verdict.certified) {
     std::printf("certremote.flag_pos=%zu\n", verdict.violation->pos);
+    std::printf("certremote.flag_kind=%s\n", to_string(verdict.violation->kind));
     std::printf("certremote.flag_reason=%s\n",
                 verdict.violation->reason.c_str());
     return 1;

@@ -32,11 +32,16 @@
 //     tombstones exist; when the index doubles it is rebuilt from a
 //     sequential scan of the archive, and only the index is reallocated.
 //     Per version that is one archive entry (32 B for the monitor's
-//     record) plus 16–32 B of index slots.
+//     record) plus 16–32 B of index slots. home() names the index slot a
+//     key's probe starts at, so a caller can prefetch it events ahead;
+//     probes() counts the calls into the index.
 //
-//   * SmallWriteSet  — a transaction's executed writes, sorted by
-//     register: inline storage for the common small write set, spilling
-//     into a pooled vector past kInlineCapacity. Spill vectors are
+//   * SmallWriteSet<P> — a transaction's executed writes, sorted by
+//     register, each with a payload P (the sharded driver keeps the
+//     value; the streaming monitor keeps the version's record address, so
+//     its commit installs without a second probe): inline storage for the
+//     common small write set, spilling into a pooled vector past
+//     kInlineCapacity. Spill vectors are
 //     RECYCLED through a caller-owned pool (release() at transaction
 //     completion), so even write-heavy streams stop allocating once the
 //     pool has warmed to the high-water number of concurrently live
@@ -182,6 +187,8 @@ concept VersionRecord =
 ///     against the archived key: the index is exact, not a filter.
 ///   * When the index would pass half full it doubles, rebuilt by one
 ///     sequential scan of the archive; the records stay where they are.
+///   * probes() counts the calls into the index (slot() plus find()); a
+///     rebuild is not a call.
 template <VersionRecord Rec>
 class VersionTable {
  public:
@@ -221,6 +228,7 @@ class VersionTable {
   /// existing key never allocates — reserve() sized exactly to the load
   /// stays allocation-free, as the monitor's reserve() contract promises.
   [[nodiscard]] Rec& slot(ObjId obj, Value val, bool* inserted = nullptr) {
+    ++probes_;
     const std::uint64_t h = hash(obj, val);
     std::size_t i = probe(h, obj, val);
     if (index_[i] != 0) {
@@ -246,12 +254,23 @@ class VersionTable {
   }
 
   [[nodiscard]] Rec* find(ObjId obj, Value val) noexcept {
+    ++probes_;
     const std::uint64_t s = index_[probe(hash(obj, val), obj, val)];
     return s == 0 ? nullptr : &record(s);
   }
   [[nodiscard]] const Rec* find(ObjId obj, Value val) const noexcept {
     return const_cast<VersionTable*>(this)->find(obj, val);
   }
+
+  /// The index slot where the key's probe starts. Any key names a slot
+  /// inside the index; the address is valid until the index next doubles.
+  /// Reads nothing and counts as no probe: it is for prefetching.
+  [[nodiscard]] const std::uint64_t* home(ObjId obj, Value val) const noexcept {
+    return &index_[hash(obj, val) >> shift_];
+  }
+
+  /// Calls into the index so far: slot() plus find().
+  [[nodiscard]] std::uint64_t probes() const noexcept { return probes_; }
 
   /// The key's full hash: fingerprint in the upper 32 bits, home bucket in
   /// the top log2(buckets) bits.
@@ -328,20 +347,24 @@ class VersionTable {
   int shift_ = 64;
   std::size_t size_ = 0;
   std::vector<Chunk> chunks_;
+  /// Mutable: the const find() counts too.
+  mutable std::uint64_t probes_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // SmallWriteSet
 // ---------------------------------------------------------------------------
 
-/// A transaction's executed writes (latest value per register), sorted by
-/// register. Inline up to kInlineCapacity entries; beyond that the entries
-/// move into a vector acquired from a caller-owned pool and returned to it
-/// by release() when the transaction completes — the pool is what makes a
-/// long stream of write-heavy transactions allocation-free once warm.
+/// A transaction's executed writes (the latest write's payload per
+/// register), sorted by register. Inline up to kInlineCapacity entries;
+/// beyond that the entries move into a vector acquired from a caller-owned
+/// pool and returned to it by release() when the transaction completes —
+/// the pool is what makes a long stream of write-heavy transactions
+/// allocation-free once warm.
+template <typename Payload>
 class SmallWriteSet {
  public:
-  using Entry = std::pair<ObjId, Value>;
+  using Entry = std::pair<ObjId, Payload>;
   using Spill = std::vector<Entry>;
   using SpillPool = std::vector<Spill>;
   static constexpr std::size_t kInlineCapacity = 4;
@@ -354,7 +377,7 @@ class SmallWriteSet {
   }
   [[nodiscard]] const Entry* end() const noexcept { return begin() + size_; }
 
-  [[nodiscard]] const Value* find(ObjId obj) const noexcept {
+  [[nodiscard]] const Payload* find(ObjId obj) const noexcept {
     for (const Entry* e = begin(); e != end(); ++e) {
       if (e->first == obj) return &e->second;
       if (e->first > obj) break;  // sorted
@@ -363,7 +386,7 @@ class SmallWriteSet {
   }
 
   /// Insert or overwrite the write to `obj`, keeping entries sorted.
-  void set(ObjId obj, Value val, SpillPool& pool) {
+  void set(ObjId obj, Payload val, SpillPool& pool) {
     Entry* data = spilled_ ? spill_.data() : inline_.data();
     std::size_t at = 0;
     while (at < size_ && data[at].first < obj) ++at;

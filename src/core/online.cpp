@@ -121,6 +121,9 @@ OnlineCertificateMonitor::Resident OnlineCertificateMonitor::resident()
   }
   r.versions = versions_.size();
   r.version_bytes = versions_.bytes();
+  // The constructor's one slot() per register's initial value is not a
+  // feed's probe.
+  r.table_probes = versions_.probes() - heads_.size();
   return r;
 }
 
@@ -283,9 +286,15 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
                   tx_tag(e.tx) + " rewrote value " + std::to_string(e.arg) + " of x" +
                   std::to_string(e.obj) + " (value-unique writes required)");
     }
+    // The install closes the register's current version a few events
+    // from here; the head's line is in cache (the look-ahead fetched it),
+    // so ask for that version's record now.
+    __builtin_prefetch(heads_[e.obj].rec);
     wrec.writer = e.tx;  // ranks assigned at commit
     tx.has_write = true;
-    tx.writes.set(e.obj, e.arg, spill_pool_);
+    // The write set keeps the record itself: the install fills it through
+    // this address, so a version costs this one probe.
+    tx.writes.set(e.obj, &wrec, spill_pool_);
     return true;
   }
 
@@ -294,12 +303,13 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
   const bool stamped =
       policy_ == VersionOrderPolicy::kStampedRead && e.stamp != 0;
   if (stamped && e.stamp > tx.max_read_stamp) tx.max_read_stamp = e.stamp;
-  if (const Value* own = tx.writes.find(e.obj)) {
-    if (*own != e.ret) {
+  if (VersionRec* const* own = tx.writes.find(e.obj)) {
+    const Value own_val = (*own)->val;
+    if (own_val != e.ret) {
       return fail(CertFlagKind::kLocalInconsistency,
                   tx_tag(e.tx) + " read x" + std::to_string(e.obj) + "=" +
                   std::to_string(e.ret) + " despite its own write of " +
-                  std::to_string(*own) + " (local consistency)");
+                  std::to_string(own_val) + " (local consistency)");
     }
     return true;
   }
@@ -435,24 +445,23 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
   if (!tx.has_write) return true;
 
   // Install: one rank for the whole commit; each written register's
-  // previous version closes here, through the head's record address.
-  // (Ascending-register order, exactly as the std::map-backed write set
-  // iterated.) Values the transaction overwrote itself stay uninstalled
-  // at [0, 0) and commit with it (its id word): a read of one flags its
-  // empty interval, not a non-committed writer.
+  // previous version closes here, through the head's record address, and
+  // the new one opens through the address its write response stored — no
+  // probe. (Ascending-register order, exactly as the std::map-backed
+  // write set iterated.) Values the transaction overwrote itself stay
+  // uninstalled at [0, 0) and commit with it (its id word): a read of one
+  // flags its empty interval, not a non-committed writer.
   ++commits_;
-  for (const auto& [obj, value] : tx.writes) {
+  for (const auto& [obj, rec] : tx.writes) {
     RegisterHead& head = heads_[obj];
     head.rec->close_rank = rank;
     close_holders(head, rank);
 
-    // The write response inserted the record: this lookup never grows.
-    VersionRec& rec = versions_.slot(obj, value);
-    rec.writer = id;
-    rec.open_rank = rank;
-    rec.close_rank = kOpen;
+    rec->writer = id;
+    rec->open_rank = rank;
+    rec->close_rank = kOpen;
     head = RegisterHead{
-        .val = value, .open_rank = rank, .rec = &rec, .writer = id};
+        .val = rec->val, .open_rank = rank, .rec = rec, .writer = id};
   }
   return true;
 }
@@ -551,11 +560,29 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
 }
 
 bool OnlineCertificateMonitor::ingest(std::span<const Event> batch) {
-  for (std::size_t i = 0; i < batch.size(); ++i) {
+  // `ahead` runs kAhead events in front of the event fed: the look-ahead
+  // (file header, LOOK-AHEAD) requests the lines that event will touch.
+  // The prefetches are written out here on purpose: GCC 12 infers that a
+  // function whose only effect is a prefetch has no side effects and
+  // deletes the call, so a helper (a table member, even a lambda with an
+  // early return) leaves no prefetch instruction in this function.
+  const std::size_t n = batch.size();
+  for (std::size_t ahead = 0; ahead < n + kAhead; ++ahead) {
+    if (ahead < n) {
+      const Event& e = batch[ahead];
+      if (e.kind == EventKind::kResponse && e.obj < heads_.size()) {
+        __builtin_prefetch(&heads_[e.obj]);
+        if (e.op == OpCode::kWrite) {
+          __builtin_prefetch(versions_.home(e.obj, e.arg));
+        }
+      }
+    }
+    if (ahead < kAhead) continue;
+    const std::size_t i = ahead - kAhead;
     if (violation_.has_value()) {
       // Sticky: the rest of the batch is recorded (events_fed) in one step
       // instead of churning through feed() per event.
-      pos_ += batch.size() - i;
+      pos_ += n - i;
       return false;
     }
     (void)feed(batch[i]);

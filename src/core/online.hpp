@@ -164,8 +164,10 @@
 // HOT-PATH COST MODEL. A steady-state event performs ZERO heap allocations
 // and ZERO node-based hash-map probes, and touches state only of what is
 // live — its own transaction and, for a register operation, that
-// register's head line (plus one index slot and its archived record when
-// it writes or reads a value other than the register's current one):
+// register's head line (plus one index probe — an index slot and its
+// archived record — when it writes or reads a value other than the
+// register's current one; nothing else probes the index, so a version
+// costs exactly one probe, at its write response):
 //
 //   * every TxId owns one 32-bit word in a TxId-indexed slab (TxSlab —
 //     both recorders allocate ids densely from 1, so the id is the index;
@@ -188,25 +190,29 @@
 //     run — builds its version record {writer, open rank, open} from the
 //     head, identical to the table's, and pushes its holder there. The
 //     install at commit closes the previous version through the address
-//     (a plain store, no probe), shrinks the holders' windows and rewrites
-//     the head; it probes the table once, for the new version's record;
+//     (a plain store), shrinks the holders' windows, fills the new
+//     version's record through the address its write response stored in
+//     the write set, and rewrites the head: it probes nothing;
 //   * the (register, value) version namespace is a VersionTable: 32-byte
 //     records appended to fixed chunks that never move, under an index of
 //     8-byte slots (32-bit fingerprint, 32-bit archive position; linear
 //     probing, at most half full, no tombstones since versions are never
 //     erased). A fingerprint hit is confirmed against the archived key.
-//     What still goes there: every write response (value uniqueness; the
-//     record the install later fills) and reads of any value but the
-//     current one (older versions, uncommitted or never-written values).
-//     Such a read asks the writer's id word whether it committed — a
-//     value the writer overwrote itself commits with it — never the
-//     writer's live state, which may already be recycled. An index
-//     rebuild moves no record, so a head's address never goes stale;
-//   * a transaction's executed writes are a sorted SmallWriteSet: inline
-//     up to its capacity, then spilled into vectors RECYCLED through a
-//     per-monitor pool at transaction completion (same ascending-register
-//     iteration order as the std::map it replaced, so install order and
-//     every flag position are unchanged);
+//     What still goes there: every write response (value uniqueness; it
+//     returns the record the install later fills) and reads of any value
+//     but the current one (older versions, uncommitted or never-written
+//     values). resident().table_probes counts these calls. Such a read
+//     asks the writer's id word whether it committed — a value the writer
+//     overwrote itself commits with it — never the writer's live state,
+//     which may already be recycled. An index rebuild moves no record, so
+//     a head's or a write set's address never goes stale;
+//   * a transaction's executed writes are a sorted SmallWriteSet of
+//     (register, record address): a local read compares against the
+//     record's value. Inline up to its capacity, then spilled into
+//     vectors RECYCLED through a per-monitor pool at transaction
+//     completion (same ascending-register iteration order as the std::map
+//     it replaced, so install order and every flag position are
+//     unchanged);
 //   * a holder push that finds the inline slots full first drops the
 //     finished holders in place; only a register that still has six live
 //     holders spills into an overflow list, taken from a pool and returned
@@ -214,6 +220,25 @@
 //     they would grow, so a register read but never rewritten holds
 //     O(live) entries, not one per read; failure strings are built only
 //     when a flag actually fires.
+//
+// LOOK-AHEAD. The index, the archive and the register heads outgrow the
+// cache on a long stream (the index alone is 8 B × up to twice the
+// versions ever written), so the probe a write response makes is mostly a
+// cache miss. On window-free tl2 stamped-read histories (4096 registers,
+// 2048-event spans, reserve()d) the index probes were 13% (240k events)
+// and 24% (1M) of monitor time in BM_CertifyStream, measured against a
+// variant without the index (unsound, built only for the attribution;
+// Release, GCC 12, 4-vCPU Xeon VM); ROADMAP direction 1 has the figures.
+// ingest() therefore looks kAhead events down its span while it feeds
+// each event: for a response it prefetches the register's head, for a
+// write response also the key's home index slot (VersionTable::home()).
+// A write response, once fed, prefetches the record of its register's
+// current version (the head line is in cache by then): the install
+// closes that record a few events later. A prefetch is a hint and these
+// change no monitor state, so verdicts, flag positions, kinds and reasons
+// are feed()'s by construction. A response on a register outside the
+// model is not prefetched (its invocation flags kNotWellFormed when fed).
+// feed() alone has no span to look down.
 //
 // What still grows with the stream is the version table — one 32-byte
 // archive entry per (register, value) ever written, plus 8-byte index
@@ -324,6 +349,10 @@ class OnlineCertificateMonitor {
   /// core::verify_event_stream, which ingests each pulled span as is.
   bool ingest(std::span<const Event> batch);
 
+  /// How far down its span ingest() looks ahead: while it feeds event i it
+  /// prefetches for event i + kAhead (see LOOK-AHEAD in the file header).
+  static constexpr std::size_t kAhead = 16;
+
   /// Pre-size the dense hot-path state: the per-id words (expected number
   /// of distinct TxIds), the version table (expected distinct (register,
   /// value) pairs, writes plus initial values), optionally the holders of
@@ -357,6 +386,9 @@ class OnlineCertificateMonitor {
     std::size_t holder_entries{0};  // inline + overflow, all registers
     std::size_t versions{0};        // (register, value) records
     std::size_t version_bytes{0};   // index slots + archive chunks
+    /// Calls into the version index while feeding (slot() plus find()):
+    /// one per write response and per read of a non-current value.
+    std::size_t table_probes{0};
   };
   [[nodiscard]] Resident resident() const noexcept;
 
@@ -386,22 +418,6 @@ class OnlineCertificateMonitor {
   /// a recorded run, one per thread.
   static constexpr std::size_t kReservedSlots = 64;
 
-  /// State of one LIVE transaction, recycled through free_slots_ at C or A.
-  struct TxState {
-    Phase phase{Phase::kIdle};
-    bool has_write{false};      // an executed write exists
-    std::size_t birth_rank{0};
-    std::size_t lo{0};          // window: max over reads of version open rank
-    std::size_t hi{kOpen};      // min over reads of version close rank
-    /// Largest read-stamp (2·rv+1) among the transaction's stamped reads —
-    /// kStampedRead checks the commit stamp against it.
-    std::uint64_t max_read_stamp{0};
-    Event pending{};            // the outstanding invocation (kOpPending)
-    /// Executed writes, latest value per register, ascending-register
-    /// order (spill storage recycled via spill_pool_ at completion).
-    SmallWriteSet writes;
-  };
-
   /// One version: its (register, value) key, which the table owns, and
   /// its writer and [open, close) rank interval. Whether the writer
   /// committed is its id word's business (a value the writer overwrote
@@ -414,6 +430,24 @@ class OnlineCertificateMonitor {
     std::size_t close_rank{kOpen};
   };
   static_assert(sizeof(VersionRec) == 32);
+
+  /// State of one LIVE transaction, recycled through free_slots_ at C or A.
+  struct TxState {
+    Phase phase{Phase::kIdle};
+    bool has_write{false};      // an executed write exists
+    std::size_t birth_rank{0};
+    std::size_t lo{0};          // window: max over reads of version open rank
+    std::size_t hi{kOpen};      // min over reads of version close rank
+    /// Largest read-stamp (2·rv+1) among the transaction's stamped reads —
+    /// kStampedRead checks the commit stamp against it.
+    std::uint64_t max_read_stamp{0};
+    Event pending{};            // the outstanding invocation (kOpPending)
+    /// Executed writes: per register, the record of its latest value
+    /// (what the write response's probe returned, filled at the install),
+    /// ascending-register order (spill storage recycled via spill_pool_
+    /// at completion).
+    SmallWriteSet<VersionRec*> writes;
+  };
 
   static constexpr std::uint32_t kNoOverflow = ~std::uint32_t{0};
 
@@ -503,8 +537,8 @@ class OnlineCertificateMonitor {
   /// the free pool when its version closes.
   std::vector<std::vector<TxId>> overflow_;
   std::vector<std::uint32_t> free_overflow_;
-  /// Recycled SmallWriteSet spill storage (see dense_state.hpp).
-  SmallWriteSet::SpillPool spill_pool_;
+  /// Recycled write-set spill storage (see dense_state.hpp).
+  SmallWriteSet<VersionRec*>::SpillPool spill_pool_;
 };
 
 }  // namespace optm::core

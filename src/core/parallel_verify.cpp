@@ -356,12 +356,12 @@ struct ShardPass {
     // that actually wrote in this shard — each of the N shards would
     // otherwise touch a full TxId-range of ~100-byte SmallWriteSets.
     TxSlab<std::uint32_t> writer_index;
-    std::vector<SmallWriteSet> writer_sets;
-    const auto writes_of = [&](TxId tx) -> SmallWriteSet* {
+    std::vector<SmallWriteSet<Value>> writer_sets;
+    const auto writes_of = [&](TxId tx) -> SmallWriteSet<Value>* {
       const std::uint32_t* idx = writer_index.find(tx);
       return idx != nullptr && *idx != 0 ? &writer_sets[*idx - 1] : nullptr;
     };
-    SmallWriteSet::SpillPool spill_pool;
+    SmallWriteSet<Value>::SpillPool spill_pool;
     struct PendingRead {
       TxId tx;
       std::size_t pos;
@@ -391,7 +391,7 @@ struct ShardPass {
             !meta->has_write) {
           continue;
         }
-        SmallWriteSet* writes = writes_of(e.tx);
+        SmallWriteSet<Value>* writes = writes_of(e.tx);
         if (writes == nullptr || writes->empty()) continue;
         const std::size_t rank = meta->commit_rank;
         for (const auto& [obj, value] : *writes) {
@@ -442,7 +442,7 @@ struct ShardPass {
       if (e.op != OpCode::kRead) continue;
 
       // Local reads answer from the write buffer; they never touch windows.
-      if (const SmallWriteSet* own_set = writes_of(e.tx)) {
+      if (const SmallWriteSet<Value>* own_set = writes_of(e.tx)) {
         if (const Value* own = own_set->find(e.obj)) {
           if (*own != e.ret) {
             flags.push_back({i, tx_tag(e.tx) + " read x" + std::to_string(e.obj) +

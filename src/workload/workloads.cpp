@@ -16,6 +16,22 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Aggregate the processes' stats into a RunResult timed from `t0`.
+RunResult collect(const std::vector<std::unique_ptr<sim::ThreadCtx>>& ctxs,
+                  Clock::time_point t0) {
+  RunResult result;
+  result.seconds = std::chrono::duration<double>(Clock::now() - t0).count();
+  for (const auto& ctx : ctxs) {
+    result.commits += ctx->stats.commits;
+    result.aborts += ctx->stats.aborts;
+    result.reads += ctx->stats.reads;
+    result.writes += ctx->stats.writes;
+    result.validation_steps += ctx->stats.validation_steps;
+    result.steps += ctx->steps;
+  }
+  return result;
+}
+
 /// Spawn `n` workers, each with its own ThreadCtx, run `body(ctx, index)`,
 /// join, and aggregate stats into a RunResult.
 template <typename Body>
@@ -36,19 +52,7 @@ RunResult run_threads(std::uint32_t n, Body&& body) {
     }
     for (auto& t : threads) t.join();
   }
-  const auto t1 = Clock::now();
-
-  RunResult result;
-  result.seconds = std::chrono::duration<double>(t1 - t0).count();
-  for (const auto& ctx : ctxs) {
-    result.commits += ctx->stats.commits;
-    result.aborts += ctx->stats.aborts;
-    result.reads += ctx->stats.reads;
-    result.writes += ctx->stats.writes;
-    result.validation_steps += ctx->stats.validation_steps;
-    result.steps += ctx->steps;
-  }
-  return result;
+  return collect(ctxs, t0);
 }
 
 }  // namespace
@@ -127,6 +131,66 @@ RunResult run_random_mix(stm::Stm& stm, const MixParams& params) {
       }
     }
   });
+}
+
+RunResult run_interleaved_mix(stm::Stm& stm, const MixParams& params) {
+  struct Proc {
+    util::Xoshiro256 rng;
+    std::uint64_t tx = 0;  // transactions finished
+    std::uint32_t op = 0;  // operations done in the open one
+    bool in_tx = false;
+    bool voluntary_abort = false;
+  };
+  std::vector<std::unique_ptr<sim::ThreadCtx>> ctxs;
+  std::vector<Proc> procs;
+  std::vector<std::uint32_t> ready;  // processes with transactions left
+  for (std::uint32_t i = 0; i < params.threads; ++i) {
+    ctxs.push_back(std::make_unique<sim::ThreadCtx>(i));
+    procs.push_back(Proc{util::Xoshiro256(util::stream_seed(params.seed, i))});
+    if (params.txs_per_thread > 0) ready.push_back(i);
+  }
+  util::Xoshiro256 schedule(util::stream_seed(params.seed, params.threads));
+
+  const auto t0 = Clock::now();
+  while (!ready.empty()) {
+    const std::size_t k = schedule.below(ready.size());
+    const std::uint32_t i = ready[k];
+    Proc& p = procs[i];
+    sim::ThreadCtx& ctx = *ctxs[i];
+    if (!p.in_tx) {
+      p.voluntary_abort = p.rng.chance(params.voluntary_abort_ratio);
+      stm.begin(ctx);
+      p.in_tx = true;
+      p.op = 0;
+      continue;
+    }
+    if (p.op < params.ops_per_tx) {
+      // Value-unique writes, encoded as run_random_mix encodes them.
+      const std::uint64_t value =
+          ((static_cast<std::uint64_t>(i + 1) << 40) | ((p.tx + 1) << 8)) +
+          p.op;
+      const auto var = static_cast<stm::VarId>(p.rng.below(params.vars));
+      ++p.op;
+      std::uint64_t out = 0;
+      const bool ok = p.rng.chance(params.write_ratio)
+                          ? stm.write(ctx, var, value)
+                          : stm.read(ctx, var, out);
+      if (ok) continue;
+      p.in_tx = false;  // forcefully aborted mid-transaction
+    } else {
+      if (p.voluntary_abort) {
+        stm.abort(ctx);
+      } else {
+        (void)stm.commit(ctx);
+      }
+      p.in_tx = false;
+    }
+    if (++p.tx == params.txs_per_thread) {
+      ready[k] = ready.back();
+      ready.pop_back();
+    }
+  }
+  return collect(ctxs, t0);
 }
 
 RunResult run_read_mostly(stm::Stm& stm, const ReadMostlyParams& params) {

@@ -72,6 +72,16 @@ struct MixParams {
 /// can be certificate-verified for opacity.
 [[nodiscard]] RunResult run_random_mix(stm::Stm& stm, const MixParams& params);
 
+/// The same mix with its `threads` processes as logical processes driven
+/// from the calling thread (one ThreadCtx each, §6.1's exact-interleaving
+/// idiom): at every step a seeded scheduler picks a process with work left
+/// and advances it by one transaction step — begin, one operation, or
+/// tryC/tryA. Each process draws its operations as run_random_mix's
+/// process of the same index does, so for a given runtime and seed the
+/// run, and a recording of it, is reproducible.
+[[nodiscard]] RunResult run_interleaved_mix(stm::Stm& stm,
+                                            const MixParams& params);
+
 // --- read-mostly scan (invisible vs visible reads, §6) -------------------------
 
 struct ReadMostlyParams {

@@ -7,6 +7,7 @@
 // fingerprint match must never stand in for the archived key.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
@@ -99,6 +100,35 @@ TEST(VersionTable, FindAndInsertAcrossRebuilds) {
   bool inserted = true;
   EXPECT_EQ(table.slot(3, 7, &inserted).payload, 3007);
   EXPECT_FALSE(inserted);
+}
+
+TEST(VersionTable, ProbesCountSlotAndFindCallsOnly) {
+  Table table(2);
+  for (Value v = 0; v < 100; ++v) (void)table.slot(1, v);  // rebuilds too
+  EXPECT_EQ(table.probes(), 100u);
+  (void)table.slot(1, 5);  // a hit is a call all the same
+  (void)table.find(2, 5);  // and so is a miss
+  const Table& view = table;
+  (void)view.find(1, 6);
+  EXPECT_EQ(table.probes(), 103u);
+  (void)table.home(1, 7);  // a prefetch address, no probe
+  EXPECT_EQ(table.probes(), 103u);
+}
+
+TEST(VersionTable, HomeSlotOfAnyKeyLiesInTheIndex) {
+  Table table(1000);  // 2048 buckets: the load stays at most 1/2
+  const std::uint64_t* lo = table.home(0, 0);
+  const std::uint64_t* hi = lo;
+  for (const ObjId obj : {ObjId{0}, ObjId{7}, ~ObjId{0}}) {
+    for (Value v = -5000; v < 5000; ++v) {
+      const std::uint64_t* home = table.home(obj, v);
+      EXPECT_EQ(home, table.home(obj, v));
+      lo = std::min(lo, home);
+      hi = std::max(hi, home);
+    }
+  }
+  EXPECT_LT(hi - lo, 2048);
+  EXPECT_GT(hi - lo, 2000) << "30000 keys should reach nearly every bucket";
 }
 
 TEST(VersionTable, RecordsKeepAddressAndContentsAcrossIndexRebuilds) {
@@ -199,8 +229,8 @@ TEST(VersionTable, AbsurdReserveThrowsInsteadOfSpinning) {
 }
 
 TEST(SmallWriteSet, SortedUpsertInlineAndSpilled) {
-  SmallWriteSet::SpillPool pool;
-  SmallWriteSet ws;
+  SmallWriteSet<Value>::SpillPool pool;
+  SmallWriteSet<Value> ws;
   EXPECT_TRUE(ws.empty());
   // Out-of-order inserts, one overwrite, spill past the inline capacity.
   const ObjId objs[] = {7, 3, 9, 1, 5, 8, 2};
@@ -224,7 +254,7 @@ TEST(SmallWriteSet, SortedUpsertInlineAndSpilled) {
   ws.release(pool);
   EXPECT_TRUE(ws.empty());
   EXPECT_EQ(pool.size(), 1u);
-  SmallWriteSet other;
+  SmallWriteSet<Value> other;
   for (ObjId obj = 0; obj < 6; ++obj) other.set(obj, 1, pool);
   EXPECT_TRUE(pool.empty()) << "spill should come from the pool";
 }

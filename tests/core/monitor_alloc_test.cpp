@@ -101,7 +101,7 @@ namespace {
   params.vars = 32;
   // ~2 events per op + ~3 lifecycle events per transaction, sized with
   // slack (aborted transactions record fewer events).
-  params.ops_per_tx = 4;  // <= SmallWriteSet::kInlineCapacity: no spill
+  params.ops_per_tx = 4;  // <= SmallWriteSet<P>::kInlineCapacity: no spill
   params.txs_per_thread = target_events / (2 * params.ops_per_tx + 1) + 1;
   params.write_ratio = 0.4;
   params.voluntary_abort_ratio = 0.05;
