@@ -255,8 +255,10 @@ struct SmartReorderResult {
 
 /// The recorder's anchor order: committed transactions at their C position,
 /// others at their last non-local read response (their last whole-read-set
-/// validation), falling back to their first event — the same rule as
-/// stm::detail::certificate_order_of with no stamps. Exposed for tests.
+/// validation), falling back to their first event — the order
+/// stm::detail::certificate_order_of gives a history whose C and A events
+/// all carry stamp 0 (it reads each transaction's serialization stamp off
+/// its completion event; this ignores stamps). Exposed for tests.
 [[nodiscard]] std::vector<TxId> anchor_order(const History& h);
 
 /// Sound fast rejection of candidate version orders, built once per search

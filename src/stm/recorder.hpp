@@ -5,8 +5,10 @@
 // sequence counter at the moment it semantically occurs (invocations before
 // the shared-memory work of the operation, responses after the value is
 // fixed, C at the commit point), so the stamp order is a legal linearization
-// of the actual event order. Commit order is captured separately — it is
-// the total order ≪ the certificate checker (Theorem 2) verifies against.
+// of the actual event order. The serialization stamp of each completion
+// rides on its C or A event (Event::stamp), and certificate_order() derives
+// from the events alone the total order ≪ the certificate checker
+// (Theorem 2) verifies against.
 //
 // Soundness of the certificate requires more than per-event atomicity: the
 // *value sampling* of a read must be atomic with the recording of its
@@ -138,6 +140,7 @@
 #include "core/history.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/api.hpp"
+#include "util/cache.hpp"
 #include "util/spin.hpp"
 
 namespace optm::stm {
@@ -153,6 +156,10 @@ namespace detail {
 ///     read set (read responses re-validate in the stamp-0 runtimes;
 ///     WRITE responses do not, so they must not advance the anchor). A
 ///     transaction with no such reads anchors at its first event.
+/// The stamp is Event::stamp of the transaction's C or A event (read
+/// responses carry stamps too, but those are read stamps, not the
+/// transaction's serialization point); a transaction still live at the
+/// end of `events` has none and keys at stamp 0.
 /// A LOCAL read (preceded by the transaction's own write to the same
 /// register) is answered from the write buffer without validation, so
 /// it must not advance the anchor either. Unlike the naive "committed
@@ -161,8 +168,7 @@ namespace detail {
 /// (an aborted transaction that completed before a later one began must
 /// precede it in ≪).
 [[nodiscard]] inline std::vector<core::TxId> certificate_order_of(
-    const std::vector<core::Event>& events,
-    const std::unordered_map<core::TxId, std::uint64_t>& stamps) {
+    const std::vector<core::Event>& events) {
   struct Key {
     std::uint64_t stamp = 0;
     std::size_t seq = 0;
@@ -187,11 +193,10 @@ namespace detail {
     } else if (e.kind == core::EventKind::kCommit) {
       k.committed = true;
       k.seq = i;
+      k.stamp = e.stamp;
+    } else if (e.kind == core::EventKind::kAbort) {
+      k.stamp = e.stamp;
     }
-  }
-  for (auto& [tx, k] : keys) {
-    const auto s = stamps.find(tx);
-    if (s != stamps.end()) k.stamp = s->second;
   }
 
   std::vector<core::TxId> order;
@@ -328,14 +333,20 @@ class RecorderBase {
 /// Each lane is a single-writer chunked buffer: the owning process stamps
 /// the event from one atomic sequence counter, stores it into the current
 /// chunk, and publishes it with a release store of the lane's count — the
-/// hot path is one fetch_add and two plain stores, no lock. (The lane's
-/// spinlock guards only chunk-list growth, once per 4096 events, and
-/// reader snapshots.) Stamp order reconstructs the legal linearization.
+/// hot path of every event, C and A included, is one fetch_add and two
+/// plain stores, no lock. (The lane's spinlock guards only chunk-list
+/// growth, once per 4096 events, and reader snapshots.) Stamp order
+/// reconstructs the legal linearization.
 /// The stamps of published events are globally contiguous except for
 /// events still in flight on other lanes; drain() therefore consumes
 /// exactly the longest stamp-contiguous prefix, which is a complete,
 /// stable prefix of the linearization even while recording continues —
 /// the feed for live batch verification.
+///
+/// Layout rule: every word a producer writes sits on a cache line that no
+/// other thread writes for another purpose — each lane is its producer's
+/// alone, the ticket counter, the transaction-id counter and the window
+/// lock have a line each, and the drain state lives on the drainer's.
 class Recorder final : public RecorderBase {
  public:
   explicit Recorder(std::size_t num_vars)
@@ -359,17 +370,17 @@ class Recorder final : public RecorderBase {
   }
   void on_commit(std::uint32_t lane, core::TxId tx,
                  std::uint64_t stamp = 0) override {
-    // The stamp rides on the C event itself (Event::stamp) so offline
-    // consumers (the SnapshotRank version-order policy) see it without the
-    // side table; the side table stays for certificate_order().
-    push(lane, core::ev::commit(tx, stamp), tx, stamp);
+    // The stamp rides on the C event itself (Event::stamp), where
+    // certificate_order() and the offline consumers (the SnapshotRank
+    // version-order policy) read it.
+    push(lane, core::ev::commit(tx, stamp));
   }
   void on_try_abort(std::uint32_t lane, core::TxId tx) override {
     push(lane, core::ev::try_abort(tx));
   }
   void on_abort(std::uint32_t lane, core::TxId tx,
                 std::uint64_t stamp = 0) override {
-    push(lane, core::ev::abort(tx, stamp), tx, stamp);
+    push(lane, core::ev::abort(tx, stamp));
   }
 
   void window_enter(WindowKind kind) override {
@@ -402,12 +413,7 @@ class Recorder final : public RecorderBase {
     std::vector<core::Event> events;
     events.reserve(all.size());
     for (const StampedEvent& s : all) events.push_back(s.event);
-    std::unordered_map<core::TxId, std::uint64_t> stamps;
-    for (const Lane& lane : lanes_) {
-      const std::lock_guard<util::SpinLock> guard(lane.mu);
-      for (const auto& [tx, stamp] : lane.stamps) stamps[tx] = stamp;
-    }
-    return detail::certificate_order_of(events, stamps);
+    return detail::certificate_order_of(events);
   }
 
   [[nodiscard]] std::size_t num_events() const override {
@@ -558,17 +564,15 @@ class Recorder final : public RecorderBase {
   /// writer; it publishes each entry with a release store of `count`.
   /// Readers load `count` (acquire) and may then read any entry below it —
   /// chunks never move once allocated, so no lock is needed on the hot
-  /// path. The spinlock guards chunk-list growth (once per kChunkSize
-  /// events), reader snapshots of the chunk-pointer list, and the rare
-  /// completion-stamp appends. `tail` is the writer's private cache of the
-  /// current chunk, saving the vector indirection per push. Padded so
-  /// lanes do not false-share.
-  struct alignas(64) Lane {
+  /// path. The spinlock guards only chunk-list growth (once per
+  /// kChunkSize events) and reader snapshots of the chunk-pointer list.
+  /// `tail` is the writer's private cache of the current chunk, saving the
+  /// vector indirection per push. Padded so lanes do not false-share.
+  struct alignas(util::kCacheLine) Lane {
     mutable util::SpinLock mu;
     std::vector<std::unique_ptr<Chunk>> chunks;
     Chunk* tail{nullptr};
     std::atomic<std::size_t> count{0};
-    std::vector<std::pair<core::TxId, std::uint64_t>> stamps;
   };
 
   void push(std::uint32_t lane_id, const core::Event& e) {
@@ -610,13 +614,6 @@ class Recorder final : public RecorderBase {
     slot.event = e;
     return i;
   }
-  void push(std::uint32_t lane_id, const core::Event& e, core::TxId tx,
-            std::uint64_t stamp) {
-    push(lane_id, e);
-    Lane& lane = lanes_[lane_id];
-    const std::lock_guard<util::SpinLock> guard(lane.mu);
-    lane.stamps.emplace_back(tx, stamp);
-  }
 
   /// Copy the published entries [from, lane.count) of one lane into `out`.
   static void copy_published(const Lane& lane, std::size_t from,
@@ -650,11 +647,12 @@ class Recorder final : public RecorderBase {
 
   core::ObjectModel model_;
   std::array<Lane, sim::kMaxThreads> lanes_;
-  std::atomic<std::uint64_t> seq_{0};
-  /// Events drained so far (accumulated per drain).
-  std::atomic<std::uint64_t> drained_events_{0};
-  std::atomic<core::TxId> next_tx_{1};
-  util::SharedSpinLock window_lock_;
+  // The producers' shared words, one cache line each: the ticket counter
+  // (one fetch_add per event), the transaction-id counter (one per begin)
+  // and the window lock.
+  alignas(util::kCacheLine) std::atomic<std::uint64_t> seq_{0};
+  alignas(util::kCacheLine) std::atomic<core::TxId> next_tx_{1};
+  alignas(util::kCacheLine) util::SharedSpinLock window_lock_;
 
   /// Drain-side view of one lane: consumed count, last loaded published
   /// count, where the current drain's placement stopped, and the cached
@@ -684,8 +682,11 @@ class Recorder final : public RecorderBase {
     }
   }
 
-  // Drain-side state, guarded by drain_mu_.
-  std::mutex drain_mu_;
+  // Drain-side state, guarded by drain_mu_ and written only by the
+  // drainer, on lines of its own.
+  alignas(util::kCacheLine) std::mutex drain_mu_;
+  /// Events drained so far (accumulated per drain).
+  std::atomic<std::uint64_t> drained_events_{0};
   std::array<DrainCursor, sim::kMaxThreads> cursors_;
   std::vector<std::uint64_t> placed_;  // one bit per window offset
   std::uint64_t next_seq_ = 0;  // first stamp not yet drained
@@ -725,7 +726,6 @@ class MutexRecorder final : public RecorderBase {
                  std::uint64_t stamp = 0) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
     events_.push_back(core::ev::commit(tx, stamp));
-    stamp_[tx] = stamp;
   }
   void on_try_abort(std::uint32_t /*lane*/, core::TxId tx) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
@@ -735,7 +735,6 @@ class MutexRecorder final : public RecorderBase {
                 std::uint64_t stamp = 0) override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
     events_.push_back(core::ev::abort(tx, stamp));
-    stamp_[tx] = stamp;
   }
 
   void window_enter(WindowKind /*kind*/) override { mu_.lock(); }
@@ -748,7 +747,7 @@ class MutexRecorder final : public RecorderBase {
 
   [[nodiscard]] std::vector<core::TxId> certificate_order() const override {
     const std::lock_guard<std::recursive_mutex> guard(mu_);
-    return detail::certificate_order_of(events_, stamp_);
+    return detail::certificate_order_of(events_);
   }
 
   [[nodiscard]] std::size_t num_events() const override {
@@ -760,7 +759,6 @@ class MutexRecorder final : public RecorderBase {
   mutable std::recursive_mutex mu_;
   core::ObjectModel model_;
   std::vector<core::Event> events_;
-  std::unordered_map<core::TxId, std::uint64_t> stamp_;  // at completion
   core::TxId next_tx_ = 1;
 };
 

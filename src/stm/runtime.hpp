@@ -171,18 +171,33 @@ class RuntimeBase : public Stm {
                      RecorderBase::WindowKind::kCommit);
   }
 
+  /// Call `hook` on the attached engine, if any: through the concrete
+  /// sharded Recorder when that is the engine (it is final and
+  /// header-defined, so the whole push — stamp draw and slot store —
+  /// inlines into the runtime's op), else through RecorderBase's virtual
+  /// interface (the mutex engine).
+  template <typename Hook>
+  void rec_call(Hook&& hook) {
+    if (sharded_ != nullptr) {
+      hook(*sharded_);
+    } else if (recorder_ != nullptr) {
+      hook(*recorder_);
+    }
+  }
+
+  [[nodiscard]] core::TxId rec_tx(const sim::ThreadCtx& ctx) const noexcept {
+    return *rec_tx_[ctx.id()];
+  }
+
   void rec_begin(sim::ThreadCtx& ctx) {
-    if (recorder_ != nullptr) rec_tx_[ctx.id()] = recorder_->begin_tx();
+    rec_call([&](auto& r) { *rec_tx_[ctx.id()] = r.begin_tx(); });
   }
   void rec_inv(sim::ThreadCtx& ctx, VarId var, core::OpCode op,
                std::uint64_t arg) {
-    if (sharded_ != nullptr) {
-      sharded_->on_inv(ctx.id(), rec_tx_[ctx.id()], var, op,
-                       static_cast<core::Value>(arg));
-    } else if (recorder_ != nullptr) {
-      recorder_->on_inv(ctx.id(), rec_tx_[ctx.id()], var, op,
-                        static_cast<core::Value>(arg));
-    }
+    rec_call([&](auto& r) {
+      r.on_inv(ctx.id(), rec_tx(ctx), var, op,
+               static_cast<core::Value>(arg));
+    });
   }
   /// `stamp`/`ver` are the read-stamp pair (2·rv+1, version read) of a
   /// stamping runtime's non-local read; 0/0 records an unstamped response
@@ -190,15 +205,11 @@ class RuntimeBase : public Stm {
   void rec_ret(sim::ThreadCtx& ctx, VarId var, core::OpCode op,
                std::uint64_t arg, std::uint64_t ret, std::uint64_t stamp = 0,
                std::uint64_t ver = 0) {
-    if (sharded_ != nullptr) {
-      sharded_->on_ret(ctx.id(), rec_tx_[ctx.id()], var, op,
-                       static_cast<core::Value>(arg),
-                       static_cast<core::Value>(ret), stamp, ver);
-    } else if (recorder_ != nullptr) {
-      recorder_->on_ret(ctx.id(), rec_tx_[ctx.id()], var, op,
-                        static_cast<core::Value>(arg),
-                        static_cast<core::Value>(ret), stamp, ver);
-    }
+    rec_call([&](auto& r) {
+      r.on_ret(ctx.id(), rec_tx(ctx), var, op,
+               static_cast<core::Value>(arg), static_cast<core::Value>(ret),
+               stamp, ver);
+    });
   }
   // Abort hooks take the aborted transaction's serialization stamp (see
   // RecorderBase::on_abort): clock-based runtimes pass 2·rv+1, record-order
@@ -206,31 +217,23 @@ class RuntimeBase : public Stm {
 
   /// A replaces the pending operation response (forceful abort mid-op).
   void rec_abort_mid_op(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_call([&](auto& r) { r.on_abort(ctx.id(), rec_tx(ctx), stamp); });
   }
   void rec_try_commit(sim::ThreadCtx& ctx) {
-    if (recorder_ != nullptr) {
-      recorder_->on_try_commit(ctx.id(), rec_tx_[ctx.id()]);
-    }
+    rec_call([&](auto& r) { r.on_try_commit(ctx.id(), rec_tx(ctx)); });
   }
   void rec_commit(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_commit(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_call([&](auto& r) { r.on_commit(ctx.id(), rec_tx(ctx), stamp); });
   }
   /// A answering tryC (commit failed).
   void rec_abort_at_commit(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_call([&](auto& r) { r.on_abort(ctx.id(), rec_tx(ctx), stamp); });
   }
   void rec_voluntary_abort(sim::ThreadCtx& ctx, std::uint64_t stamp = 0) {
-    if (recorder_ != nullptr) {
-      recorder_->on_try_abort(ctx.id(), rec_tx_[ctx.id()]);
-      recorder_->on_abort(ctx.id(), rec_tx_[ctx.id()], stamp);
-    }
+    rec_call([&](auto& r) {
+      r.on_try_abort(ctx.id(), rec_tx(ctx));
+      r.on_abort(ctx.id(), rec_tx(ctx), stamp);
+    });
   }
 
   std::size_t num_vars_;
@@ -248,7 +251,11 @@ class RuntimeBase : public Stm {
 
  private:
   bool window_free_ = false;
-  std::array<core::TxId, sim::kMaxThreads> rec_tx_{};
+  /// The recording transaction of each slot, written by that slot's
+  /// process at every begin: padded, like every runtime's slots_, so no
+  /// producer's begin invalidates the line another producer (or the
+  /// recorder pointers above) is read from.
+  std::array<util::Padded<core::TxId>, sim::kMaxThreads> rec_tx_{};
 };
 
 }  // namespace optm::stm

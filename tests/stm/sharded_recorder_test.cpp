@@ -9,9 +9,11 @@
 #include <atomic>
 #include <iterator>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/online.hpp"
@@ -19,6 +21,7 @@
 #include "core/parallel_verify.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
+#include "stm/mv.hpp"
 #include "stm/recorder.hpp"
 #include "stm/sink.hpp"
 #include "util/rng.hpp"
@@ -76,6 +79,123 @@ TEST_P(RecorderEquivalence, DeterministicScheduleSameLinearization) {
 INSTANTIATE_TEST_SUITE_P(Stms, RecorderEquivalence,
                          ::testing::Values("tl2", "tiny", "norec", "dstm",
                                            "astm", "visible", "mv"));
+
+// certificate_order() keys each completed transaction by the stamp its C
+// or A event carries. One deterministic five-process schedule whose
+// history holds every kind of completion the stamp can come from — a
+// mid-op abort (T1), a commit-time abort (T2), an update commit (T3), a
+// read-only commit (T4), a voluntary tryA/A (T5) — and a transaction still
+// live at the end (T6), which has no completion stamp and so keys at 0 —
+// ahead of every stamped completion on the stamping runtimes:
+//   T1 reads x;  T2 reads y, writes z;  T3 writes x, y and commits;
+//   T1 reads y (doomed);  T2 tries to commit (doomed);
+//   T4 reads x, z and commits;  T5 reads x and aborts;
+//   T6 reads z, writes w and stays live.
+void drive_every_completion(Stm& stm) {
+  constexpr VarId kX = 0;
+  constexpr VarId kY = 1;
+  constexpr VarId kZ = 2;
+  constexpr VarId kW = 3;
+  sim::ThreadCtx p[] = {sim::ThreadCtx(0), sim::ThreadCtx(1), sim::ThreadCtx(2),
+                        sim::ThreadCtx(3), sim::ThreadCtx(4)};
+  std::uint64_t v = 0;
+  stm.begin(p[0]);
+  EXPECT_TRUE(stm.read(p[0], kX, v));
+  stm.begin(p[1]);
+  EXPECT_TRUE(stm.read(p[1], kY, v));
+  EXPECT_TRUE(stm.write(p[1], kZ, 7));
+  stm.begin(p[2]);
+  EXPECT_TRUE(stm.write(p[2], kX, 1));
+  EXPECT_TRUE(stm.write(p[2], kY, 2));
+  EXPECT_TRUE(stm.commit(p[2]));
+  EXPECT_FALSE(stm.read(p[0], kY, v));
+  EXPECT_FALSE(stm.commit(p[1]));
+  stm.begin(p[3]);
+  EXPECT_TRUE(stm.read(p[3], kX, v));
+  EXPECT_TRUE(stm.read(p[3], kZ, v));
+  EXPECT_TRUE(stm.commit(p[3]));
+  stm.begin(p[4]);
+  EXPECT_TRUE(stm.read(p[4], kX, v));
+  stm.abort(p[4]);
+  stm.begin(p[1]);
+  EXPECT_TRUE(stm.read(p[1], kZ, v));
+  EXPECT_TRUE(stm.write(p[1], kW, 9));
+}
+
+struct CompletionCase {
+  std::string name;
+  std::unique_ptr<Stm> (*make)();
+  /// certificate_order() of this schedule, as the recorders computed it
+  /// when they still kept the completion stamps in a side table.
+  std::vector<core::TxId> order;
+};
+
+std::ostream& operator<<(std::ostream& os, const CompletionCase& c) {
+  return os << c.name;
+}
+
+class CertificateOrder : public ::testing::TestWithParam<CompletionCase> {};
+
+TEST_P(CertificateOrder, StampsComeFromTheCompletionEvents) {
+  const auto mutex_stm = GetParam().make();
+  MutexRecorder mutex_recorder(4);
+  mutex_stm->set_recorder(&mutex_recorder);
+  drive_every_completion(*mutex_stm);
+
+  const auto sharded_stm = GetParam().make();
+  Recorder sharded_recorder(4);
+  sharded_stm->set_recorder(&sharded_recorder);
+  drive_every_completion(*sharded_stm);
+
+  // The history really holds every kind of completion: T1's A answers its
+  // read invocation, T2's answers tryC, T5's answers tryA, T4 commits
+  // without writing, and T6 has no completion event.
+  const core::History h = sharded_recorder.history();
+  const std::vector<core::Event>& events = h.events();
+  const auto completion = [&](core::TxId tx) {
+    for (std::size_t i = 1; i < events.size(); ++i) {
+      if (events[i].tx == tx && (events[i].kind == core::EventKind::kCommit ||
+                                 events[i].kind == core::EventKind::kAbort)) {
+        std::size_t prev = i - 1;
+        while (events[prev].tx != tx) --prev;
+        return std::pair{events[i].kind, events[prev].kind};
+      }
+    }
+    return std::pair{core::EventKind::kInvoke, core::EventKind::kInvoke};
+  };
+  using K = core::EventKind;
+  EXPECT_EQ(completion(1), std::pair(K::kAbort, K::kInvoke));
+  EXPECT_EQ(completion(2), std::pair(K::kAbort, K::kTryCommit));
+  EXPECT_EQ(completion(3), std::pair(K::kCommit, K::kTryCommit));
+  EXPECT_EQ(completion(4), std::pair(K::kCommit, K::kTryCommit));
+  EXPECT_EQ(completion(5), std::pair(K::kAbort, K::kTryAbort));
+  EXPECT_EQ(completion(6), std::pair(K::kInvoke, K::kInvoke));
+
+  const std::vector<core::TxId> order = sharded_recorder.certificate_order();
+  EXPECT_EQ(mutex_recorder.certificate_order(), order);
+  EXPECT_EQ(order, GetParam().order);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Stms, CertificateOrder,
+    ::testing::Values(
+        CompletionCase{"tl2", [] { return make_stm("tl2", 4); },
+                       {6, 1, 2, 3, 4, 5}},
+        // A one-version ring: T1's and T2's snapshots of y are gone once
+        // T3 commits, so mv dooms them where tl2 does.
+        CompletionCase{"mv",
+                       []() -> std::unique_ptr<Stm> {
+                         return std::make_unique<MvStm>(4, 1);
+                       },
+                       {6, 1, 2, 3, 4, 5}},
+        CompletionCase{"dstm", [] { return make_stm("dstm", 4); },
+                       {6, 1, 2, 3, 4, 5}},
+        // Every completion stamp 0: the order is record order.
+        CompletionCase{"visible", [] { return make_stm("visible", 4); },
+                       {1, 2, 3, 4, 5, 6}}),
+    [](const ::testing::TestParamInfo<CompletionCase>& info) {
+      return info.param.name;
+    });
 
 // Window-free mutex-vs-sharded equivalence, fuzzed over seeds: with no
 // window taken at all, both engines must still record the same events with
