@@ -8,9 +8,9 @@
 //
 // It also measures the sharded recorder's drain() on its own, the
 // batch-ingestion path it feeds (BM_CertifyStream on a stream whose
-// version index outgrows the cache), the sharded offline verification driver
-// across shard counts, and the drain loop's sink overhead. End-to-end pipeline throughput (recorder, drain
-// and monitor under live producers) is perfbench's job, not this file's.
+// version index outgrows the cache), and the drain loop's sink overhead.
+// End-to-end pipeline throughput (recorder, drain and monitor under live
+// producers) is perfbench's job, not this file's.
 #include "bench_common.hpp"
 
 #include <unistd.h>
@@ -23,14 +23,12 @@
 #include <vector>
 
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 #include "log/log_sink.hpp"
 #include "log/writer.hpp"
 #include "stm/recorder.hpp"
 #include "stm/sink.hpp"
 #include "util/cli.hpp"
 #include "util/hash.hpp"
-#include "util/pool.hpp"
 
 namespace optm::bench {
 namespace {
@@ -284,36 +282,6 @@ void BM_RecorderDrain(benchmark::State& state) {
       benchmark::Counter::kIsIterationInvariantRate);
 }
 
-// --- sharded offline verification ---------------------------------------------
-
-void BM_ParallelOfflineVerify(benchmark::State& state) {
-  const core::History h = recorded_mix(4096);
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  util::ThreadPool pool(shards);
-  bool certified = false;
-  std::string first_flag;
-  for (auto _ : state) {
-    core::ShardVerifyOptions options;
-    options.num_shards = shards;
-    const auto result = core::verify_history_sharded(h, pool, options);
-    certified = result.certified;
-    if (!certified && first_flag.empty() && result.violation.has_value()) {
-      first_flag = "pos " + std::to_string(result.violation->pos) + ": " +
-                   result.violation->reason;
-    }
-    benchmark::DoNotOptimize(certified);
-  }
-  if (!certified) {
-    state.SkipWithError(
-        ("sharded driver flagged an opaque STM's run — " + first_flag).c_str());
-    return;
-  }
-  state.counters["events"] = static_cast<double>(h.size());
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(h.size()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
 }  // namespace
 
 BENCHMARK(BM_CertificateMonitor)
@@ -340,11 +308,6 @@ BENCHMARK(BM_CertifyStream)
     ->UseRealTime();
 
 BENCHMARK(BM_RecorderDrain)->Unit(benchmark::kMicrosecond)->UseRealTime();
-
-BENCHMARK(BM_ParallelOfflineVerify)
-    ->RangeMultiplier(2)
-    ->Range(1, 8)
-    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------
 // Sink overhead: the durable segment-log sink vs the in-RAM append baseline
@@ -478,7 +441,6 @@ constexpr BenchMeta kBenchMeta[] = {
     {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
     {"BM_CertifyStream", "tl2", "stamped-read", "window-free"},
     {"BM_RecorderDrain", "tl2", "record-only", "windowed"},
-    {"BM_ParallelOfflineVerify", "tl2", "commit-order", "windowed"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_LogAppendDrain", "tl2", "record-only", "windowed"},
     {"BM_Crc32c", "tl2", "record-only", "windowed"},

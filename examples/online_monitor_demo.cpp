@@ -6,21 +6,21 @@
 // Attaches a recorder to an STM, replays the §2 zombie interleaving, and
 // feeds the recorded events one at a time into BOTH online monitors. For
 // an opaque STM the stream stays clean; for WeakStm the monitors flag the
-// exact read response at which the live transaction's snapshot tore.
+// exact read response at which the live transaction's snapshot tore, and
+// the certificate's flag is adjudicated against Definition 1.
 // Afterwards, the paper's own Figure 1 history is streamed through the
 // definitional monitor for comparison, and finally the full recorded-mode
 // pipeline runs at scale: a multi-threaded mix records into the sharded
 // recorder while a verifier thread drains stamp-contiguous batches into
-// the certificate monitor, and the same history is re-checked offline by
-// the sharded parallel driver.
+// the certificate monitor.
 #include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/paper.hpp"
-#include "core/parallel_verify.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/cli_flags.hpp"
 #include "stm/factory.hpp"
@@ -85,6 +85,11 @@ int main(int argc, char** argv) {
   }
   report("definitional monitor:", definitional.violation(), h);
   report("certificate monitor:", certificate.violation(), h);
+  if (certificate.violation()) {
+    const auto verdict = optm::core::adjudicate(h, *certificate.violation());
+    std::printf("%-24s %s: %s\n", "adjudication:",
+                optm::core::to_string(verdict.verdict), verdict.reason.c_str());
+  }
 
   // The paper's Figure 1, streamed: global atomicity and recoverability
   // hold, yet the prefix ending at T2's second read is already non-opaque.
@@ -122,15 +127,5 @@ int main(int argc, char** argv) {
   std::printf("live certificate:        %s (%zu events in %zu batches)\n",
               live_monitor.ok() ? "clean" : "VIOLATION",
               live_monitor.events_fed(), pump_stats.batches);
-
-  // ... and the same history re-verified offline by the sharded parallel
-  // driver (register shards checked concurrently, ranks precomputed).
-  const optm::core::History big = live_recorder.history();
-  optm::core::ShardVerifyOptions options;
-  options.num_shards = 4;
-  const auto offline = optm::core::verify_history_sharded(big, options);
-  std::printf("sharded offline driver:  %s (%zu events, %zu shards)\n",
-              offline.certified ? "certified" : "FLAGGED", offline.events,
-              offline.shards_used);
   return 0;
 }

@@ -1,11 +1,12 @@
 // Recorded-mode soak: the full pipeline — multi-threaded mix recording
-// into the sharded recorder, a verifier thread draining stamp-contiguous
-// batches into the streaming certificate monitor (and optionally a
-// durable segment log), and the sharded offline driver re-verifying the
-// complete history — at soak scale (>= 1M events), reporting events/sec
-// for each stage. CI runs this nightly and uploads the numbers next to
-// the bench-smoke timing artifacts, so recorded-mode throughput
-// regressions show up in the artifact history.
+// into the sharded recorder, and a verifier thread draining
+// stamp-contiguous batches into the streaming certificate monitor (and
+// optionally a durable segment log and a remote certification service) —
+// at soak scale (>= 1M events), reporting the pipeline's events/sec. A
+// log written here is re-certified with `checker_tool certify-log`. CI
+// runs this nightly and uploads the numbers next to the bench-smoke
+// timing artifacts, so recorded-mode throughput regressions show up in
+// the artifact history.
 //
 // A thin CLI wrapper: the pipeline itself is stm::SoakDriver
 // (src/stm/soak_driver.hpp); this file only parses flags, wires in the
@@ -27,13 +28,12 @@
 int main(int argc, char** argv) {
   optm::util::Cli cli("recorded_soak",
                       "recorded-mode soak: sharded recorder -> live monitor "
-                      "(+ optional segment log) -> sharded offline driver");
+                      "(+ optional segment log and remote service)");
   optm::stm::add_run_flags(cli);
   cli.flag("events", std::int64_t{1'200'000}, "target number of recorded events (>= 1M soak)");
   cli.flag("threads", std::int64_t{4}, "recording threads");
   cli.flag("vars", std::int64_t{64}, "shared registers");
   cli.flag("ops-per-tx", std::int64_t{4}, "operations per transaction");
-  cli.flag("shards", std::int64_t{4}, "register shards for the offline driver");
   cli.flag("log-dir", "",
            "also append every drained batch to a segmented binary log in "
            "this directory (re-certify with: checker_tool certify-log)");
@@ -57,7 +57,6 @@ int main(int argc, char** argv) {
   options.threads = static_cast<std::uint32_t>(cli.get_int("threads"));
   options.vars = static_cast<std::uint32_t>(cli.get_int("vars"));
   options.ops_per_tx = static_cast<std::uint32_t>(cli.get_int("ops-per-tx"));
-  options.shards = static_cast<std::size_t>(cli.get_int("shards"));
 
   optm::log::LogMetadata meta;
   meta.runtime = flags->stm;
@@ -171,16 +170,6 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("soak.offline_policy=%s\n", to_string(result.policy));
-  std::printf("soak.offline_shards=%zu\n", result.offline_shards);
-  std::printf("soak.offline_events_per_sec=%.0f\n",
-              result.offline_events_per_sec);
-  std::printf("soak.offline=%s\n", result.offline_ok ? "certified" : "FLAGGED");
-  if (!result.offline_ok) {
-    std::printf("soak.offline_reason=%s\n",
-                result.offline_violation->reason.c_str());
-    return 1;
-  }
   if (result.recorded_events < options.target_events) {
     std::printf("soak.warning=recorded fewer events than the %zu target\n",
                 options.target_events);
@@ -207,15 +196,12 @@ int main(int argc, char** argv) {
         "  \"live_pipeline_events_per_sec\": %.0f,\n"
         "  \"live_batches\": %zu,\n"
         "  \"max_batch\": %zu,\n"
-        "  \"max_batch_bound\": %zu,\n"
-        "  \"offline_events_per_sec\": %.0f,\n"
-        "  \"offline_shards\": %zu",
+        "  \"max_batch_bound\": %zu",
         result.stm.c_str(), to_string(result.policy),
         result.window_mode.c_str(), options.threads,
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,
-        result.live_max_batch, result.live_max_batch_bound,
-        result.offline_events_per_sec, result.offline_shards);
+        result.live_max_batch, result.live_max_batch_bound);
     std::fprintf(f, "\n}\n");
     std::fclose(f);
   }

@@ -1,9 +1,9 @@
 #include "core/conformance.hpp"
 
+#include <span>
 #include <utility>
 
-#include "core/parallel_verify.hpp"
-#include "util/pool.hpp"
+#include "core/adjudicate.hpp"
 
 namespace optm::core {
 namespace {
@@ -22,24 +22,6 @@ namespace {
   return v;
 }
 
-[[nodiscard]] EngineVerdict driver_verdict(const History& h,
-                                           util::ThreadPool& pool,
-                                           VersionOrderPolicy policy,
-                                           std::size_t shards) {
-  ShardVerifyOptions options;
-  options.policy = policy;
-  options.num_shards = shards;
-  const ParallelVerifyResult result = verify_history_sharded(h, pool, options);
-  EngineVerdict v;
-  v.certified = result.certified;
-  if (!v.certified && result.violation.has_value()) {
-    v.pos = result.violation->pos;
-    v.reason = result.violation->reason;
-    v.kind = result.violation->kind;
-  }
-  return v;
-}
-
 [[nodiscard]] std::string describe(const EngineVerdict& v) {
   if (v.certified) return "certified";
   return "flagged at " + std::to_string(v.pos) + " (" + v.reason + ")";
@@ -50,7 +32,8 @@ namespace {
 ConformanceReport check_conformance(const History& h,
                                     const ConformanceOptions& options) {
   ConformanceReport report;
-  util::ThreadPool pool(2);
+  OpacityOptions opts;
+  opts.max_states = options.exact_max_states;
 
   const auto diverge = [&report](std::string what) {
     if (report.ok) {
@@ -59,33 +42,34 @@ ConformanceReport check_conformance(const History& h,
     }
   };
 
+  // check_opacity on h[0..pos]; kUnknown when the prefix is too large,
+  // not well-formed or over budget.
+  const auto exact_prefix = [&](std::size_t pos) {
+    const History prefix = History::from_batch(
+        h.model(), std::span<const Event>(h.events().data(), pos + 1));
+    if (options.exact_max_txs == 0 ||
+        prefix.transactions().size() > options.exact_max_txs ||
+        !prefix.well_formed()) {
+      return Verdict::kUnknown;
+    }
+    return check_opacity(prefix, opts).verdict;
+  };
+
   for (const VersionOrderPolicy policy : options.policies) {
     PolicyConformance pc;
     pc.policy = policy;
     pc.monitor = monitor_verdict(h, policy);
-
-    bool first = true;
-    for (const std::size_t shards : options.shard_counts) {
-      const EngineVerdict d = driver_verdict(h, pool, policy, shards);
-      if (first) {
-        pc.driver = d;
-        first = false;
-      } else if (d.certified != pc.driver.certified ||
-                 (!d.certified && d.pos != pc.driver.pos)) {
-        diverge(std::string("driver disagrees with itself across shard "
-                            "counts under ") +
-                to_string(policy) + ": " + describe(pc.driver) + " vs " +
-                describe(d) + " at " + std::to_string(shards) + " shards");
-      }
-      // Monitor/driver equivalence: verdict always; position except under
-      // kBlindWriteSmart (the engines search different prefixes).
-      if (d.certified != pc.monitor.certified ||
-          (policy != VersionOrderPolicy::kBlindWriteSmart && !d.certified &&
-           d.pos != pc.monitor.pos)) {
-        diverge(std::string("monitor/driver divergence under ") +
-                to_string(policy) + " (" + std::to_string(shards) +
-                " shards): monitor " + describe(pc.monitor) + ", driver " +
-                describe(d));
+    if (!pc.monitor.certified) {
+      const Adjudication a = adjudicate(
+          h, OnlineViolation{pc.monitor.pos, pc.monitor.reason, pc.monitor.kind},
+          opts);
+      pc.adjudication = a.verdict;
+      const Verdict exact = exact_prefix(pc.monitor.pos);
+      if (exact != Verdict::kUnknown && a.verdict != exact) {
+        diverge(std::string("adjudication under ") + to_string(policy) +
+                " disagrees with the exact checker on the flagged prefix: " +
+                describe(pc.monitor) + " adjudicated " + to_string(a.verdict) +
+                " (" + a.reason + "), exact " + to_string(exact));
       }
     }
     report.policies.push_back(std::move(pc));
@@ -95,8 +79,6 @@ ConformanceReport check_conformance(const History& h,
   if (options.exact_max_txs > 0 &&
       h.transactions().size() <= options.exact_max_txs &&
       h.well_formed(&why)) {  // check_opacity's precondition
-    OpacityOptions opts;
-    opts.max_states = options.exact_max_states;
     const OpacityResult exact = check_opacity(h, opts);
     report.exact = exact.verdict;
     report.exact_reason = exact.reason;

@@ -1,27 +1,26 @@
 // Cross-engine conformance driver — the differential-testing backbone of
 // the window-free recording work.
 //
-// The repository now has three independent ways to judge one recorded
-// history: the streaming OnlineCertificateMonitor, the sharded offline
-// driver verify_history_sharded, and the exact definitional checker
-// check_opacity — the first two parameterized by a version-order policy
-// (core/version_order.hpp). Each pair owes the others a contract:
+// The repository judges one recorded history in two independent ways: the
+// streaming OnlineCertificateMonitor, parameterized by a version-order
+// policy (core/version_order.hpp), and the exact definitional checker
+// check_opacity. A monitor flag is then adjudicated (core/adjudicate.hpp).
+// The engines owe each other three contracts:
 //
-//   * per policy, monitor and driver are verdict- AND position-equivalent
-//     (kBlindWriteSmart: verdict only — the two engines search different
-//     prefixes, see parallel_verify.hpp);
-//   * the driver must agree with itself across shard counts;
 //   * soundness: a CERTIFIED verdict under any policy is a Theorem-2
 //     certificate, so the exact checker must answer kYes;
 //   * flag completeness: if the exact checker proves the history
 //     non-opaque, no policy may certify it (a flag may still be
-//     conservative — certificates are sufficient, not necessary).
+//     conservative — certificates are sufficient, not necessary);
+//   * every monitor flag is adjudicated, and whenever check_opacity
+//     decides the flagged prefix h[0..pos], the adjudication must be that
+//     verdict (neither the contradicting one nor kUnknown).
 //
 // check_conformance runs every configured engine over one history and
-// verifies all four contracts, reporting the first divergence in plain
-// text. It is the reusable core of the cross-runtime conformance fuzz
-// suite (tests/core/conformance_fuzz_test.cpp), which feeds it recordings
-// of live runtimes — windowed and window-free — plus the random_*_history
+// verifies all three, reporting the first divergence in plain text. It is
+// the reusable core of the cross-runtime conformance fuzz suite
+// (tests/core/conformance_fuzz_test.cpp), which feeds it recordings of
+// live runtimes — windowed and window-free — plus the random_*_history
 // generators; it is equally usable from tools (a recorded history that
 // fails conformance is a checker bug by definition, whatever the verdict).
 #pragma once
@@ -38,16 +37,15 @@
 namespace optm::core {
 
 struct ConformanceOptions {
-  /// Policies to sweep (each runs the monitor and the sharded driver).
+  /// Policies to sweep (each runs the monitor; its flag is adjudicated).
   std::vector<VersionOrderPolicy> policies{
       VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank,
       VersionOrderPolicy::kStampedRead};
-  /// Shard counts the driver must agree with the monitor (and itself) on.
-  std::vector<std::size_t> shard_counts{1, 3};
-  /// Run the exact definitional checker when the history has at most this
-  /// many transactions (0 disables it — it is exponential).
+  /// Run the exact definitional checker on the history, and on each
+  /// flagged prefix, when it has at most this many transactions (0
+  /// disables it — it is exponential).
   std::size_t exact_max_txs = 10;
-  /// DFS state budget for the exact checker.
+  /// DFS state budget for the exact checker and for adjudication.
   std::uint64_t exact_max_states = 500'000;
 };
 
@@ -62,14 +60,14 @@ struct EngineVerdict {
 struct PolicyConformance {
   VersionOrderPolicy policy{VersionOrderPolicy::kCommitOrder};
   EngineVerdict monitor;
-  /// The driver's verdict at the FIRST configured shard count (all counts
-  /// are checked for agreement; a mismatch is reported as a divergence).
-  EngineVerdict driver;
+  /// adjudicate() on the monitor's flag (kUnknown when certified).
+  Verdict adjudication{Verdict::kUnknown};
 };
 
 struct ConformanceReport {
-  /// Every contract held (monitor≡driver per policy, driver self-agreement
-  /// across shard counts, certified ⟹ exact kYes, exact kNo ⟹ all flag).
+  /// Every contract held (certified ⟹ exact kYes, exact kNo ⟹ all flag,
+  /// every adjudication equals the exact verdict of its prefix when that
+  /// is decided).
   bool ok{true};
   /// Human-readable description of the first broken contract.
   std::string divergence;

@@ -18,8 +18,7 @@
 //     engine, so it should be small: the streaming monitor keeps one
 //     32-bit word per id (unborn, committed, aborted, or its live slot)
 //     and holds a live transaction's full state in a recycled pool of its
-//     own (core/online.hpp); the sharded offline driver keeps a TxMeta per
-//     id.
+//     own (core/online.hpp).
 //
 //   * VersionTable<R> — the §5.4 value-unique version namespace over
 //     (register, value) keys: an append-only ARCHIVE of records in fixed
@@ -37,9 +36,9 @@
 //     probes() counts the calls into the index.
 //
 //   * SmallWriteSet<P> — a transaction's executed writes, sorted by
-//     register, each with a payload P (the sharded driver keeps the
-//     value; the streaming monitor keeps the version's record address, so
-//     its commit installs without a second probe): inline storage for the
+//     register, each with a payload P (the streaming monitor keeps the
+//     version's record address, so its commit installs without a second
+//     probe): inline storage for the
 //     common small write set, spilling into a pooled vector past
 //     kInlineCapacity. Spill vectors are
 //     RECYCLED through a caller-owned pool (release() at transaction
@@ -50,8 +49,7 @@
 //     installation order (and therefore every verdict and flag position)
 //     is preserved byte for byte.
 //
-// All three are shared by OnlineCertificateMonitor (core/online.hpp) and
-// the sharded offline driver (core/parallel_verify.cpp); the monitor's
+// All three serve OnlineCertificateMonitor (core/online.hpp); its
 // reserve() pre-sizes them so a soak-scale feed performs no allocation at
 // all after warm-up (tests/core/monitor_alloc_test.cpp holds it to that
 // under a counting operator-new).

@@ -19,12 +19,12 @@
 //    register histories with value-unique writes. It is a SUFFICIENT
 //    certificate, not a decision procedure: a clean run is certified
 //    opaque-prefix-by-prefix; a flagged event is a certificate violation
-//    (carrying a structured CertFlagKind) that the definitional backend
-//    can then adjudicate. Reads from commit-pending writers (legal under
-//    opacity via the set V — the H4 optimization) are flagged
-//    conservatively with kReadFromNonCommitted; none of our runtimes
-//    produce them, because the recorder window makes commit points atomic
-//    with their C events.
+//    (carrying a structured CertFlagKind) that core::adjudicate
+//    (adjudicate.hpp) then decides against Definition 1. Reads from
+//    commit-pending writers (legal under opacity via the set V — the H4
+//    optimization) are flagged conservatively with kReadFromNonCommitted;
+//    none of our runtimes produce them, because the recorder window makes
+//    commit points atomic with their C events.
 //
 // Both backends are single-threaded. OnlineCertificateMonitor is the one
 // streaming certification engine: live pipelines (stm::MonitorSink), the

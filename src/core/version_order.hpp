@@ -18,8 +18,7 @@
 //     and the VERSION order genuinely diverge.
 //
 // This header turns the rank assignment into a policy object consumed by
-// both certificate engines (the streaming OnlineCertificateMonitor and the
-// sharded offline driver verify_history_sharded):
+// the certificate engine, the streaming OnlineCertificateMonitor:
 //
 //   * kCommitOrder   — PR 1's behavior, byte for byte: ranks 1, 2, 3, …
 //     in C-record order; update commits must be current at their rank.
@@ -37,7 +36,7 @@
 //   * kStampedRead   — kSnapshotRank plus per-read stamp validation: when
 //     a read response carries its (rv, version) pair (Event::stamp =
 //     2·rv+1, Event::ver — window-free recording, see stm/recorder.hpp),
-//     the engines additionally check that the value read resolves to the
+//     the monitor additionally checks that the value read resolves to the
 //     version the read NAMES (open rank == 2·ver, via
 //     read_stamp_names_version below), that the version was not created
 //     after the claimed snapshot (open rank <= 2·rv+1), and at commit
@@ -54,7 +53,7 @@
 //
 // All four remain SUFFICIENT certificates: a flag is a certificate
 // violation, not yet a proof of non-opacity, and carries a structured
-// CertFlagKind so downstream adjudication (the definitional fallback, the
+// CertFlagKind so downstream adjudication (core::adjudicate, the
 // smart-reorder search) can dispatch on it without string matching.
 #pragma once
 
@@ -108,8 +107,8 @@ parse_version_order_policy(std::string_view name) noexcept {
          p == VersionOrderPolicy::kStampedRead;
 }
 
-/// The kStampedRead version-identity cross-check, shared by both
-/// certificate engines: does the version id a read names (Event::ver)
+/// The kStampedRead version-identity cross-check of the certificate
+/// monitor: does the version id a read names (Event::ver)
 /// match the stamp-space rank its value-resolved version opened at? The
 /// magnitude guard keeps `2 * ver` from wrapping: a genuine version claim
 /// always satisfies open == 2·ver without overflow, so a wrapping ver —
@@ -122,8 +121,8 @@ parse_version_order_policy(std::string_view name) noexcept {
 }
 
 /// Structured classification of a certificate flag. Every fail site of the
-/// certificate engines tags its flag with one of these so adjudication
-/// (definitional fallback, smart-reorder repair) dispatches on the enum
+/// certificate monitor tags its flag with one of these so adjudication
+/// (core::adjudicate, smart-reorder repair) dispatches on the enum
 /// instead of matching reason strings.
 enum class CertFlagKind : std::uint8_t {
   kNone = 0,
@@ -165,9 +164,8 @@ enum class CertFlagKind : std::uint8_t {
 }
 
 /// Flag kinds that by themselves prove the history non-opaque (they break
-/// §5.4 consistency, which Theorem 2 makes necessary) — the definitional
-/// fallback can adjudicate these kNo without running the exponential
-/// search.
+/// §5.4 consistency, which Theorem 2 makes necessary) — core::adjudicate
+/// decides these kNo without running the exponential search.
 [[nodiscard]] constexpr bool proves_non_opaque(CertFlagKind k) noexcept {
   switch (k) {
     case CertFlagKind::kLocalInconsistency:
@@ -183,7 +181,7 @@ enum class CertFlagKind : std::uint8_t {
 inline constexpr std::size_t kOpenVersionRank = static_cast<std::size_t>(-1);
 
 /// Streaming serialization-rank assignment — the one shared mechanism under
-/// the monitor and the sharded driver's pass 0. Feed it every committed
+/// the monitor. Feed it every committed
 /// C event in record order; it answers three questions:
 ///
 ///   * update_commit_rank(c): the rank at which the update transaction
@@ -192,7 +190,7 @@ inline constexpr std::size_t kOpenVersionRank = static_cast<std::size_t>(-1);
 ///   * read_only_point(c): the pinned serialization point of a read-only
 ///     commit, when the policy derives one (a stamp-space policy with an
 ///     odd stamp — the runtime's 2·snapshot+1 convention); nullopt means the
-///     engines fall back to the window rule (any rank in the snapshot
+///     monitor falls back to the window rule (any rank in the snapshot
 ///     window past the birth floor);
 ///   * floor(): the birth floor — every version closed at a rank <= floor()
 ///     was closed by a commit whose C event has already been fed, so a

@@ -130,6 +130,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <span>
 #include <type_traits>
@@ -158,8 +159,11 @@ namespace detail {
 ///     transaction with no such reads anchors at its first event.
 /// The stamp is Event::stamp of the transaction's C or A event (read
 /// responses carry stamps too, but those are read stamps, not the
-/// transaction's serialization point); a transaction still live at the
-/// end of `events` has none and keys at stamp 0.
+/// transaction's serialization point). A transaction still live at the
+/// end of `events` has no completion: it keys at the stamp of its last
+/// non-local read response — its read snapshot, the abort stamp it would
+/// get — or, with no such read, after every completion (a transaction
+/// with no completion precedes nobody in real time).
 /// A LOCAL read (preceded by the transaction's own write to the same
 /// register) is answered from the write buffer without validation, so
 /// it must not advance the anchor either. Unlike the naive "committed
@@ -173,7 +177,10 @@ namespace detail {
     std::uint64_t stamp = 0;
     std::size_t seq = 0;
     bool committed = false;
+    bool completed = false;
     bool seen = false;
+    /// Stamp of the last non-local read response, if any.
+    std::optional<std::uint64_t> read_stamp;
   };
   std::unordered_map<core::TxId, Key> keys;
   std::set<std::pair<core::TxId, VarId>> wrote;
@@ -190,12 +197,20 @@ namespace detail {
                e.op == core::OpCode::kRead && !k.committed &&
                !wrote.count({e.tx, static_cast<VarId>(e.obj)})) {
       k.seq = i;
+      k.read_stamp = e.stamp;
     } else if (e.kind == core::EventKind::kCommit) {
       k.committed = true;
+      k.completed = true;
       k.seq = i;
       k.stamp = e.stamp;
     } else if (e.kind == core::EventKind::kAbort) {
+      k.completed = true;
       k.stamp = e.stamp;
+    }
+  }
+  for (auto& [tx, k] : keys) {
+    if (!k.completed) {
+      k.stamp = k.read_stamp.value_or(~std::uint64_t{0});
     }
   }
 

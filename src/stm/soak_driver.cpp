@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/parallel_verify.hpp"
 #include "stm/factory.hpp"
 #include "workload/workloads.hpp"
 
@@ -105,22 +104,6 @@ SoakResult SoakDriver::run() {
     result.live_violation = monitor.violation();
   }
 
-  // Offline: the sharded parallel driver over the complete history.
-  if (o.offline_verify) {
-    const core::History h = recorder.history();
-    core::ShardVerifyOptions sharded;
-    sharded.num_shards = o.shards;
-    sharded.policy = o.run.policy;
-    const auto offline_t0 = Clock::now();
-    const auto offline = core::verify_history_sharded(h, sharded);
-    const auto offline_t1 = Clock::now();
-    result.offline_ran = true;
-    result.offline_ok = offline.certified;
-    result.offline_violation = offline.violation;
-    result.offline_events_per_sec =
-        events_per_sec(offline.events, offline_t0, offline_t1);
-    result.offline_shards = offline.shards_used;
-  }
   return result;
 }
 

@@ -5,9 +5,10 @@
 // sharded Recorder, a verifier thread pumping stamp-contiguous drained
 // batches through an EventSink chain (the serial OnlineCertificateMonitor,
 // on the pump thread, and optionally any extra sink — e.g.
-// log::LogWriterSink for a durable audit trail), then the sharded offline
-// driver re-verifying the complete history. Options in, structured results out; the example binaries are
-// thin CLI wrappers over this class.
+// log::LogWriterSink for a durable audit trail). The live monitor is the
+// one certificate engine; a log written here is re-certified with
+// `checker_tool certify-log`. Options in, structured results out; the
+// example binaries are thin CLI wrappers over this class.
 #pragma once
 
 #include <optional>
@@ -28,11 +29,7 @@ struct SoakOptions {
   std::uint32_t vars = 64;
   std::uint32_t ops_per_tx = 4;
   std::uint64_t seed = 20260730;
-  /// Register shards for the offline re-verification; kept at the CLI
-  /// default. Set offline_verify=false to skip that stage entirely.
-  std::size_t shards = 4;
   bool live_monitor = true;
-  bool offline_verify = true;
   /// Tee'd into the drain pipeline next to the live monitor (not owned).
   EventSink* extra_sink = nullptr;
 };
@@ -56,15 +53,7 @@ struct SoakResult {
   /// False if the extra sink reported a failure (e.g. a log write error).
   bool sink_ok = true;
 
-  bool offline_ran = false;
-  bool offline_ok = true;
-  std::optional<core::OnlineViolation> offline_violation;
-  double offline_events_per_sec = 0.0;
-  std::size_t offline_shards = 0;
-
-  [[nodiscard]] bool ok() const noexcept {
-    return live_ok && sink_ok && offline_ok;
-  }
+  [[nodiscard]] bool ok() const noexcept { return live_ok && sink_ok; }
 };
 
 class SoakDriver {

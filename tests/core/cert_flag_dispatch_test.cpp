@@ -1,11 +1,10 @@
 // Table-driven coverage of CertFlagKind: every kind's classification
 // (proves_non_opaque / reorder_repairable), a history that provokes it
 // where one is constructible, and — the point of the structured kinds —
-// the sharded driver's definitional fallback dispatching on them: kinds
-// that violate §5.4 consistency short-circuit to kNo WITHOUT running the
-// exponential search, while conservative kinds (the H4
-// reads-from-commit-pending flag included) are adjudicated by the exact
-// checker and may come back kYes.
+// adjudicate() dispatching on them: kinds that violate §5.4 consistency
+// short-circuit to kNo WITHOUT running the exponential search, while
+// conservative kinds (the H4 reads-from-commit-pending flag included) are
+// adjudicated by the exact checker and may come back kYes.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -13,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/version_order.hpp"
 
 namespace optm::core {
@@ -30,7 +29,8 @@ struct KindCase {
   /// need a stamp-space policy).
   VersionOrderPolicy policy;
   /// Exact verdict of the flagged history (what the non-short-circuited
-  /// fallback must report). Meaningless without a builder.
+  /// adjudication must report; kUnknown for a history Definition 1 does
+  /// not apply to). Meaningless without a builder.
   Verdict exact;
   /// Builds a history whose FIRST flag has this kind; nullptr for kinds
   /// with no reachable single-history trigger (classification-only rows).
@@ -213,41 +213,29 @@ TEST(CertFlagDispatch, MonitorRaisesEachConstructibleKind) {
   }
 }
 
-TEST(CertFlagDispatch, FallbackShortCircuitsConsistencyViolatingKinds) {
+TEST(CertFlagDispatch, AdjudicationShortCircuitsConsistencyViolatingKinds) {
   for (const KindCase& c : kind_table()) {
     if (!c.build) continue;
     const History h = c.build();
-    ShardVerifyOptions options;
-    options.policy = c.policy;
-    options.num_shards = 1;
-    options.definitional_fallback = true;
-    const ParallelVerifyResult result = verify_history_sharded(h, options);
-    ASSERT_FALSE(result.certified) << to_string(c.kind);
-    ASSERT_FALSE(result.flags.empty()) << to_string(c.kind);
-    const ShardFlag& flag = result.flags.front();
-    EXPECT_EQ(flag.kind, c.kind) << flag.reason << "\n" << h.str();
+    OnlineCertificateMonitor m(h.model(), c.policy);
+    for (const Event& e : h.events()) (void)m.feed(e);
+    ASSERT_FALSE(m.ok()) << to_string(c.kind);
+    EXPECT_EQ(m.violation()->kind, c.kind) << m.violation()->reason;
+    const Adjudication a = adjudicate(h, *m.violation());
 
-    if (flag.shard == kNoShard) {
-      // Global well-formedness flags have no shard sub-history to
-      // adjudicate; the fallback leaves them kUnknown.
-      EXPECT_EQ(flag.adjudication, Verdict::kUnknown) << to_string(c.kind);
-      continue;
-    }
     if (proves_non_opaque(c.kind)) {
       // The short-circuit: §5.4 consistency violations adjudicate kNo by
       // dispatch on the kind — the exponential search must not run.
-      EXPECT_EQ(flag.adjudication, Verdict::kNo) << to_string(c.kind);
-      EXPECT_NE(flag.adjudication_reason.find("no search needed"),
-                std::string::npos)
-          << to_string(c.kind) << ": " << flag.adjudication_reason;
+      EXPECT_EQ(a.verdict, Verdict::kNo) << to_string(c.kind);
+      EXPECT_NE(a.reason.find("no search needed"), std::string::npos)
+          << to_string(c.kind) << ": " << a.reason;
     } else {
       // Conservative kinds go to the exact checker; H4 and the version-
       // order claims come back kYes (the flag was a false alarm as far as
-      // opacity goes), the genuine violations kNo.
-      EXPECT_EQ(flag.adjudication, c.exact)
-          << to_string(c.kind) << ": " << flag.adjudication_reason;
-      EXPECT_EQ(flag.adjudication_reason.find("no search needed"),
-                std::string::npos)
+      // opacity goes), the genuine violations kNo. A not-well-formed
+      // prefix is outside Definition 1 and stays kUnknown.
+      EXPECT_EQ(a.verdict, c.exact) << to_string(c.kind) << ": " << a.reason;
+      EXPECT_EQ(a.reason.find("no search needed"), std::string::npos)
           << to_string(c.kind) << " short-circuited unexpectedly";
     }
   }

@@ -1,15 +1,15 @@
 // Cross-runtime conformance fuzz: every runtime × every resolver policy ×
-// {streaming monitor, sharded driver, exact check_opacity}, via
-// core::check_conformance (core/conformance.hpp).
+// {streaming monitor, adjudication of its flags, exact check_opacity},
+// via core::check_conformance (core/conformance.hpp).
 //
 // The acceptance bar of the window-free work lives here: on >= 150 fuzz
 // seeds, a window-free tl2 recording of a deterministic schedule must be
 // BYTE-EQUAL to the windowed recording of the identical schedule (the
 // window changes locking, never content — stamps included), and every
-// engine must return the same verdict and first condemned position on it.
-// Genuinely concurrent window-free runs (where records really drift) must
-// certify under the stamped policies, and corrupted recordings must flag
-// equivalently everywhere.
+// policy must certify it, as the exact checker does. Genuinely concurrent
+// window-free runs (where records really drift) must certify under the
+// stamped policies, and corrupted recordings must flag, each flag
+// adjudicated in agreement with check_opacity on its prefix.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -126,8 +126,7 @@ constexpr std::uint64_t kScheduleSeeds = 150;  // the acceptance bar
 
 // The acceptance criterion: window-free tl2 recording of a deterministic
 // schedule is byte-equal to the windowed recording of the identical
-// schedule, and monitor, sharded driver and check_opacity all agree on it
-// under every policy.
+// schedule, and monitor and check_opacity agree on it under every policy.
 TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
   ConformanceOptions options;
   options.policies = {
@@ -176,7 +175,7 @@ TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
 // must be BYTE-EQUAL for the ownership-record runtimes (dstm, astm — reads
 // stamped with their validation snapshot and CAS-acquired orec version)
 // and for mv (update commits now ticket before validating), and every
-// engine must agree on them under every policy. The write-heavy parameter
+// policy must certify them. The write-heavy parameter
 // set drives real contention-manager kills and orec steals through the
 // deterministic interleaving, so the abort paths record too.
 TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) {
@@ -301,7 +300,7 @@ TEST(ConformanceFuzz, WindowFreeCapabilityMatrix) {
 
 // Corrupted recordings: a lying stamp is caught by kStampedRead (and only
 // by it — the corruption leaves the history opaque), a lying value by
-// every policy, with monitor and driver agreeing throughout.
+// every policy, each flag adjudicated in agreement with check_opacity.
 TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
@@ -403,8 +402,8 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
 // orec version word, a replayed stale snapshot stamp (the shape a stolen
 // orec's leftover stamp would take), and the 2·ver wrap attack. Each
 // corruption leaves the history opaque — the lie is in the stamps — so
-// exactly kStampedRead must flag it, every engine agreeing, and the exact
-// checker must still answer kYes.
+// exactly kStampedRead must flag it, and the exact checker must still
+// answer kYes.
 TEST(ConformanceFuzz, CorruptedOrecStampsFlagUnderStampedReadOnly) {
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
@@ -663,10 +662,9 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
 // --- the random_*_history generators ----------------------------------------
 
 TEST(ConformanceFuzz, RandomHistoriesConformUnderEveryPolicy) {
-  // kBlindWriteSmart is deliberately absent: its monitor and driver search
-  // different prefixes, so on flagged histories even verdicts may diverge
-  // between the bounded searches — its soundness contract is covered by
-  // version_order_test on the §3.6 histories.
+  // kBlindWriteSmart is absent: its soundness contract is covered by
+  // version_order_test on the §3.6 histories and by online_batch_test's
+  // per-prefix bound against the definitional monitor.
   ConformanceOptions options;
   options.policies = {VersionOrderPolicy::kCommitOrder,
                       VersionOrderPolicy::kSnapshotRank,

@@ -2,20 +2,19 @@
 // recorded WITHOUT the exclusive commit window, so C records drift out of
 // stamp order. Every generated history is opaque by construction; the
 // commit-order certificate falsely flags the drifted ones, while the
-// SnapshotRank policy — streaming monitor AND sharded driver — certifies
-// them from the stamps the C/A events carry. The definitional checker
-// adjudicates every verdict.
+// SnapshotRank policy certifies them from the stamps the C/A events carry.
+// The definitional checker decides every history, and every flag is
+// adjudicated and must match check_opacity on its prefix.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/opacity.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
-#include "util/pool.hpp"
 
 namespace optm::core {
 namespace {
@@ -44,8 +43,14 @@ constexpr std::uint64_t kSeeds = 150;  // >= 100 histories (acceptance bar)
   return m;
 }
 
+/// check_opacity on h[0..pos].
+[[nodiscard]] Verdict exact_prefix(const History& h, std::size_t pos) {
+  History prefix(h.model());
+  for (std::size_t i = 0; i <= pos; ++i) prefix.append(h[i]);
+  return check_opacity(prefix).verdict;
+}
+
 TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
-  util::ThreadPool pool(2);
   std::size_t commit_order_flagged = 0;
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -54,36 +59,23 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
     ASSERT_TRUE(h.well_formed(&why)) << "seed " << seed << ": " << why;
 
     // The commit-order policy may flag (the false-flag count is asserted
-    // below); monitor and driver must still agree with each other.
+    // below); its flag is adjudicated, and the adjudication must match
+    // Definition 1 on the flagged prefix: kYes, a false alarm.
     const auto commit_monitor = feed_all(h, VersionOrderPolicy::kCommitOrder);
-    ShardVerifyOptions commit_options;
-    commit_options.num_shards = 2;
-    const ParallelVerifyResult commit_driver =
-        verify_history_sharded(h, pool, commit_options);
-    ASSERT_EQ(commit_driver.certified, commit_monitor.ok())
-        << "seed " << seed << "\n" << h.str();
     if (!commit_monitor.ok()) {
       ++commit_order_flagged;
-      EXPECT_EQ(commit_driver.violation->pos, commit_monitor.violation()->pos)
+      const Adjudication a = adjudicate(h, *commit_monitor.violation());
+      EXPECT_EQ(a.verdict, Verdict::kYes) << "seed " << seed << ": " << a.reason;
+      EXPECT_EQ(a.verdict, exact_prefix(h, commit_monitor.violation()->pos))
           << "seed " << seed;
     }
 
-    // SnapshotRank: every history certifies, streaming and sharded alike.
+    // SnapshotRank: every history certifies.
     const auto snap_monitor = feed_all(h, VersionOrderPolicy::kSnapshotRank);
     EXPECT_TRUE(snap_monitor.ok())
         << "seed " << seed << " at " << snap_monitor.violation()->pos << ": "
         << snap_monitor.violation()->reason << "\n"
         << h.str();
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
-      ShardVerifyOptions options;
-      options.policy = VersionOrderPolicy::kSnapshotRank;
-      options.num_shards = shards;
-      const ParallelVerifyResult driver =
-          verify_history_sharded(h, pool, options);
-      EXPECT_EQ(driver.certified, snap_monitor.ok())
-          << "seed " << seed << " shards " << shards
-          << (driver.violation ? "\ndriver: " + driver.violation->reason : "");
-    }
 
     // The exact checker confirms every history really is opaque — the
     // commit-order flags above were false alarms, not bugs slipping by.
@@ -101,7 +93,6 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
 }
 
 TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
-  util::ThreadPool pool(2);
   std::size_t corrupted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     History h = random_mv_history(fuzz_params(seed));
@@ -124,14 +115,14 @@ TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
          {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank}) {
       const auto monitor = feed_all(bad, policy);
       ASSERT_FALSE(monitor.ok()) << "seed " << seed << " " << to_string(policy);
-      ShardVerifyOptions options;
-      options.policy = policy;
-      options.num_shards = 2;
-      const ParallelVerifyResult driver =
-          verify_history_sharded(bad, pool, options);
-      ASSERT_FALSE(driver.certified) << "seed " << seed;
-      EXPECT_EQ(driver.violation->pos, monitor.violation()->pos)
-          << "seed " << seed << " " << to_string(policy);
+      // Commit order may raise a false alarm before the corruption; the
+      // snapshot-rank flag is the corruption's, so its prefix is not opaque.
+      const Adjudication a = adjudicate(bad, *monitor.violation());
+      EXPECT_EQ(a.verdict, exact_prefix(bad, monitor.violation()->pos))
+          << "seed " << seed << " " << to_string(policy) << ": " << a.reason;
+      if (policy == VersionOrderPolicy::kSnapshotRank) {
+        EXPECT_EQ(a.verdict, Verdict::kNo) << "seed " << seed << ": " << a.reason;
+      }
     }
 
     const OpacityResult exact = check_opacity(bad);

@@ -1,7 +1,9 @@
-// Batch ingestion and the sharded offline driver must agree with the
-// single-event streaming certificate monitor — same verdict, same first
-// condemned position — on fuzzed histories, clean recorded runs, and the
-// paper's own counterexamples. The LookAhead suite holds ingest()'s
+// Batch ingestion must agree with the single-event streaming certificate
+// monitor — same verdict, same first condemned position — on fuzzed
+// histories, clean recorded runs, and the paper's own counterexamples;
+// on fuzzed histories every policy's monitor must flag no later than the
+// exact definitional monitor, and a flag is adjudicated against
+// Definition 1. The LookAhead suite holds ingest()'s
 // look-ahead (it prefetches for the event kAhead further down the span)
 // to feed()'s verdict, flag position, kind and reason at the edges of
 // the look-ahead window, under every policy.
@@ -13,13 +15,12 @@
 #include <string>
 #include <vector>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/paper.hpp"
-#include "core/parallel_verify.hpp"
 #include "core/random_history.hpp"
 #include "stm/factory.hpp"
 #include "stm/recorder.hpp"
-#include "util/pool.hpp"
 #include "workload/workloads.hpp"
 
 namespace optm::core {
@@ -63,8 +64,17 @@ TEST_P(BatchEquivalence, IngestMatchesFeedForEveryBatchSize) {
   }
 }
 
-TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
-  util::ThreadPool pool(2);
+constexpr VersionOrderPolicy kPolicies[] = {
+    VersionOrderPolicy::kCommitOrder,
+    VersionOrderPolicy::kBlindWriteSmart,
+    VersionOrderPolicy::kSnapshotRank,
+    VersionOrderPolicy::kStampedRead,
+};
+
+// The certificate is sufficient: if Definition 1 first fails on the prefix
+// ending at p, every policy's monitor has flagged at or before p, and a
+// run a monitor certifies end to end is opaque.
+TEST_P(BatchEquivalence, DefinitionalFlagBoundsEveryPolicy) {
   for (const ValueModel model :
        {ValueModel::kCoherent, ValueModel::kAdversarial}) {
     RandomHistoryParams params;
@@ -74,24 +84,25 @@ TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
     params.max_ops_per_tx = 5;
     params.value_model = model;
     const History h = random_history(params);
-    const auto reference = stream_one_by_one(h);
+    OnlineDefinitionalMonitor exact(h.model());
+    (void)exact.ingest(h.events());
+    if (exact.violation().has_value()) {
+      ASSERT_NE(exact.violation()->kind, CertFlagKind::kBudgetExhausted);
+    }
 
-    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                     std::size_t{3}}) {
-      ShardVerifyOptions options;
-      options.num_shards = shards;
-      const ParallelVerifyResult result =
-          verify_history_sharded(h, pool, options);
-      EXPECT_EQ(result.certified, !reference.has_value())
-          << "shards=" << shards << "\n"
-          << h.str()
-          << (result.violation ? "\ndriver: " + result.violation->reason : "")
-          << (reference ? "\nmonitor: " + reference->reason : "");
-      if (reference.has_value() && result.violation.has_value()) {
-        EXPECT_EQ(result.violation->pos, reference->pos)
-            << "shards=" << shards << "\ndriver: " << result.violation->reason
-            << "\nmonitor: " << reference->reason << "\n"
+    for (const VersionOrderPolicy policy : kPolicies) {
+      OnlineCertificateMonitor m(h.model(), policy);
+      (void)m.ingest(h.events());
+      if (exact.violation().has_value()) {
+        ASSERT_FALSE(m.ok()) << to_string(policy) << "\n" << h.str();
+        EXPECT_LE(m.violation()->pos, exact.violation()->pos)
+            << to_string(policy) << ": " << m.violation()->reason
+            << "\nexact: " << exact.violation()->reason << "\n"
             << h.str();
+      }
+      if (m.ok()) {
+        EXPECT_EQ(check_opacity(h).verdict, Verdict::kYes)
+            << to_string(policy) << "\n" << h.str();
       }
     }
   }
@@ -100,49 +111,22 @@ TEST_P(BatchEquivalence, ShardedDriverMatchesStreamingMonitor) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchEquivalence,
                          ::testing::Range<std::uint64_t>(1, 61));
 
-TEST(ShardedDriver, CertifiesTheOpaquePaperHistory) {
+TEST(PaperHistories, MonitorCertifiesTheOpaquePaperHistory) {
   const History h5 = paper::fig2_h5();
-  const ParallelVerifyResult result = verify_history_sharded(h5);
-  EXPECT_TRUE(result.certified) << (result.violation ? result.violation->reason
-                                                     : "");
+  const auto violation = stream_one_by_one(h5);
+  EXPECT_FALSE(violation.has_value()) << violation->reason;
 }
 
-TEST(ShardedDriver, FlagsAndAdjudicatesTheNonOpaquePaperHistory) {
+TEST(PaperHistories, FlagOnTheNonOpaquePaperHistoryAdjudicatesNo) {
   const History h1 = paper::fig1_h1();
-  ShardVerifyOptions options;
-  options.num_shards = 1;
-  options.definitional_fallback = true;
-  const ParallelVerifyResult result = verify_history_sharded(h1, options);
-  ASSERT_FALSE(result.certified);
-  ASSERT_FALSE(result.flags.empty());
-  // The streaming monitor condemns the same position.
-  const auto reference = stream_one_by_one(h1);
-  ASSERT_TRUE(reference.has_value());
-  EXPECT_EQ(result.violation->pos, reference->pos);
-  // H1 is genuinely non-opaque, so the exact adjudicator must agree that
-  // the flagged shard's sub-history (here: the whole history) is bad.
-  EXPECT_EQ(result.flags.front().adjudication, Verdict::kNo)
-      << result.flags.front().adjudication_reason;
-}
-
-TEST(ShardedDriver, ProjectionKeepsLifecycleOfTouchingTransactions) {
-  const History h1 = paper::fig1_h1();
-  std::vector<ObjId> all_regs;
-  for (ObjId r = 0; r < h1.model().size(); ++r) all_regs.push_back(r);
-  const History full = project_registers(h1, all_regs);
-  ASSERT_EQ(full.size(), h1.size());
-  const History none = project_registers(h1, {});
-  EXPECT_TRUE(none.empty());
+  const auto violation = stream_one_by_one(h1);
+  ASSERT_TRUE(violation.has_value());
+  // H1 is genuinely non-opaque, and the flagged prefix already is.
+  const Adjudication a = adjudicate(h1, *violation);
+  EXPECT_EQ(a.verdict, Verdict::kNo) << a.reason;
 }
 
 // --- the look-ahead's edges ---------------------------------------------------
-
-constexpr VersionOrderPolicy kPolicies[] = {
-    VersionOrderPolicy::kCommitOrder,
-    VersionOrderPolicy::kBlindWriteSmart,
-    VersionOrderPolicy::kSnapshotRank,
-    VersionOrderPolicy::kStampedRead,
-};
 
 constexpr std::size_t kAhead = OnlineCertificateMonitor::kAhead;
 

@@ -9,8 +9,8 @@
 // Value-unique writes make the check airtight on the recording itself: a
 // committed transaction's read may only ever return a value written by a
 // COMMITTED transaction (or the initializer), and the kStampedRead
-// certificate — monitor, sharded driver and the exact checker agreeing
-// via core::check_conformance — must certify the window-free recording.
+// certificate — monitor and the exact checker agreeing via
+// core::check_conformance — must certify the window-free recording.
 #include <gtest/gtest.h>
 
 #include <map>

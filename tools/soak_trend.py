@@ -7,7 +7,9 @@ in ``_events_per_sec`` are throughputs; ``soak.window_mode`` / ``soak.policy``
 make the artifacts self-describing). This tool diffs the current artifacts
 against the previous nightly's and FAILS (exit 1) when any throughput
 regressed by more than the threshold. An artifact present only in the
-previous run is listed as a ``dropped artifact`` row, not a failure.
+previous run is listed as a ``dropped artifact`` row, and a throughput key
+the previous artifact has and the current one lacks as a ``dropped key``
+row; neither is a failure.
 
 The default threshold is deliberately loose (25%): the CI runners and the
 repository's 4-vCPU measurement host are VMs shared with other tenants,
@@ -101,6 +103,10 @@ def main() -> int:
             rows.append((curr_path.name, key,
                          f"{prev[key]:,.0f}", f"{curr[key]:,.0f}",
                          f"{status} ({ratio:.1%} of previous)"))
+        # A throughput the soak no longer reports (a retired stage).
+        for key in sorted(set(prev) - set(curr)):
+            rows.append((curr_path.name, key, f"{prev[key]:,.0f}", "-",
+                         "dropped key"))
     # A baseline artifact this run no longer produces: report it, so a
     # deliberately retired leg is visible, but do not fail on it.
     curr_names = {path.name for path in curr_files}
