@@ -49,10 +49,10 @@ core::History recorded_mix(std::uint64_t txs_per_thread) {
   return recorder.history();
 }
 
-/// A monitor for `h` under `policy`, reserve()d for every transaction and
-/// version `h` creates, so a timed ingest measures ingest and not growth.
+/// A monitor for `h`, reserve()d for every transaction and version `h`
+/// creates, so a timed ingest measures ingest and not growth.
 std::unique_ptr<core::OnlineCertificateMonitor> reserved_monitor(
-    const core::History& h, core::VersionOrderPolicy policy) {
+    const core::History& h) {
   std::size_t txs = 0;
   std::size_t versions = h.model().size();
   for (const core::Event& e : h.events()) {
@@ -61,8 +61,7 @@ std::unique_ptr<core::OnlineCertificateMonitor> reserved_monitor(
       ++versions;
     }
   }
-  auto monitor = std::make_unique<core::OnlineCertificateMonitor>(h.model(),
-                                                                   policy);
+  auto monitor = std::make_unique<core::OnlineCertificateMonitor>(h.model());
   monitor->reserve(txs, versions);
   return monitor;
 }
@@ -76,7 +75,7 @@ void BM_CertificateMonitor(benchmark::State& state) {
   bool clean = true;
   for (auto _ : state) {
     state.PauseTiming();
-    monitor = reserved_monitor(h, core::VersionOrderPolicy::kCommitOrder);
+    monitor = reserved_monitor(h);
     state.ResumeTiming();
     for (const core::Event& e : h.events()) (void)monitor->feed(e);
     clean = monitor->ok();
@@ -125,7 +124,7 @@ void BM_BatchCertificateMonitor(benchmark::State& state) {
   bool clean = true;
   for (auto _ : state) {
     state.PauseTiming();
-    monitor = reserved_monitor(h, core::VersionOrderPolicy::kCommitOrder);
+    monitor = reserved_monitor(h);
     state.ResumeTiming();
     for (std::size_t i = 0; i < events.size(); i += batch) {
       (void)monitor->ingest(
@@ -168,8 +167,8 @@ core::History recorded_stream(std::size_t events) {
   return recorder.history();
 }
 
-/// OnlineCertificateMonitor::ingest alone on `range(0)` events under
-/// kStampedRead, in 2048-event spans (DrainPump's largest hand-over), on
+/// OnlineCertificateMonitor::ingest alone on `range(0)` window-free
+/// (stamped) events, in 2048-event spans (DrainPump's largest hand-over), on
 /// the wall clock. The history is recorded once; each iteration's monitor
 /// is built and reserve()d outside the timed region. The version index
 /// and the register heads outgrow L2 here, unlike
@@ -182,7 +181,7 @@ void BM_CertifyStream(benchmark::State& state) {
   std::unique_ptr<core::OnlineCertificateMonitor> monitor;
   for (auto _ : state) {
     state.PauseTiming();
-    monitor = reserved_monitor(h, core::VersionOrderPolicy::kStampedRead);
+    monitor = reserved_monitor(h);
     state.ResumeTiming();
     for (std::size_t i = 0; i < events.size(); i += kSpan) {
       (void)monitor->ingest(
@@ -361,7 +360,6 @@ void BM_LogAppendDrain(benchmark::State& state) {
     options.directory = dir.string();
     options.segment_bytes = std::size_t{2} << 20;  // force rotation
     options.metadata.runtime = "tl2";
-    options.metadata.policy = "record-only";
     options.metadata.window_mode = "windowed";
     options.metadata.num_vars = 8;
     log::LogWriter writer(options);
@@ -423,7 +421,7 @@ BENCHMARK(BM_Crc32c)->Arg(64)->Arg(4096)->Arg(1 << 20);
 //
 // CI's bench-smoke job archives this next to the google-benchmark JSON so
 // the repository accumulates an events/sec trajectory per
-// runtime x policy x window mode instead of free-form console logs.
+// runtime x window mode instead of free-form console logs.
 
 namespace {
 
@@ -436,9 +434,9 @@ struct BenchMeta {
   const char* window_mode;
 };
 constexpr BenchMeta kBenchMeta[] = {
-    {"BM_CertificateMonitor", "tl2", "commit-order", "windowed"},
+    {"BM_CertificateMonitor", "tl2", "stamped-read", "windowed"},
     {"BM_DefinitionalMonitor", "tl2", "definitional", "windowed"},
-    {"BM_BatchCertificateMonitor", "tl2", "commit-order", "windowed"},
+    {"BM_BatchCertificateMonitor", "tl2", "stamped-read", "windowed"},
     {"BM_CertifyStream", "tl2", "stamped-read", "window-free"},
     {"BM_RecorderDrain", "tl2", "record-only", "windowed"},
     {"BM_RamAppendDrain", "tl2", "record-only", "windowed"},

@@ -24,8 +24,11 @@
 // 1.5× index-only transient while the index doubles. certlog.versions and
 // certlog.version_bytes report that table at the end of the run, and
 // certlog.table_probes the calls into its index (one per write response
-// and per read of a non-current value). The policy defaults to the one
-// recorded in the segment headers. A flagged verdict also prints the
+// and per read of a non-current value). The policy field of the segment
+// headers must hold one of the four historical names (commit-order,
+// blind-write-smart, snapshot-rank, stamped-read); every one means the
+// monitor's one stamp order, which certlog.policy names. A flagged
+// verdict also prints the
 // flag's position, kind and reason (certlog.flag_pos / flag_kind /
 // flag_reason; certify-remote prints the same as certremote.*).
 // certlog.elapsed_s and certlog.events_per_s time the run by the wall
@@ -155,9 +158,6 @@ int cmd_certify_log(int argc, char** argv) {
                       "stream a segmented binary event log from disk through "
                       "the certificate monitor");
   cli.positional("dir", "log directory written by recorded_soak --log-dir");
-  cli.flag("policy", "",
-           "version-order policy override (default: the policy recorded "
-           "in the segment headers)");
   if (!cli.parse(argc, argv)) return 1;
 
   // Wall clock from reader open to verdict: the certify-from-disk rate.
@@ -168,13 +168,9 @@ int cmd_certify_log(int argc, char** argv) {
     return 2;
   }
   const optm::log::LogMetadata& meta = reader.metadata();
-  std::string policy_name =
-      cli.get("policy").empty() ? meta.policy : cli.get("policy");
-  const auto policy = optm::core::parse_version_order_policy(policy_name);
-  if (!policy) {
-    std::fprintf(stderr,
-                 "certify-log: unknown policy '%s' (override with --policy=)\n",
-                 policy_name.c_str());
+  if (!optm::core::is_version_order_name(meta.policy)) {
+    std::fprintf(stderr, "certify-log: unknown policy '%s' in the log\n",
+                 meta.policy.c_str());
     return 2;
   }
   if (meta.num_vars == 0) {
@@ -185,15 +181,13 @@ int cmd_certify_log(int argc, char** argv) {
   std::printf("certlog.dir=%s\n", cli.get("dir").c_str());
   std::printf("certlog.stm=%s\n", meta.runtime.c_str());
   std::printf("certlog.window_mode=%s\n", meta.window_mode.c_str());
-  std::printf("certlog.policy=%s\n", to_string(*policy));
+  std::printf("certlog.policy=%s\n", optm::core::kVersionOrderName);
   std::printf("certlog.segments=%zu\n", reader.num_segments());
 
-  optm::core::StreamVerifyOptions options;
-  options.policy = *policy;
   const auto model =
       optm::core::ObjectModel::registers(meta.num_vars, 0);
   const auto result = optm::core::verify_event_stream(
-      model, [&reader] { return reader.next(); }, options);
+      model, [&reader] { return reader.next(); });
   const double elapsed_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -341,9 +335,6 @@ int cmd_certify_remote(int argc, char** argv) {
                       "certification service (checker_tool serve)");
   cli.positional("dir", "log directory written by recorded_soak --log-dir");
   cli.flag("connect", "127.0.0.1:7444", "host:port of the service");
-  cli.flag("policy", "",
-           "version-order policy override (default: the policy recorded "
-           "in the segment headers)");
   cli.flag("net-timeout-ms", std::int64_t{30'000},
            "connect/send/recv deadline (0 = no deadline); an expired "
            "deadline is an operational error (exit 2), not a hang");
@@ -361,8 +352,9 @@ int cmd_certify_remote(int argc, char** argv) {
     std::fprintf(stderr, "certify-remote: %s\n", reader.error().c_str());
     return 2;
   }
-  optm::log::LogMetadata meta = reader.metadata();
-  if (!cli.get("policy").empty()) meta.policy = cli.get("policy");
+  // The hello forwards the log's policy name; the server accepts the
+  // historical names and refuses any other.
+  const optm::log::LogMetadata& meta = reader.metadata();
 
   optm::net::ClientOptions client_options;
   client_options.timeout_ms = static_cast<int>(cli.get_int("net-timeout-ms"));
@@ -373,7 +365,7 @@ int cmd_certify_remote(int argc, char** argv) {
   }
   std::printf("certremote.dir=%s\n", cli.get("dir").c_str());
   std::printf("certremote.connect=%s:%u\n", host.c_str(), port);
-  std::printf("certremote.policy=%s\n", meta.policy.c_str());
+  std::printf("certremote.policy=%s\n", optm::core::kVersionOrderName);
   std::printf("certremote.window=%llu\n",
               static_cast<unsigned long long>(client.window()));
 

@@ -52,11 +52,10 @@ int main(int argc, char** argv) {
   defaults.stm = "weak";
   optm::stm::add_run_flags(cli, defaults);
   if (!cli.parse(argc, argv)) return 1;
-  const auto flags = optm::stm::parse_run_flags(cli);
-  if (!flags) return 1;
+  const optm::stm::RunFlags flags = optm::stm::parse_run_flags(cli);
 
   // The §2 interleaving: T1 reads x before, and y after, T2's commit.
-  const auto stm = optm::stm::make_run_stm(*flags, 2);
+  const auto stm = optm::stm::make_run_stm(flags, 2);
   if (stm == nullptr) return 1;
   optm::stm::Recorder recorder(2);
   stm->set_recorder(&recorder);
@@ -106,8 +105,7 @@ int main(int argc, char** argv) {
   const auto live_stm = optm::stm::make_stm("tl2", 32);
   optm::stm::Recorder live_recorder(32);
   live_stm->set_recorder(&live_recorder);
-  optm::core::OnlineCertificateMonitor live_monitor(live_recorder.model(),
-                                                    flags->policy);
+  optm::core::OnlineCertificateMonitor live_monitor(live_recorder.model());
   // The shared drain loop: MonitorSink adapts the monitor to the
   // EventSink interface and DrainPump runs the self-paced poll/drain
   // cadence (same pump the soak driver and the log writer use).

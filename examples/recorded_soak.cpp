@@ -13,8 +13,8 @@
 // optional log::LogWriterSink, and prints/serializes the results.
 //
 //   build/recorded_soak --stm=tl2 --events=1200000 --threads=4
-//   build/recorded_soak --window-free=1 --policy=stamped-read
-//       --log-dir=/tmp/soaklog --segment-bytes=8388608
+//   build/recorded_soak --window-free=1 --log-dir=/tmp/soaklog
+//       --segment-bytes=8388608
 #include <cstdio>
 #include <memory>
 
@@ -48,20 +48,16 @@ int main(int argc, char** argv) {
            "to this file (the perf-trajectory artifact schema)");
   if (!cli.parse(argc, argv)) return 1;
 
-  const auto flags = optm::stm::parse_run_flags(cli);
-  if (!flags) return 1;
-
   optm::stm::SoakOptions options;
-  options.run = *flags;
+  options.run = optm::stm::parse_run_flags(cli);
   options.target_events = static_cast<std::size_t>(cli.get_int("events"));
   options.threads = static_cast<std::uint32_t>(cli.get_int("threads"));
   options.vars = static_cast<std::uint32_t>(cli.get_int("vars"));
   options.ops_per_tx = static_cast<std::uint32_t>(cli.get_int("ops-per-tx"));
 
   optm::log::LogMetadata meta;
-  meta.runtime = flags->stm;
-  meta.policy = flags->policy_name();
-  meta.window_mode = flags->window_mode();
+  meta.runtime = options.run.stm;
+  meta.window_mode = options.run.window_mode();
   meta.num_vars = options.vars;
   meta.threads = options.threads;
 
@@ -118,10 +114,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf("soak.stm=%s\n", result.stm.c_str());
-  // Self-describing artifacts: which window mode and resolver policy this
-  // run used, so soak_*.txt files are comparable across CI runs.
+  // Self-describing artifacts: which window mode this run used, so
+  // soak_*.txt files are comparable across CI runs. soak.policy keeps the
+  // artifact schema's key; it always names the one version order.
   std::printf("soak.window_mode=%s\n", result.window_mode.c_str());
-  std::printf("soak.policy=%s\n", to_string(result.policy));
+  std::printf("soak.policy=%s\n", optm::core::kVersionOrderName);
   std::printf("soak.recorded_events=%zu\n", result.recorded_events);
   std::printf("soak.live_pipeline_events_per_sec=%.0f\n",
               result.live_events_per_sec);
@@ -197,7 +194,7 @@ int main(int argc, char** argv) {
         "  \"live_batches\": %zu,\n"
         "  \"max_batch\": %zu,\n"
         "  \"max_batch_bound\": %zu",
-        result.stm.c_str(), to_string(result.policy),
+        result.stm.c_str(), optm::core::kVersionOrderName,
         result.window_mode.c_str(), options.threads,
         result.recorded_events,
         result.live_events_per_sec, result.live_batches,

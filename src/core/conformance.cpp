@@ -8,9 +8,8 @@
 namespace optm::core {
 namespace {
 
-[[nodiscard]] EngineVerdict monitor_verdict(const History& h,
-                                            VersionOrderPolicy policy) {
-  OnlineCertificateMonitor m(h.model(), policy);
+[[nodiscard]] EngineVerdict monitor_verdict(const History& h) {
+  OnlineCertificateMonitor m(h.model());
   for (const Event& e : h.events()) (void)m.feed(e);
   EngineVerdict v;
   v.certified = m.ok();
@@ -55,24 +54,19 @@ ConformanceReport check_conformance(const History& h,
     return check_opacity(prefix, opts).verdict;
   };
 
-  for (const VersionOrderPolicy policy : options.policies) {
-    PolicyConformance pc;
-    pc.policy = policy;
-    pc.monitor = monitor_verdict(h, policy);
-    if (!pc.monitor.certified) {
-      const Adjudication a = adjudicate(
-          h, OnlineViolation{pc.monitor.pos, pc.monitor.reason, pc.monitor.kind},
-          opts);
-      pc.adjudication = a.verdict;
-      const Verdict exact = exact_prefix(pc.monitor.pos);
-      if (exact != Verdict::kUnknown && a.verdict != exact) {
-        diverge(std::string("adjudication under ") + to_string(policy) +
-                " disagrees with the exact checker on the flagged prefix: " +
-                describe(pc.monitor) + " adjudicated " + to_string(a.verdict) +
-                " (" + a.reason + "), exact " + to_string(exact));
-      }
+  report.monitor = monitor_verdict(h);
+  const EngineVerdict& monitor = report.monitor;
+  if (!monitor.certified) {
+    const Adjudication a = adjudicate(
+        h, OnlineViolation{monitor.pos, monitor.reason, monitor.kind}, opts);
+    report.adjudication = a.verdict;
+    const Verdict exact = exact_prefix(monitor.pos);
+    if (exact != Verdict::kUnknown && a.verdict != exact) {
+      diverge("adjudication disagrees with the exact checker on the flagged "
+              "prefix: " + describe(monitor) + " adjudicated " +
+              to_string(a.verdict) + " (" + a.reason + "), exact " +
+              to_string(exact));
     }
-    report.policies.push_back(std::move(pc));
   }
 
   std::string why;
@@ -83,24 +77,19 @@ ConformanceReport check_conformance(const History& h,
     report.exact = exact.verdict;
     report.exact_reason = exact.reason;
 
-    for (const PolicyConformance& pc : report.policies) {
-      if (pc.monitor.certified && exact.verdict == Verdict::kNo) {
-        // A certified non-opaque history would be a Theorem-2 soundness
-        // bug — the one divergence that must never happen.
-        diverge(std::string("SOUNDNESS: ") + to_string(pc.policy) +
-                " certified a history the exact checker proves non-opaque (" +
-                exact.reason + ")");
-      }
-      if (!pc.monitor.certified && exact.verdict == Verdict::kYes &&
-          pc.monitor.kind == CertFlagKind::kNotWellFormed) {
-        // Well-formedness is decided, not certified: the exact checker
-        // front-ends the same §4 state machine, so a well-formedness flag
-        // on an exactly-opaque history means the engines disagree on §4.
-        diverge(std::string("well-formedness flag under ") +
-                to_string(pc.policy) +
-                " on a history the exact checker accepts: " +
-                pc.monitor.reason);
-      }
+    if (monitor.certified && exact.verdict == Verdict::kNo) {
+      // A certified non-opaque history would be a Theorem-2 soundness
+      // bug — the one divergence that must never happen.
+      diverge("SOUNDNESS: the monitor certified a history the exact checker "
+              "proves non-opaque (" + exact.reason + ")");
+    }
+    if (!monitor.certified && exact.verdict == Verdict::kYes &&
+        monitor.kind == CertFlagKind::kNotWellFormed) {
+      // Well-formedness is decided, not certified: the exact checker
+      // front-ends the same §4 state machine, so a well-formedness flag
+      // on an exactly-opaque history means the engines disagree on §4.
+      diverge("well-formedness flag on a history the exact checker "
+              "accepts: " + monitor.reason);
     }
   }
 

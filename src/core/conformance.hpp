@@ -2,15 +2,14 @@
 // the window-free recording work.
 //
 // The repository judges one recorded history in two independent ways: the
-// streaming OnlineCertificateMonitor, parameterized by a version-order
-// policy (core/version_order.hpp), and the exact definitional checker
+// streaming OnlineCertificateMonitor and the exact definitional checker
 // check_opacity. A monitor flag is then adjudicated (core/adjudicate.hpp).
 // The engines owe each other three contracts:
 //
-//   * soundness: a CERTIFIED verdict under any policy is a Theorem-2
-//     certificate, so the exact checker must answer kYes;
+//   * soundness: a CERTIFIED verdict is a Theorem-2 certificate, so the
+//     exact checker must answer kYes;
 //   * flag completeness: if the exact checker proves the history
-//     non-opaque, no policy may certify it (a flag may still be
+//     non-opaque, the monitor must flag it (a flag may still be
 //     conservative — certificates are sufficient, not necessary);
 //   * every monitor flag is adjudicated, and whenever check_opacity
 //     decides the flagged prefix h[0..pos], the adjudication must be that
@@ -27,7 +26,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/history.hpp"
 #include "core/online.hpp"
@@ -37,10 +35,6 @@
 namespace optm::core {
 
 struct ConformanceOptions {
-  /// Policies to sweep (each runs the monitor; its flag is adjudicated).
-  std::vector<VersionOrderPolicy> policies{
-      VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank,
-      VersionOrderPolicy::kStampedRead};
   /// Run the exact definitional checker on the history, and on each
   /// flagged prefix, when it has at most this many transactions (0
   /// disables it — it is exponential).
@@ -49,7 +43,7 @@ struct ConformanceOptions {
   std::uint64_t exact_max_states = 500'000;
 };
 
-/// One engine's view of the history under one policy.
+/// The certificate monitor's view of the history.
 struct EngineVerdict {
   bool certified{false};
   std::size_t pos{0};  // first condemned position (valid iff !certified)
@@ -57,31 +51,19 @@ struct EngineVerdict {
   CertFlagKind kind{CertFlagKind::kNone};
 };
 
-struct PolicyConformance {
-  VersionOrderPolicy policy{VersionOrderPolicy::kCommitOrder};
-  EngineVerdict monitor;
-  /// adjudicate() on the monitor's flag (kUnknown when certified).
-  Verdict adjudication{Verdict::kUnknown};
-};
-
 struct ConformanceReport {
-  /// Every contract held (certified ⟹ exact kYes, exact kNo ⟹ all flag,
-  /// every adjudication equals the exact verdict of its prefix when that
-  /// is decided).
+  /// Every contract held (certified ⟹ exact kYes, exact kNo ⟹ flag, the
+  /// adjudication equals the exact verdict of its prefix when that is
+  /// decided).
   bool ok{true};
   /// Human-readable description of the first broken contract.
   std::string divergence;
-  std::vector<PolicyConformance> policies;
+  EngineVerdict monitor;
+  /// adjudicate() on the monitor's flag (kUnknown when certified).
+  Verdict adjudication{Verdict::kUnknown};
   /// Exact checker's verdict (kUnknown when skipped or budget-exhausted).
   Verdict exact{Verdict::kUnknown};
   std::string exact_reason;
-  /// Did the given policy certify the history (monitor side)?
-  [[nodiscard]] bool certified(VersionOrderPolicy p) const noexcept {
-    for (const PolicyConformance& pc : policies) {
-      if (pc.policy == p) return pc.monitor.certified;
-    }
-    return false;
-  }
 };
 
 /// Run every configured engine over `h` and check the contracts above.

@@ -54,15 +54,11 @@ bool OnlineDefinitionalMonitor::ingest(std::span<const Event> batch) {
 // OnlineCertificateMonitor
 // ---------------------------------------------------------------------------
 
-OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model,
-                                                   VersionOrderPolicy policy)
-    : model_(std::move(model)), policy_(policy), resolver_(policy) {
+OnlineCertificateMonitor::OnlineCertificateMonitor(ObjectModel model)
+    : model_(std::move(model)) {
   finished_.phase = Phase::kDone;
   heads_.resize(model_.size());
   versions_.reserve(model_.size() + 16);
-  if (policy_ == VersionOrderPolicy::kBlindWriteSmart) {
-    retained_ = History(model_);
-  }
   for (ObjId r = 0; r < model_.size(); ++r) {
     const auto* reg = dynamic_cast<const RegisterSpec*>(&model_.spec(r));
     if (reg == nullptr) {
@@ -217,12 +213,6 @@ void OnlineCertificateMonitor::close_holders(RegisterHead& head,
 
 bool OnlineCertificateMonitor::fail(CertFlagKind kind,
                                     const std::string& reason) {
-  if (policy_ == VersionOrderPolicy::kBlindWriteSmart && !search_mode_ &&
-      reorder_repairable(kind)) {
-    // The flag is a statement about the commit order only; §3.6 permits
-    // other version orders. Search them before condemning the prefix.
-    if (try_retro_order()) return true;
-  }
   violation_ = OnlineViolation{pos_, reason, kind};
   return false;
 }
@@ -234,43 +224,6 @@ namespace {
 [[nodiscard]] std::string tx_tag(TxId tx) { return "T" + std::to_string(tx); }
 
 }  // namespace
-
-bool OnlineCertificateMonitor::try_retro_order() {
-  SmartReorderOptions options;
-  options.prioritize = cur_tx_;
-  SmartReorderResult found = smart_reorder_search(retained_, options);
-  if (!found.certified) return false;
-  // A §3.6 reordering certifies the prefix exactly: the retro-ordered
-  // version re-opened the window the commit order had closed. The
-  // incremental rank state is stale from here on — keep streaming by
-  // replaying prefixes through the bounded search. This event's prefix is
-  // already verified; feed() must not run the search a second time.
-  witness_ = std::move(found.order);
-  search_mode_ = true;
-  prefix_verified_ = true;
-  return true;
-}
-
-bool OnlineCertificateMonitor::search_verify() {
-  // Incremental replay: the witness that certified the last prefix,
-  // extended with the transactions that appeared since, is tried before
-  // the bounded search — in the common case one exact pass re-verifies
-  // the suffix past the last certified anchor.
-  SmartReorderOptions options;
-  options.prioritize = cur_tx_;
-  options.hint = witness_.empty() ? nullptr : &witness_;
-  SmartReorderResult found = smart_reorder_search(retained_, options);
-  if (found.certified) {
-    witness_ = std::move(found.order);
-    return true;
-  }
-  violation_ = OnlineViolation{
-      pos_,
-      "no bounded smart reordering certifies the prefix (" +
-          std::to_string(found.candidates_tried) + " candidate orders tried)",
-      CertFlagKind::kSmartReorderFailed};
-  return false;
-}
 
 bool OnlineCertificateMonitor::on_operation_response(const Event& e,
                                                      TxState& tx) {
@@ -300,8 +253,7 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
 
   // Read response. Local reads must return the transaction's own latest
   // write and do not touch the window.
-  const bool stamped =
-      policy_ == VersionOrderPolicy::kStampedRead && e.stamp != 0;
+  const bool stamped = e.stamp != 0;
   if (stamped && e.stamp > tx.max_read_stamp) tx.max_read_stamp = e.stamp;
   if (VersionRec* const* own = tx.writes.find(e.obj)) {
     const Value own_val = (*own)->val;
@@ -391,8 +343,7 @@ bool OnlineCertificateMonitor::on_operation_response(const Event& e,
 
 bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
   // Serialization-point checks BEFORE installing this commit's writes.
-  if (policy_ == VersionOrderPolicy::kStampedRead && c.stamp != 0 &&
-      c.stamp < tx.max_read_stamp) {
+  if (c.stamp != 0 && c.stamp < tx.max_read_stamp) {
     // Snapshots only ever slide forward; a commit stamp below a read
     // snapshot contradicts the runtime's own discipline.
     return fail(CertFlagKind::kReadStampMismatch,
@@ -402,30 +353,20 @@ bool OnlineCertificateMonitor::on_commit(const Event& c, TxState& tx, TxId id) {
   }
   std::size_t rank = 0;
   if (tx.has_write) {
-    if (stamp_space(policy_)) {
-      // The transaction serializes at its stamped rank, which must lie in
-      // its snapshot window and above its birth floor — the generalized
-      // form of "reads current at commit" (under kCommitOrder the rank is
-      // the new top rank, so the two coincide).
-      rank = resolver_.update_commit_rank(c);
-      if (rank < tx.lo || rank >= tx.hi || rank <= tx.birth_rank) {
-        return fail(CertFlagKind::kNotCurrentAtCommit,
-                    tx_tag(id) + " committed updates at rank " +
-                        std::to_string(rank) +
-                        " outside its snapshot window (version order)");
-      }
-    } else {
-      // Update transactions serialize at their commit rank: every read
-      // version must still be open (SiStm's write skew dies here).
-      if (tx.hi != kOpen) {
-        return fail(CertFlagKind::kNotCurrentAtCommit,
-                    tx_tag(id) + " committed updates although a version it read was "
-                          "overwritten (reads not current at commit)");
-      }
-      rank = resolver_.update_commit_rank(c);
+    // The transaction serializes at its rank, which must lie in its
+    // snapshot window and above its birth floor — the generalized form of
+    // "reads current at commit" (an unstamped C takes the new top rank, so
+    // the two coincide; SiStm's write skew dies here).
+    rank = resolver_.update_commit_rank(c);
+    if (rank < tx.lo || rank >= tx.hi || rank <= tx.birth_rank) {
+      return fail(CertFlagKind::kNotCurrentAtCommit,
+                  tx_tag(id) + " committed updates at rank " +
+                      std::to_string(rank) +
+                      " outside its snapshot window (version order)");
     }
   } else {
-    const std::optional<std::size_t> point = resolver_.read_only_point(c);
+    const std::optional<std::size_t> point =
+        VersionOrderResolver::read_only_point(c);
     if (point.has_value()) {
       // The runtime pinned the serialization point (an MV snapshot): it
       // must lie in the window and above the birth floor.
@@ -471,8 +412,6 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
     ++pos_;
     return false;
   }
-  if (policy_ == VersionOrderPolicy::kBlindWriteSmart) retained_.append(e);
-  cur_tx_ = e.tx;
   std::uint32_t& word = ids_.get(e.tx);
   if (word == kUnborn) word = acquire_slot();
   TxState& tx = is_finished(word) ? finished_ : live_[word - 1];
@@ -499,13 +438,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
                         "(well-formedness)");
       } else {
         tx.phase = Phase::kIdle;
-        if (search_mode_) {
-          // The exact search replaces the register checks, but has_write
-          // keeps feeding commits_seen().
-          if (e.op == OpCode::kWrite) tx.has_write = true;
-        } else {
-          ok = on_operation_response(e, tx);
-        }
+        ok = on_operation_response(e, tx);
       }
       break;
     case EventKind::kTryCommit:
@@ -521,11 +454,7 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
         ok = fail(CertFlagKind::kNotWellFormed,
                   tx_tag(e.tx) + " committed without tryC (well-formedness)");
       } else {
-        if (search_mode_) {
-          if (tx.has_write) ++commits_;
-        } else {
-          ok = on_commit(e, tx, e.tx);
-        }
+        ok = on_commit(e, tx, e.tx);
         retire(word, /*committed=*/true);
       }
       break;
@@ -547,14 +476,6 @@ bool OnlineCertificateMonitor::feed(const Event& e) {
       }
       break;
   }
-  // Search mode delegates the certificate to the exact bounded search on
-  // every response-class prefix (invocations cannot break opacity); the
-  // prefix that triggered a successful retro-order was verified by the
-  // repair itself.
-  if (ok && search_mode_ && e.is_response() && !prefix_verified_) {
-    ok = search_verify();
-  }
-  prefix_verified_ = false;
   ++pos_;
   return ok;
 }

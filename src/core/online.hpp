@@ -32,31 +32,18 @@
 // (core::verify_event_stream) all run it, so each reports the verdict and
 // first condemned position this class defines.
 //
-// The committed VERSION ORDER the certificate checks against is no longer
-// hard-wired to the commit (C-record) order: the monitor takes a
-// core::VersionOrderPolicy (see version_order.hpp) that decides how ranks
-// are assigned:
-//
-//  * kCommitOrder (default) — PR 1's behavior byte for byte: the version
-//    order is the commit order, update transactions serialize at their
-//    commit rank. Correct for every single-version STM in this repository.
-//  * kBlindWriteSmart — commit-order ranks until a window-based flag would
-//    fire; then the §3.6 "smart" reorderings are searched (bounded, each
-//    candidate verified exactly with the Theorem-2 certificate) and, on
-//    success, the monitor retro-orders the offending version — re-opening
-//    the windows the commit order had closed — and keeps streaming in
-//    search mode. Checker-scale (it retains and replays the prefix).
-//  * kSnapshotRank — ranks live in the runtimes' stamp space (Event::stamp:
-//    2·wv on update commits, 2·snapshot+1 on snapshot-serialized commits).
-//    Read-only transactions serialize at their snapshot point, which may
-//    lie arbitrarily before their C event, and update commits' C records
-//    may drift past each other (a window-free recorder) — the MV histories
-//    the commit-order policy falsely flags.
-//  * kStampedRead — kSnapshotRank plus validation of the per-read
-//    (rv, version) stamp pair that window-free TL2-style recording puts on
-//    non-local read responses (Event::stamp = 2·rv+1, Event::ver = the
-//    version read). The policy for histories recorded with NO sampling
-//    window at all.
+// The committed VERSION ORDER the certificate checks against is the one
+// core::VersionOrderResolver assigns (see version_order.hpp): ranks live
+// in the runtimes' stamp space (Event::stamp: 2·wv on update commits,
+// 2·snapshot+1 on snapshot-serialized commits), and an unstamped C ranks
+// next in record order. Read-only transactions serialize at their
+// snapshot point, which may lie arbitrarily before their C event, and
+// update commits' C records may drift past each other (a window-free
+// recorder) without a false flag. Non-local read responses that carry
+// their (rv, version) stamp pair (Event::stamp = 2·rv+1, Event::ver = the
+// version read) are cross-checked against the value-resolved version
+// chain; unstamped events skip those checks, so on a stamp-free history
+// the certificate is the commit-order certificate.
 //
 // WINDOW-FREE SOUNDNESS (Theorem 2 on stamps). With the recorder's shared
 // sampling window gone, a read's value sampling and the recording of its
@@ -132,7 +119,7 @@
 // obligation Theorem 2's well-formedness side imposes.
 //
 // What the stamps do NOT prove by themselves is that the runtime told the
-// truth; kStampedRead therefore cross-checks every claim it can (version
+// truth; the monitor therefore cross-checks every claim it can (version
 // identity, snapshot monotonicity) and the conformance harness
 // (core/conformance.hpp) differentially tests window-free recordings
 // against windowed recordings of identical schedules and against the exact
@@ -151,10 +138,10 @@
 //     (the resolver's floor at its first event) cannot be serialized
 //     without violating the real-time order ≺_H — the stale-read case;
 //   * at commit, an UPDATE transaction must additionally serialize inside
-//     its window at its resolver rank (under kCommitOrder that rank is the
+//     its window at its resolver rank (for an unstamped C that rank is the
 //     new top rank, so this degenerates to "reads still current at
 //     commit"); a read-only transaction needs its pinned snapshot point
-//     inside the window when the policy derives one, or merely a nonempty
+//     inside the window when its C carries one, or merely a nonempty
 //     window extending past its birth floor when it does not.
 //
 // SiStm's write skew is caught at the second skewed commit: the rival's
@@ -250,30 +237,20 @@
 // window-free tl2 log serially peaks at 103 MB at 2.84M events and 409 MB
 // at 28.4M (5.70M versions, 56 B each; Release, GCC 12, 4-vCPU Xeon VM).
 // Retiring versions no live transaction can read is the remaining step.
-// kBlindWriteSmart also retains the whole fed prefix for its §3.6 search:
-// it stays O(history).
 //
 // reserve() pre-sizes all of it (the id words, the version index and
 // archive, one overflow holder list per register when more holders than a
 // head holds inline are expected, and up to kReservedSlots live slots);
 // tests/core/monitor_alloc_test.cpp feeds 100k+ events under a counting
-// operator-new and asserts literally zero allocations after warm-up for
-// kCommitOrder/kSnapshotRank/kStampedRead, and for a register with more
-// live holders than its head holds inline.
+// operator-new and asserts literally zero allocations after warm-up, also
+// for a register with more live holders than its head holds inline.
 // resident() reports what is held, for the tests that pin it flat.
 // The design follows what production validation engines do to stay O(1)
 // per event (TL2's per-stripe version arrays, NOrec's value-based fast
 // path); behavioral equivalence with the pre-rebuild engine is enforced
 // byte-for-byte (verdict + flagged position) by the conformance and batch
 // differential suites.
-//
-// Under kBlindWriteSmart the retained prefix is now kept as an
-// incrementally appended History, and search mode re-verifies each prefix
-// by first extending the LAST CERTIFIED WITNESS with the transactions
-// that appeared since (one exact pass in the common case) before falling
-// back to the bounded §3.6 search — whose candidates are screened by the
-// O(reads) StampPruneIndex scan (version_order.hpp) before any exact
-// verify_opacity_certificate replay.
+
 #pragma once
 
 #include <array>
@@ -281,6 +258,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dense_state.hpp"
@@ -331,9 +309,11 @@ class OnlineDefinitionalMonitor {
 /// std::invalid_argument otherwise.
 class OnlineCertificateMonitor {
  public:
-  explicit OnlineCertificateMonitor(
-      ObjectModel model,
-      VersionOrderPolicy policy = VersionOrderPolicy::kCommitOrder);
+  explicit OnlineCertificateMonitor(ObjectModel model);
+  /// Ignored; kept only for perfbench; due for removal in the next
+  /// benchmark PR. The second argument is dropped: there is one order.
+  OnlineCertificateMonitor(ObjectModel model, VersionOrderPolicy /*ignored*/)
+      : OnlineCertificateMonitor(std::move(model)) {}
 
   /// Feed the next event. Returns false once a violation has been found
   /// (sticky).
@@ -370,13 +350,9 @@ class OnlineCertificateMonitor {
   [[nodiscard]] const std::optional<OnlineViolation>& violation() const noexcept {
     return violation_;
   }
-  [[nodiscard]] VersionOrderPolicy policy() const noexcept { return policy_; }
   [[nodiscard]] std::size_t events_fed() const noexcept { return pos_; }
   /// Committed update transactions seen so far.
   [[nodiscard]] std::size_t commits_seen() const noexcept { return commits_; }
-  /// kBlindWriteSmart only: true once a §3.6 retro-ordering was needed (and
-  /// found) — the monitor is replaying prefixes in search mode from then on.
-  [[nodiscard]] bool retro_ordered() const noexcept { return search_mode_; }
 
   /// What the monitor holds right now — the state that must stay flat on
   /// a long stream, except the version table (one record per version).
@@ -439,7 +415,7 @@ class OnlineCertificateMonitor {
     std::size_t lo{0};          // window: max over reads of version open rank
     std::size_t hi{kOpen};      // min over reads of version close rank
     /// Largest read-stamp (2·rv+1) among the transaction's stamped reads —
-    /// kStampedRead checks the commit stamp against it.
+    /// a stamped commit must not lie below it.
     std::uint64_t max_read_stamp{0};
     Event pending{};            // the outstanding invocation (kOpPending)
     /// Executed writes: per register, the record of its latest value
@@ -487,30 +463,11 @@ class OnlineCertificateMonitor {
   /// Shrink every holder's window to `rank` (the current version closes
   /// there) and empty the holder list.
   void close_holders(RegisterHead& head, std::size_t rank);
-  /// kBlindWriteSmart: called at a would-be repairable flag; tries the §3.6
-  /// search on the retained prefix and, on success, switches to search mode.
-  bool try_retro_order();
-  /// Search mode: exact bounded re-verification of the retained prefix,
-  /// extending the last certified witness first (incremental fast path).
-  bool search_verify();
 
   ObjectModel model_;
-  VersionOrderPolicy policy_;
   VersionOrderResolver resolver_;
   std::size_t pos_{0};
   std::size_t commits_{0};  // committed update transactions so far
-  TxId cur_tx_{kNoTx};      // transaction of the event being fed
-  bool search_mode_{false};
-  /// Set when a successful retro-order already verified the current
-  /// event's prefix (feed() then skips the redundant search).
-  bool prefix_verified_{false};
-  /// The fed prefix, retained only under kBlindWriteSmart (the reorder
-  /// search and search-mode re-verification replay it), appended
-  /// incrementally instead of rebuilt per search.
-  History retained_;
-  /// kBlindWriteSmart: the order that certified the last verified prefix;
-  /// extended and tried first on the next one.
-  std::vector<TxId> witness_;
   std::optional<OnlineViolation> violation_;
   /// TxId-indexed per-id words (dense by construction of both recorders;
   /// sparse ids overflow gracefully): unborn, committed, aborted or a live

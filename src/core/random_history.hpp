@@ -50,9 +50,9 @@ struct RandomHistoryParams {
 /// each other and past reads, and the RECORD order of commits diverges
 /// from the stamp (version) order. Every generated history is opaque by
 /// construction — serialize committed updates by stamp and snapshot
-/// transactions at their snapshot — but the commit-order certificate
-/// falsely flags the drifted ones; the SnapshotRank policy certifies them
-/// from the stamps the C/A events carry.
+/// transactions at their snapshot — and the certificate monitor certifies
+/// them from the stamps the C/A events carry (a copy with the stamps
+/// cleared ranks in record order and falsely flags the drifted ones).
 struct MvHistoryParams {
   std::uint64_t seed = 1;
   std::size_t num_txs = 10;
@@ -72,8 +72,9 @@ struct MvHistoryParams {
   std::size_t max_record_delay_steps = 6;
   /// Stamp every non-local read with its (2·snapshot+1, version) pair —
   /// what MvStm records window-free since PR 4. The stamps are truthful
-  /// by construction; kStampedRead validates them, and the BlindWriteSmart
-  /// stamp pruning (StampPruneIndex) keys off the named versions.
+  /// by construction; the certificate monitor validates them, and the
+  /// §3.6 search's stamp pruning (StampPruneIndex) keys off the named
+  /// versions.
   bool stamp_reads = true;
 };
 

@@ -5,7 +5,7 @@ namespace optm::core {
 StreamVerifyResult verify_event_stream(const ObjectModel& model,
                                        const EventPull& next,
                                        const StreamVerifyOptions& options) {
-  OnlineCertificateMonitor monitor(model, options.policy);
+  OnlineCertificateMonitor monitor(model);
   if (options.reserve_txs != 0 || options.reserve_versions != 0) {
     monitor.reserve(options.reserve_txs, options.reserve_versions);
   }

@@ -5,8 +5,7 @@
 // verify_event_stream is one loop: each span the pull returns goes
 // straight into one OnlineCertificateMonitor::ingest. Nothing is buffered
 // between pulls, so the stream's verdict and first flag (position and
-// kind) are the in-RAM monitor's on the same recording, under every
-// policy, by construction. The monitor's state still grows with the
+// kind) are the in-RAM monitor's on the same recording, by construction. The monitor's state still grows with the
 // history: a transaction's full state lives only while it is live, but
 // the monitor keeps a 4-byte word per transaction id and, for every
 // version written, one 32-byte archive entry plus 8-byte index slots at
@@ -32,7 +31,9 @@ namespace optm::core {
 using EventPull = std::function<std::span<const Event>()>;
 
 struct StreamVerifyOptions {
-  VersionOrderPolicy policy = VersionOrderPolicy::kCommitOrder;
+  /// Ignored; kept only for perfbench; due for removal in the next
+  /// benchmark PR (the monitor has one version order).
+  VersionOrderPolicy policy = VersionOrderPolicy::kStampedRead;
   /// Engine pre-sizing hints (events within the bounds allocate nothing).
   std::size_t reserve_txs = 0;
   std::size_t reserve_versions = 0;
@@ -57,8 +58,8 @@ struct StreamVerifyResult {
   std::size_t threads_used = 1;
 };
 
-/// Certify a stream of events under `options.policy` with one
-/// OnlineCertificateMonitor fed span by span. The model must be all
+/// Certify a stream of events with one OnlineCertificateMonitor fed span
+/// by span. The model must be all
 /// registers (as for OnlineCertificateMonitor).
 [[nodiscard]] StreamVerifyResult verify_event_stream(
     const ObjectModel& model, const EventPull& next,

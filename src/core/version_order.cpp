@@ -6,7 +6,6 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "core/opacity_graph.hpp"
@@ -27,7 +26,6 @@ const char* to_string(CertFlagKind k) noexcept {
     case CertFlagKind::kNotCurrentAtCommit: return "not-current-at-commit";
     case CertFlagKind::kNoReadOnlyPoint: return "no-read-only-point";
     case CertFlagKind::kReadStampMismatch: return "read-stamp-mismatch";
-    case CertFlagKind::kSmartReorderFailed: return "smart-reorder-failed";
     case CertFlagKind::kNotOpaque: return "not-opaque";
     case CertFlagKind::kBudgetExhausted: return "budget-exhausted";
   }
@@ -208,29 +206,6 @@ namespace {
   }
 }
 
-/// Reorder `anchor` so that the transactions present in `hint` keep the
-/// hint's RELATIVE order (at the anchor slots hint members occupy), while
-/// transactions the hint has never seen stay at their anchor positions —
-/// the incremental extension of a previously certified witness. O(T):
-/// this runs once per verified response in search mode, so linear scans
-/// per element would make the fast path quadratic in the prefix.
-[[nodiscard]] std::vector<TxId> extend_hint(const std::vector<TxId>& anchor,
-                                            const std::vector<TxId>& hint) {
-  std::unordered_set<TxId> in_anchor(anchor.begin(), anchor.end());
-  std::vector<TxId> known;
-  known.reserve(hint.size());
-  for (const TxId tx : hint) {
-    if (in_anchor.count(tx) != 0) known.push_back(tx);
-  }
-  const std::unordered_set<TxId> in_known(known.begin(), known.end());
-  std::vector<TxId> out = anchor;
-  std::size_t next = 0;
-  for (TxId& slot : out) {
-    if (in_known.count(slot) != 0) slot = known[next++];
-  }
-  return out;
-}
-
 }  // namespace
 
 SmartReorderResult smart_reorder_search(const History& h,
@@ -240,8 +215,7 @@ SmartReorderResult smart_reorder_search(const History& h,
 
   // The prune index costs an O(n log n) scan of the whole history, so it
   // is built lazily — only once a candidate actually reaches a prune
-  // check (never when stamp_prune is off, and not at all when the hint
-  // certifies, the streaming search mode's common case).
+  // check (never when stamp_prune is off).
   std::optional<StampPruneIndex> pruner;
   const auto prune_rejects = [&](const std::vector<TxId>& candidate) {
     if (!options.stamp_prune) return false;
@@ -249,10 +223,9 @@ SmartReorderResult smart_reorder_search(const History& h,
     return pruner->rejects(candidate);
   };
 
-  const auto try_candidate = [&](std::vector<TxId>&& candidate,
-                                 bool prune = true) {
+  const auto try_candidate = [&](std::vector<TxId>&& candidate) {
     ++result.candidates_tried;
-    if (prune && prune_rejects(candidate)) {
+    if (prune_rejects(candidate)) {
       ++result.candidates_pruned;
       return false;
     }
@@ -263,18 +236,6 @@ SmartReorderResult smart_reorder_search(const History& h,
     }
     return false;
   };
-
-  // The hint first: the witness that certified the previous prefix,
-  // extended with the transactions that appeared since, usually certifies
-  // this one — the incremental fast path of the monitor's search mode. It
-  // goes straight to the exact pass (a just-certified order rarely prunes,
-  // and skipping the check keeps the fast path free of the index build).
-  if (options.hint != nullptr && !options.hint->empty()) {
-    std::vector<TxId> hinted = extend_hint(base, *options.hint);
-    if (hinted != base && try_candidate(std::move(hinted), /*prune=*/false)) {
-      return result;
-    }
-  }
 
   if (try_candidate(std::vector<TxId>(base))) return result;
 

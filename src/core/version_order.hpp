@@ -1,60 +1,47 @@
-// Pluggable version-order resolution (the serialization-rank layer).
+// The version order of the §5.4 certificate (the serialization-rank layer).
 //
-// The §5.4 certificate machinery needs, for every committed update
+// The certificate machinery needs, for every committed update
 // transaction, a serialization RANK, and for every committed write an
-// (open, close) rank interval — the version's validity window. PR 1 baked
-// in one resolution: rank = position in commit (C-record) order. That is
-// correct for every single-version STM in this repository, but it is a
-// POLICY, not a law:
+// (open, close) rank interval — the version's validity window. Theorem 2
+// makes ANY version order that passes the certificate a proof of opacity,
+// so the monitor needs one good order, and it uses the one the runtimes
+// already serialize in: their stamps.
 //
-//   * §3.6's "smart" TMs order blind writes differently from the commit
-//     order (a later committer may serialize earlier when nobody observed
-//     the difference);
-//   * multi-version runtimes serialize read-only transactions at their
-//     snapshot, which may lie arbitrarily far before their C event (the
-//     H4 / footnote-2 escape route), and — once the recorder stops
-//     serializing commit points against its record stream — even update
-//     commits' C records can drift past each other, so the RECORD order
-//     and the VERSION order genuinely diverge.
+//   * An update commit serializes at the stamp its C event carries (2·wv);
+//     a read-only commit whose C carries an odd stamp serializes at that
+//     snapshot point (2·snapshot+1); version intervals are stamp
+//     intervals. Multi-version runtimes serialize read-only transactions
+//     at a snapshot that may lie arbitrarily far before their C event
+//     (the H4 / footnote-2 escape route), and a window-free recorder lets
+//     C records of concurrent commits drift past each other, so the
+//     RECORD order and the VERSION order genuinely diverge: stamps put
+//     each version back where the runtime serialized it.
+//   * An unstamped C (hand-built histories, runtimes that stamp nothing)
+//     ranks next in record order, just above every rank seen so far — on
+//     a stamp-free history the order IS the commit order.
+//   * A read response that carries its (rv, version) pair (Event::stamp =
+//     2·rv+1, Event::ver — window-free recording, see stm/recorder.hpp)
+//     is cross-checked: the value read must resolve to the version the
+//     read NAMES (open rank == 2·ver, via read_stamp_names_version below),
+//     that version must not have been created after the claimed snapshot
+//     (open rank <= 2·rv+1), and at commit the transaction's serialization
+//     stamp must not precede any of its read snapshots. The stamps may
+//     come from a clock runtime (TL2 family: rv is the global clock, ver
+//     the lock word's version) or from an orec runtime (dstm/astm: rv is
+//     a validation snapshot drawn before the whole-read-set check, ver is
+//     half the CAS-acquired orec's version word — itself the writer's 2·wv
+//     ticket); the checks are source-agnostic, and they run only on
+//     stamped events. This is why a recorder needs NO sampling window: the
+//     Theorem-2 argument lives entirely on the stamps the runtime emits
+//     (see online.hpp for the soundness argument, including why stolen
+//     orecs cannot fake it).
 //
-// This header turns the rank assignment into a policy object consumed by
-// the certificate engine, the streaming OnlineCertificateMonitor:
-//
-//   * kCommitOrder   — PR 1's behavior, byte for byte: ranks 1, 2, 3, …
-//     in C-record order; update commits must be current at their rank.
-//   * kBlindWriteSmart — commit-order ranks until a window-based flag
-//     would fire, then a bounded search over the §3.6 reorderings
-//     (moving recent committers past each other), each candidate verified
-//     EXACTLY with verify_opacity_certificate, so a certified verdict is
-//     still sound. Checker-scale (the search replays the prefix).
-//   * kSnapshotRank  — ranks live in the runtime's stamp space: an update
-//     commit serializes at the stamp its C event carries (2·wv), a
-//     read-only commit at its snapshot point (2·snapshot+1), and version
-//     intervals are stamp intervals. This certifies MV histories whose
-//     C records arrive out of stamp order — exactly the histories the
-//     commit-order policy falsely flags.
-//   * kStampedRead   — kSnapshotRank plus per-read stamp validation: when
-//     a read response carries its (rv, version) pair (Event::stamp =
-//     2·rv+1, Event::ver — window-free recording, see stm/recorder.hpp),
-//     the monitor additionally checks that the value read resolves to the
-//     version the read NAMES (open rank == 2·ver, via
-//     read_stamp_names_version below), that the version was not created
-//     after the claimed snapshot (open rank <= 2·rv+1), and at commit
-//     that the transaction's serialization stamp does not precede any of
-//     its read snapshots. The stamps may come from a clock runtime (TL2
-//     family: rv is the global clock, ver the lock word's version) or
-//     from an orec runtime (dstm/astm: rv is a validation snapshot drawn
-//     before the whole-read-set check, ver is half the CAS-acquired
-//     orec's version word — itself the writer's 2·wv ticket); the three
-//     checks are source-agnostic. This is the policy under which a
-//     recorder needs NO sampling window: the Theorem-2 argument lives
-//     entirely on the stamps the runtime emits (see online.hpp for the
-//     soundness argument, including why stolen orecs cannot fake it).
-//
-// All four remain SUFFICIENT certificates: a flag is a certificate
-// violation, not yet a proof of non-opacity, and carries a structured
-// CertFlagKind so downstream adjudication (core::adjudicate, the
-// smart-reorder search) can dispatch on it without string matching.
+// The certificate stays SUFFICIENT: a flag is a certificate violation, not
+// yet a proof of non-opacity, and carries a structured CertFlagKind so
+// core::adjudicate can dispatch on it without string matching. The §3.6
+// reorder search below (smart_reorder_search) is one of adjudicate's
+// steps: it looks for ANOTHER version order that certifies a flagged
+// prefix.
 #pragma once
 
 #include <cstdint>
@@ -67,48 +54,34 @@
 
 namespace optm::core {
 
-enum class VersionOrderPolicy : std::uint8_t {
-  kCommitOrder,     // committed version order == commit (record) order
-  kBlindWriteSmart, // + bounded §3.6 reordering search on window flags
-  kSnapshotRank,    // stamp-space ranks (MV snapshot serialization)
-  kStampedRead,     // + per-read (rv, version) stamp validation
-};
+/// The names the policy field of a log segment header and of an
+/// optm-net-v1 hello has carried. Every one means the stamp order
+/// above: old logs and clients still load, and writers fill the field
+/// with kVersionOrderName.
+inline constexpr const char* kVersionOrderName = "stamped-read";
 
-[[nodiscard]] constexpr const char* to_string(VersionOrderPolicy p) noexcept {
-  switch (p) {
-    case VersionOrderPolicy::kCommitOrder: return "commit-order";
-    case VersionOrderPolicy::kBlindWriteSmart: return "blind-write-smart";
-    case VersionOrderPolicy::kSnapshotRank: return "snapshot-rank";
-    case VersionOrderPolicy::kStampedRead: return "stamped-read";
-  }
-  return "?";
+/// Whether `name` is one of the four historical policy names. The field is
+/// input from outside the program, so any other name is rejected.
+[[nodiscard]] constexpr bool is_version_order_name(
+    std::string_view name) noexcept {
+  return name == "commit-order" || name == "blind-write-smart" ||
+         name == "snapshot-rank" || name == kVersionOrderName;
 }
 
-/// Inverse of to_string — the one parser behind every --policy flag and
-/// the log headers' policy metadata. nullopt for unknown names.
-[[nodiscard]] constexpr std::optional<VersionOrderPolicy>
-parse_version_order_policy(std::string_view name) noexcept {
-  if (name == "commit-order") return VersionOrderPolicy::kCommitOrder;
-  if (name == "blind-write-smart") return VersionOrderPolicy::kBlindWriteSmart;
-  if (name == "snapshot-rank") return VersionOrderPolicy::kSnapshotRank;
-  if (name == "stamped-read") return VersionOrderPolicy::kStampedRead;
-  return std::nullopt;
+/// Ignored; kept only for perfbench; due for removal in the next benchmark
+/// PR. There is one version order: nothing reads these values, the
+/// monitor's two-argument constructor and StreamVerifyOptions::policy
+/// drop them, and to_string() names the one order whatever it is given.
+enum class VersionOrderPolicy : std::uint8_t { kCommitOrder, kStampedRead };
+
+/// Ignored; kept only for perfbench; due for removal in the next benchmark
+/// PR.
+[[nodiscard]] constexpr const char* to_string(VersionOrderPolicy) noexcept {
+  return kVersionOrderName;
 }
 
-/// Policies whose serialization ranks live in the runtimes' stamp space
-/// (Event::stamp) rather than in C-record order. Both runtime stamp
-/// sources land in the same space: clock runtimes (tl2/tiny/mv) stamp C
-/// with 2·wv straight off the global clock, and the orec runtimes
-/// (dstm/astm) ticket their commits through a CAS-published kCommitting
-/// state and store the 2·wv ticket as the orec version word — either way
-/// Event::ver on a stamped read names the wv whose C opened the version.
-[[nodiscard]] constexpr bool stamp_space(VersionOrderPolicy p) noexcept {
-  return p == VersionOrderPolicy::kSnapshotRank ||
-         p == VersionOrderPolicy::kStampedRead;
-}
-
-/// The kStampedRead version-identity cross-check of the certificate
-/// monitor: does the version id a read names (Event::ver)
+/// The version-identity cross-check of the certificate monitor: does the
+/// version id a stamped read names (Event::ver)
 /// match the stamp-space rank its value-resolved version opened at? The
 /// magnitude guard keeps `2 * ver` from wrapping: a genuine version claim
 /// always satisfies open == 2·ver without overflow, so a wrapping ver —
@@ -122,8 +95,8 @@ parse_version_order_policy(std::string_view name) noexcept {
 
 /// Structured classification of a certificate flag. Every fail site of the
 /// certificate monitor tags its flag with one of these so adjudication
-/// (core::adjudicate, smart-reorder repair) dispatches on the enum
-/// instead of matching reason strings.
+/// (core::adjudicate) dispatches on the enum instead of matching reason
+/// strings.
 enum class CertFlagKind : std::uint8_t {
   kNone = 0,
   kNotWellFormed,         // §4 life-cycle violation
@@ -140,7 +113,6 @@ enum class CertFlagKind : std::uint8_t {
   kReadStampMismatch,     // a read's (rv, version) stamp contradicts the
                           // value-resolved version chain, or a commit
                           // stamp precedes one of its read snapshots
-  kSmartReorderFailed,    // no bounded §3.6 reordering certifies the prefix
   kNotOpaque,             // definitional: prefix proven non-opaque
   kBudgetExhausted,       // definitional: search budget exhausted
 };
@@ -148,8 +120,8 @@ enum class CertFlagKind : std::uint8_t {
 [[nodiscard]] const char* to_string(CertFlagKind k) noexcept;
 
 /// Window-based flags are statements about ONE candidate version order and
-/// may evaporate under another — these are the kinds the BlindWriteSmart
-/// policy may try to repair by retro-ordering versions. Well-formedness and
+/// may evaporate under another — these are the kinds core::adjudicate may
+/// repair with the §3.6 reorder search. Well-formedness and
 /// value-resolution flags are order-independent and never repairable.
 [[nodiscard]] constexpr bool reorder_repairable(CertFlagKind k) noexcept {
   switch (k) {
@@ -181,61 +153,52 @@ enum class CertFlagKind : std::uint8_t {
 inline constexpr std::size_t kOpenVersionRank = static_cast<std::size_t>(-1);
 
 /// Streaming serialization-rank assignment — the one shared mechanism under
-/// the monitor. Feed it every committed
-/// C event in record order; it answers three questions:
+/// the monitor. Feed it every committed C event in record order; it
+/// answers three questions:
 ///
 ///   * update_commit_rank(c): the rank at which the update transaction
 ///     behind C event `c` serializes (and at which its writes open /
-///     predecessors close);
+///     predecessors close): its stamp, or the next rank in record order
+///     when it carries none;
 ///   * read_only_point(c): the pinned serialization point of a read-only
-///     commit, when the policy derives one (a stamp-space policy with an
-///     odd stamp — the runtime's 2·snapshot+1 convention); nullopt means the
-///     monitor falls back to the window rule (any rank in the snapshot
-///     window past the birth floor);
+///     commit whose C carries an odd stamp (the runtime's 2·snapshot+1
+///     convention); nullopt means the monitor falls back to the window
+///     rule (any rank in the snapshot window past the birth floor);
 ///   * floor(): the birth floor — every version closed at a rank <= floor()
 ///     was closed by a commit whose C event has already been fed, so a
 ///     transaction born now must serialize strictly above it.
+///
+/// Both runtime stamp sources land in the same space: clock runtimes
+/// (tl2/tiny/mv) stamp C with 2·wv straight off the global clock, and the
+/// orec runtimes (dstm/astm) ticket their commits through a CAS-published
+/// kCommitting state and store the 2·wv ticket as the orec version word —
+/// either way Event::ver on a stamped read names the wv whose C opened the
+/// version.
 class VersionOrderResolver {
  public:
-  explicit VersionOrderResolver(
-      VersionOrderPolicy policy = VersionOrderPolicy::kCommitOrder) noexcept
-      : policy_(policy) {}
-
-  [[nodiscard]] VersionOrderPolicy policy() const noexcept { return policy_; }
-
   [[nodiscard]] std::size_t update_commit_rank(const Event& c) noexcept {
-    if (stamp_space(policy_)) {
-      // Stamp space. Unstamped C events (hand-built or legacy histories)
-      // synthesize a rank just above everything seen, which reproduces
-      // commit-order behavior on stamp-free histories.
-      const std::size_t rank =
-          c.stamp != 0 ? static_cast<std::size_t>(c.stamp) : floor_ + 1;
-      if (rank > floor_) floor_ = rank;
-      return rank;
-    }
-    ++next_;
-    floor_ = next_;
-    return next_;
+    // An unstamped C synthesizes a rank just above everything seen, so a
+    // stamp-free history ranks in commit (record) order.
+    const std::size_t rank =
+        c.stamp != 0 ? static_cast<std::size_t>(c.stamp) : floor_ + 1;
+    if (rank > floor_) floor_ = rank;
+    return rank;
   }
 
-  [[nodiscard]] std::optional<std::size_t> read_only_point(
-      const Event& c) const noexcept {
-    if (stamp_space(policy_) && (c.stamp & 1) != 0) {
-      return static_cast<std::size_t>(c.stamp);
-    }
+  [[nodiscard]] static std::optional<std::size_t> read_only_point(
+      const Event& c) noexcept {
+    if ((c.stamp & 1) != 0) return static_cast<std::size_t>(c.stamp);
     return std::nullopt;
   }
 
   [[nodiscard]] std::size_t floor() const noexcept { return floor_; }
 
  private:
-  VersionOrderPolicy policy_;
-  std::size_t next_ = 0;   // commit-order counter
   std::size_t floor_ = 0;  // max update rank assigned so far
 };
 
 // ---------------------------------------------------------------------------
-// §3.6 smart-reorder search (the BlindWriteSmart policy's engine)
+// §3.6 smart-reorder search (core::adjudicate's repair step)
 // ---------------------------------------------------------------------------
 
 struct SmartReorderResult {
@@ -310,11 +273,6 @@ struct SmartReorderOptions {
   /// Search bound: the last max_moves committers, each moved up to
   /// max_moves positions earlier.
   std::size_t max_moves = 8;
-  /// A previously certified order to extend and try FIRST (the streaming
-  /// monitor's incremental search-mode replay: the witness of the last
-  /// certified prefix usually certifies the next one, making the common
-  /// per-response cost one exact pass instead of a whole search).
-  const std::vector<TxId>* hint = nullptr;
   /// Reject candidates via StampPruneIndex before the exact pass
   /// (disabled only by the differential fuzz that proves it sound).
   bool stamp_prune = true;

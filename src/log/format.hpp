@@ -93,8 +93,9 @@ struct SegmentHeader {
   std::uint32_t num_vars = 0;        // registers in the recorded model
   std::uint32_t threads = 0;         // workload threads (informational)
   std::uint32_t reserved = 0;
-  // optm-soak-v1 metadata mirror: stm name, version-order policy,
-  // "window-free" / "windowed".
+  // optm-soak-v1 metadata mirror: stm name, version-order name (written
+  // as "stamped-read"; the four historical names all load, see
+  // core::is_version_order_name), "window-free" / "windowed".
   char runtime[kRuntimeChars] = {};
   char policy[kPolicyChars] = {};
   char window_mode[kWindowModeChars] = {};

@@ -18,16 +18,19 @@
 #include <string>
 
 #include "core/event.hpp"
+#include "core/version_order.hpp"
 #include "log/format.hpp"
 
 namespace optm::log {
 
 /// The optm-soak-v1 metadata mirrored into every segment header, so a log
-/// is self-describing: `checker_tool certify-log` recovers the policy and
-/// the model size without side-channel flags.
+/// is self-describing: `checker_tool certify-log` recovers the model size
+/// without side-channel flags. `policy` keeps the header's historical
+/// field: writers fill it with the one version order's name, and readers
+/// accept any of the four historical names (core::is_version_order_name).
 struct LogMetadata {
   std::string runtime = "?";
-  std::string policy = "?";
+  std::string policy = core::kVersionOrderName;
   std::string window_mode = "?";
   std::uint32_t num_vars = 0;
   std::uint32_t threads = 0;

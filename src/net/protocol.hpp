@@ -21,8 +21,10 @@
 // HANDSHAKE. HelloFrame carries the segment-header provenance fields
 // (runtime / policy / window-mode / vars / threads — the optm-soak-v1
 // vocabulary) plus engine pre-sizing hints, so the server can configure
-// each connection's OnlineCertificateMonitor with the right model,
-// version-order policy and reserve() before the first event arrives.
+// each connection's OnlineCertificateMonitor with the right model and
+// reserve() before the first event arrives. The policy field is kept on
+// the wire: writers send "stamped-read", and the server accepts the four
+// historical names (core::is_version_order_name) and refuses any other.
 //
 // RESPONSES. The server answers with RespFrames:
 //   * kAck    — credit/backpressure: `events` = cumulative events the

@@ -211,9 +211,10 @@ struct CertServer::Loop {
       protocol_error(c, "handshake num_vars out of bounds");
       return false;
     }
+    // Every historical policy name means the one version order; the field
+    // is client input, so anything else is refused.
     const std::string policy_name = unpad(hello.policy, log::kPolicyChars);
-    const auto policy = core::parse_version_order_policy(policy_name);
-    if (!policy) {
+    if (!core::is_version_order_name(policy_name)) {
       protocol_error(c, "unknown version-order policy '" + policy_name + "'");
       return false;
     }
@@ -225,8 +226,8 @@ struct CertServer::Loop {
         std::min(hello.reserve_versions, options().max_reserve_hint);
     try {
       auto model = core::ObjectModel::registers(hello.num_vars, 0);
-      c.monitor = std::make_unique<core::OnlineCertificateMonitor>(
-          std::move(model), *policy);
+      c.monitor =
+          std::make_unique<core::OnlineCertificateMonitor>(std::move(model));
       if (reserve_txs != 0 || reserve_versions != 0) {
         c.monitor->reserve(reserve_txs, reserve_versions);
       }

@@ -71,8 +71,8 @@ class Stm {
 
   /// Request window-free recording: the runtime stops taking the
   /// recorder's sampling/commit windows and instead stamps every non-local
-  /// read with its (rv, version) pair, so a stamp-space certificate policy
-  /// (core::VersionOrderPolicy::kStampedRead) can verify the recording
+  /// read with its (rv, version) pair, so the certificate monitor's stamp
+  /// order (core/version_order.hpp) can verify the recording
   /// without any shared window lock. Honored by the clock runtimes (tl2,
   /// tiny, norec — reads O(1)-validated against a snapshot they can name),
   /// the orec runtimes (dstm, astm — validation snapshots published

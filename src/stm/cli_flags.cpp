@@ -10,26 +10,14 @@ namespace optm::stm {
 void add_run_flags(util::Cli& cli, const RunFlags& defaults) {
   cli.flag("stm", defaults.stm,
            "runtime: tl2|tiny|norec|dstm|astm|visible|mv|...");
-  cli.flag("policy", core::to_string(defaults.policy),
-           "version-order policy: commit-order|blind-write-smart|"
-           "snapshot-rank|stamped-read");
   cli.flag("window-free", defaults.window_free ? "true" : "false",
            "record without sampling windows (stamped reads)");
 }
 
-std::optional<RunFlags> parse_run_flags(const util::Cli& cli) {
+RunFlags parse_run_flags(const util::Cli& cli) {
   RunFlags flags;
   flags.stm = cli.get("stm");
   flags.window_free = cli.get_bool("window-free");
-  const auto policy = core::parse_version_order_policy(cli.get("policy"));
-  if (!policy) {
-    std::fprintf(stderr,
-                 "unknown policy '%s' (expected commit-order, "
-                 "blind-write-smart, snapshot-rank or stamped-read)\n",
-                 cli.get("policy").c_str());
-    return std::nullopt;
-  }
-  flags.policy = *policy;
   return flags;
 }
 

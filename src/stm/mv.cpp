@@ -137,8 +137,8 @@ bool MvStm::commit(sim::ThreadCtx& ctx) {
     // concurrent updates. The C event carries the snapshot rank
     // (2·snapshot+1), so the record POSITION of C is immaterial to the
     // version order and no sampling window is taken: read-only commits no
-    // longer touch the shared window lock, and the SnapshotRank
-    // version-order policy reads the stamp straight off the event.
+    // longer touch the shared window lock, and the certificate monitor's
+    // stamp order reads the stamp straight off the event.
     rec_commit(ctx, 2 * slot.snapshot + 1);
     return true;
   }

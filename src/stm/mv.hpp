@@ -19,7 +19,7 @@
 //
 // Recording: commits stamp their serialization point onto the C event
 // (2·wv for updates, 2·snapshot+1 for read-only transactions), which is
-// what the core::VersionOrderResolver's SnapshotRank policy certifies
+// what the core::VersionOrderResolver's stamp order certifies
 // against — read-only transactions serialize at their snapshot rank, not
 // at their C record position, so their C record takes no sampling window.
 // Every non-local read is additionally stamped (2·snapshot+1, version
@@ -31,8 +31,7 @@
 // their ticket AFTER locking the write set and BEFORE validating
 // (TL2-style lock → ticket → validate), so an overwriter of anything an
 // update read tickets strictly later; with that, the whole runtime
-// records window-free (Stm::set_window_free) under the kStampedRead
-// policy, update commits included.
+// records window-free (Stm::set_window_free), update commits included.
 #pragma once
 
 #include <vector>

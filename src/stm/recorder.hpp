@@ -61,7 +61,7 @@
 //
 // The recorder's job shrinks to assigning each push a globally ordered
 // stamp; the Theorem-2 argument moves onto the stamps the runtime emits,
-// checked by the kStampedRead version-order policy
+// checked by the certificate monitor's stamp order
 // (core/version_order.hpp; the soundness argument is in core/online.hpp).
 // Records may then drift — a read response can land after the C of a
 // commit that overwrote the version it read, and C records of concurrent
@@ -386,8 +386,8 @@ class Recorder final : public RecorderBase {
   void on_commit(std::uint32_t lane, core::TxId tx,
                  std::uint64_t stamp = 0) override {
     // The stamp rides on the C event itself (Event::stamp), where
-    // certificate_order() and the offline consumers (the SnapshotRank
-    // version-order policy) read it.
+    // certificate_order() and the certificate monitor's stamp order read
+    // it.
     push(lane, core::ev::commit(tx, stamp));
   }
   void on_try_abort(std::uint32_t lane, core::TxId tx) override {

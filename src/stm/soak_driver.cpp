@@ -54,12 +54,11 @@ SoakResult SoakDriver::run() {
   SoakResult result;
   result.stm = o.run.stm;
   result.window_mode = stm->window_free() ? "window-free" : "windowed";
-  result.policy = o.run.policy;
 
   // The sink chain: the live certificate monitor and/or the caller's
   // extra sink (a log writer, usually), fanned out by a tee when both are
   // present.
-  core::OnlineCertificateMonitor monitor(recorder.model(), o.run.policy);
+  core::OnlineCertificateMonitor monitor(recorder.model());
   if (o.live_monitor) {
     // Versions are one per write response: ~a quarter of the events at
     // the mix's default write ratio (the table grows geometrically past

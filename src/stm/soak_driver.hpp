@@ -22,7 +22,7 @@
 namespace optm::stm {
 
 struct SoakOptions {
-  /// Runtime / policy / window mode (the shared CLI vocabulary).
+  /// Runtime / window mode (the shared CLI vocabulary).
   RunFlags run;
   std::size_t target_events = 1'200'000;
   std::uint32_t threads = 4;
@@ -38,7 +38,6 @@ struct SoakResult {
   // Echoed run descriptors (the optm-soak-v1 vocabulary).
   std::string stm;
   std::string window_mode;
-  core::VersionOrderPolicy policy = core::VersionOrderPolicy::kCommitOrder;
 
   std::size_t recorded_events = 0;
   std::size_t live_batches = 0;

@@ -25,9 +25,6 @@ struct KindCase {
   CertFlagKind kind;
   bool proves_non_opaque;
   bool reorder_repairable;
-  /// Policy under which the provoking history flags (the stamp-space kinds
-  /// need a stamp-space policy).
-  VersionOrderPolicy policy;
   /// Exact verdict of the flagged history (what the non-short-circuited
   /// adjudication must report; kUnknown for a history Definition 1 does
   /// not apply to). Meaningless without a builder.
@@ -97,9 +94,10 @@ struct KindCase {
   return h;
 }
 
-// T1 read x before T2 overwrote it, then commits an update of y: under
-// the commit order its reads are no longer current — but serializing T1
-// BEFORE T2 is legal, so the flag is conservative (the §3.6 territory).
+// T1 read x before T2 overwrote it, then commits an update of y: the
+// unstamped commits rank in commit order, where its reads are no longer
+// current — but serializing T1 BEFORE T2 is legal, so the flag is
+// conservative (the §3.6 territory).
 [[nodiscard]] History not_current_at_commit() {
   History h(model3());
   h.append(ev::inv(1, 0, OpCode::kRead)).append(ev::ret(1, 0, OpCode::kRead, 0, 0));
@@ -110,7 +108,7 @@ struct KindCase {
   return h;
 }
 
-// Snapshot-rank: T1 (read-only) pins its serialization at stamp 5, past
+// Stamp order: T1 (read-only) pins its serialization at stamp 5, past
 // the close (stamp 2) of the version it read — yet serializing T1 before
 // T2 is perfectly legal, the runtime merely stamped a claim the version
 // order contradicts.
@@ -136,42 +134,35 @@ struct KindCase {
 
 const std::vector<KindCase>& kind_table() {
   static const std::vector<KindCase> table = {
-      {CertFlagKind::kNone, false, false, VersionOrderPolicy::kCommitOrder,
-       Verdict::kUnknown, nullptr},
-      {CertFlagKind::kNotWellFormed, false, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kUnknown, not_well_formed},
-      {CertFlagKind::kValueNotUnique, false, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kYes, value_not_unique},
-      {CertFlagKind::kLocalInconsistency, true, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kNo, local_inconsistency},
-      {CertFlagKind::kUnwrittenValue, true, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kNo, unwritten_value},
+      {CertFlagKind::kNone, false, false, Verdict::kUnknown, nullptr},
+      {CertFlagKind::kNotWellFormed, false, false, Verdict::kUnknown,
+       not_well_formed},
+      {CertFlagKind::kValueNotUnique, false, false, Verdict::kYes,
+       value_not_unique},
+      {CertFlagKind::kLocalInconsistency, true, false, Verdict::kNo,
+       local_inconsistency},
+      {CertFlagKind::kUnwrittenValue, true, false, Verdict::kNo,
+       unwritten_value},
       // kSelfRead is defensively coded but unreachable from feed(): a
       // version resolving to the reader was installed by the reader's own
       // write response, which also populated its local-write table, so the
       // local-read path answers first. Classification-only row.
-      {CertFlagKind::kSelfRead, true, false, VersionOrderPolicy::kCommitOrder,
-       Verdict::kUnknown, nullptr},
-      {CertFlagKind::kReadFromNonCommitted, false, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kYes,
+      {CertFlagKind::kSelfRead, true, false, Verdict::kUnknown, nullptr},
+      {CertFlagKind::kReadFromNonCommitted, false, false, Verdict::kYes,
        reads_from_commit_pending},
-      {CertFlagKind::kSnapshotEmpty, false, true,
-       VersionOrderPolicy::kCommitOrder, Verdict::kNo, snapshot_empty},
-      {CertFlagKind::kStaleRead, false, true,
-       VersionOrderPolicy::kCommitOrder, Verdict::kNo, stale_read},
-      {CertFlagKind::kNotCurrentAtCommit, false, true,
-       VersionOrderPolicy::kCommitOrder, Verdict::kYes, not_current_at_commit},
-      {CertFlagKind::kNoReadOnlyPoint, false, true,
-       VersionOrderPolicy::kSnapshotRank, Verdict::kYes, no_read_only_point},
-      {CertFlagKind::kReadStampMismatch, false, false,
-       VersionOrderPolicy::kStampedRead, Verdict::kYes, read_stamp_mismatch},
-      // Adjudication/search outcomes, never raised by the register checks.
-      {CertFlagKind::kSmartReorderFailed, false, false,
-       VersionOrderPolicy::kBlindWriteSmart, Verdict::kUnknown, nullptr},
-      {CertFlagKind::kNotOpaque, false, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kUnknown, nullptr},
-      {CertFlagKind::kBudgetExhausted, false, false,
-       VersionOrderPolicy::kCommitOrder, Verdict::kUnknown, nullptr},
+      {CertFlagKind::kSnapshotEmpty, false, true, Verdict::kNo,
+       snapshot_empty},
+      {CertFlagKind::kStaleRead, false, true, Verdict::kNo, stale_read},
+      {CertFlagKind::kNotCurrentAtCommit, false, true, Verdict::kYes,
+       not_current_at_commit},
+      {CertFlagKind::kNoReadOnlyPoint, false, true, Verdict::kYes,
+       no_read_only_point},
+      {CertFlagKind::kReadStampMismatch, false, false, Verdict::kYes,
+       read_stamp_mismatch},
+      // Definitional-monitor outcomes, never raised by the register checks.
+      {CertFlagKind::kNotOpaque, false, false, Verdict::kUnknown, nullptr},
+      {CertFlagKind::kBudgetExhausted, false, false, Verdict::kUnknown,
+       nullptr},
   };
   return table;
 }
@@ -179,7 +170,7 @@ const std::vector<KindCase>& kind_table() {
 TEST(CertFlagDispatch, TableCoversEveryKindExactlyOnce) {
   // A new enum value must get a table row (and a dispatch decision): the
   // count below is the number of CertFlagKind enumerators.
-  EXPECT_EQ(kind_table().size(), 15u);
+  EXPECT_EQ(kind_table().size(), 14u);
   for (std::size_t i = 0; i < kind_table().size(); ++i) {
     for (std::size_t j = i + 1; j < kind_table().size(); ++j) {
       EXPECT_NE(kind_table()[i].kind, kind_table()[j].kind);
@@ -204,7 +195,7 @@ TEST(CertFlagDispatch, MonitorRaisesEachConstructibleKind) {
   for (const KindCase& c : kind_table()) {
     if (!c.build) continue;
     const History h = c.build();
-    OnlineCertificateMonitor m(h.model(), c.policy);
+    OnlineCertificateMonitor m(h.model());
     for (const Event& e : h.events()) (void)m.feed(e);
     ASSERT_FALSE(m.ok()) << to_string(c.kind) << "\n" << h.str();
     EXPECT_EQ(m.violation()->kind, c.kind)
@@ -217,7 +208,7 @@ TEST(CertFlagDispatch, AdjudicationShortCircuitsConsistencyViolatingKinds) {
   for (const KindCase& c : kind_table()) {
     if (!c.build) continue;
     const History h = c.build();
-    OnlineCertificateMonitor m(h.model(), c.policy);
+    OnlineCertificateMonitor m(h.model());
     for (const Event& e : h.events()) (void)m.feed(e);
     ASSERT_FALSE(m.ok()) << to_string(c.kind);
     EXPECT_EQ(m.violation()->kind, c.kind) << m.violation()->reason;

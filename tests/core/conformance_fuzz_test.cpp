@@ -1,15 +1,17 @@
-// Cross-runtime conformance fuzz: every runtime × every resolver policy ×
-// {streaming monitor, adjudication of its flags, exact check_opacity},
-// via core::check_conformance (core/conformance.hpp).
+// Cross-runtime conformance fuzz: every runtime × {streaming monitor,
+// adjudication of its flags, exact check_opacity}, via
+// core::check_conformance (core/conformance.hpp).
 //
 // The acceptance bar of the window-free work lives here: on >= 150 fuzz
 // seeds, a window-free tl2 recording of a deterministic schedule must be
 // BYTE-EQUAL to the windowed recording of the identical schedule (the
-// window changes locking, never content — stamps included), and every
-// policy must certify it, as the exact checker does. Genuinely concurrent
-// window-free runs (where records really drift) must certify under the
-// stamped policies, and corrupted recordings must flag, each flag
-// adjudicated in agreement with check_opacity on its prefix.
+// window changes locking, never content — stamps included), and the
+// monitor must certify it, as the exact checker does. Genuinely concurrent
+// window-free runs (where records really drift) must certify, and
+// corrupted recordings must flag, each flag adjudicated in agreement with
+// check_opacity on its prefix. A corrupted STAMP is invisible to the
+// record order (the record_order() copy, stamps cleared): only the
+// monitor's stamp checks catch it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +22,7 @@
 
 #include "core/conformance.hpp"
 #include "core/random_history.hpp"
+#include "record_order.hpp"
 #include "sim/thread_ctx.hpp"
 #include "stm/factory.hpp"
 #include "stm/recorder.hpp"
@@ -126,12 +129,9 @@ constexpr std::uint64_t kScheduleSeeds = 150;  // the acceptance bar
 
 // The acceptance criterion: window-free tl2 recording of a deterministic
 // schedule is byte-equal to the windowed recording of the identical
-// schedule, and monitor and check_opacity agree on it under every policy.
+// schedule, and monitor and check_opacity agree on it.
 TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
   ConformanceOptions options;
-  options.policies = {
-      VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kBlindWriteSmart,
-      VersionOrderPolicy::kSnapshotRank, VersionOrderPolicy::kStampedRead};
   std::size_t stamped_reads = 0;
   for (std::uint64_t seed = 1; seed <= kScheduleSeeds; ++seed) {
     const ScheduleParams p = schedule_params(seed);
@@ -152,16 +152,17 @@ TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
     }
 
     // Every engine agrees, and a correct runtime's recording certifies
-    // under every policy (deterministic single-thread driving: commit
-    // order and stamp order coincide).
+    // (deterministic single-thread driving: commit order and stamp order
+    // coincide, so its record order certifies too).
     const ConformanceReport report = check_conformance(window_free, options);
     ASSERT_TRUE(report.ok) << "seed " << seed << ": " << report.divergence
                            << "\n" << window_free.str();
-    for (const PolicyConformance& pc : report.policies) {
-      EXPECT_TRUE(pc.monitor.certified)
-          << "seed " << seed << " " << to_string(pc.policy) << ": "
-          << pc.monitor.reason << "\n" << window_free.str();
-    }
+    EXPECT_TRUE(report.monitor.certified)
+        << "seed " << seed << ": " << report.monitor.reason << "\n"
+        << window_free.str();
+    EXPECT_TRUE(check_conformance(record_order(window_free), options)
+                    .monitor.certified)
+        << "seed " << seed << "\n" << window_free.str();
     ASSERT_EQ(report.exact, Verdict::kYes)
         << "seed " << seed << ": " << report.exact_reason;
   }
@@ -174,15 +175,12 @@ TEST(ConformanceFuzz, WindowFreeTl2MatchesWindowedOnDeterministicSchedules) {
 // windowed and window-free recordings of identical deterministic schedules
 // must be BYTE-EQUAL for the ownership-record runtimes (dstm, astm — reads
 // stamped with their validation snapshot and CAS-acquired orec version)
-// and for mv (update commits now ticket before validating), and every
-// policy must certify them. The write-heavy parameter
+// and for mv (update commits now ticket before validating), and the
+// monitor must certify them. The write-heavy parameter
 // set drives real contention-manager kills and orec steals through the
 // deterministic interleaving, so the abort paths record too.
 TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) {
   ConformanceOptions options;
-  options.policies = {
-      VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kBlindWriteSmart,
-      VersionOrderPolicy::kSnapshotRank, VersionOrderPolicy::kStampedRead};
   for (const char* name : {"dstm", "astm", "mv"}) {
     std::size_t stamped_reads = 0;
     for (std::uint64_t seed = 1; seed <= kScheduleSeeds; ++seed) {
@@ -205,11 +203,12 @@ TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) 
       const ConformanceReport report = check_conformance(window_free, options);
       ASSERT_TRUE(report.ok) << name << " seed " << seed << ": "
                              << report.divergence << "\n" << window_free.str();
-      for (const PolicyConformance& pc : report.policies) {
-        EXPECT_TRUE(pc.monitor.certified)
-            << name << " seed " << seed << " " << to_string(pc.policy) << ": "
-            << pc.monitor.reason << "\n" << window_free.str();
-      }
+      EXPECT_TRUE(report.monitor.certified)
+          << name << " seed " << seed << ": " << report.monitor.reason << "\n"
+          << window_free.str();
+      EXPECT_TRUE(check_conformance(record_order(window_free), options)
+                      .monitor.certified)
+          << name << " seed " << seed << "\n" << window_free.str();
       ASSERT_EQ(report.exact, Verdict::kYes)
           << name << " seed " << seed << ": " << report.exact_reason;
     }
@@ -223,9 +222,6 @@ TEST(ConformanceFuzz, WindowFreeOrecAndMvMatchWindowedOnDeterministicSchedules) 
 // and norec (value validation — version half of the pair absent).
 TEST(ConformanceFuzz, WindowFreeTinyAndNorecCertifyOnDeterministicSchedules) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   for (const char* name : {"tiny", "norec"}) {
     for (std::uint64_t seed = 1; seed <= 60; ++seed) {
       const History h = record_schedule(name, schedule_params(seed),
@@ -234,11 +230,11 @@ TEST(ConformanceFuzz, WindowFreeTinyAndNorecCertifyOnDeterministicSchedules) {
       ASSERT_TRUE(report.ok)
           << name << " seed " << seed << ": " << report.divergence << "\n"
           << h.str();
-      for (const PolicyConformance& pc : report.policies) {
-        EXPECT_TRUE(pc.monitor.certified)
-            << name << " seed " << seed << " " << to_string(pc.policy) << ": "
-            << pc.monitor.reason << "\n" << h.str();
-      }
+      EXPECT_TRUE(report.monitor.certified)
+          << name << " seed " << seed << ": " << report.monitor.reason << "\n"
+          << h.str();
+      EXPECT_TRUE(check_conformance(record_order(h), options).monitor.certified)
+          << name << " seed " << seed << "\n" << h.str();
       ASSERT_EQ(report.exact, Verdict::kYes)
           << name << " seed " << seed << ": " << report.exact_reason;
     }
@@ -250,9 +246,6 @@ TEST(ConformanceFuzz, WindowFreeTinyAndNorecCertifyOnDeterministicSchedules) {
 // discipline (record-order stamps, snapshot stamps, or none).
 TEST(ConformanceFuzz, EveryRuntimeConformsOnDeterministicSchedules) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   for (const char* name :
        {"tl2", "tiny", "norec", "dstm", "astm", "visible", "mv"}) {
     for (std::uint64_t seed = 1; seed <= 25; ++seed) {
@@ -262,7 +255,7 @@ TEST(ConformanceFuzz, EveryRuntimeConformsOnDeterministicSchedules) {
       ASSERT_TRUE(report.ok)
           << name << " seed " << seed << ": " << report.divergence << "\n"
           << h.str();
-      EXPECT_TRUE(report.certified(VersionOrderPolicy::kCommitOrder))
+      EXPECT_TRUE(report.monitor.certified)
           << name << " seed " << seed << "\n" << h.str();
       ASSERT_EQ(report.exact, Verdict::kYes)
           << name << " seed " << seed << ": " << report.exact_reason;
@@ -298,14 +291,12 @@ TEST(ConformanceFuzz, WindowFreeCapabilityMatrix) {
   }
 }
 
-// Corrupted recordings: a lying stamp is caught by kStampedRead (and only
-// by it — the corruption leaves the history opaque), a lying value by
-// every policy, each flag adjudicated in agreement with check_opacity.
+// Corrupted recordings: a lying stamp is caught by the monitor's stamp
+// checks (and only by them — the record order certifies it, and the
+// corruption leaves the history opaque), a lying value flags with or
+// without stamps, each flag adjudicated in agreement with check_opacity.
 TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   std::size_t ver_corrupted = 0;
   std::size_t ret_corrupted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -332,11 +323,13 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
         const ConformanceReport report = check_conformance(bad, options);
         ASSERT_TRUE(report.ok)
             << "seed " << seed << ": " << report.divergence << "\n" << bad.str();
-        EXPECT_TRUE(report.certified(VersionOrderPolicy::kCommitOrder));
-        EXPECT_TRUE(report.certified(VersionOrderPolicy::kSnapshotRank));
-        EXPECT_FALSE(report.certified(VersionOrderPolicy::kStampedRead))
+        EXPECT_TRUE(
+            check_conformance(record_order(bad), options).monitor.certified);
+        EXPECT_FALSE(report.monitor.certified)
             << "seed " << seed << ": a corrupted read stamp went unnoticed\n"
             << bad.str();
+        EXPECT_EQ(report.monitor.kind, CertFlagKind::kReadStampMismatch)
+            << "seed " << seed << ": " << report.monitor.reason;
         EXPECT_EQ(report.exact, Verdict::kYes) << "seed " << seed;
       }
     }
@@ -360,15 +353,15 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
         const ConformanceReport report = check_conformance(bad, options);
         ASSERT_TRUE(report.ok)
             << "seed " << seed << ": " << report.divergence << "\n" << bad.str();
-        EXPECT_FALSE(report.certified(VersionOrderPolicy::kStampedRead))
+        EXPECT_FALSE(report.monitor.certified)
             << "seed " << seed << ": a wrapping version claim went unnoticed\n"
             << bad.str();
       }
     }
 
     // (b) Corrupt a read's return value to one never written: a §5.4
-    // consistency violation every policy must flag and the exact checker
-    // must confirm as non-opaque.
+    // consistency violation the monitor must flag, with or without stamps,
+    // and the exact checker must confirm as non-opaque.
     {
       History bad(h.model());
       bool done = false;
@@ -386,10 +379,12 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
         const ConformanceReport report = check_conformance(bad, options);
         ASSERT_TRUE(report.ok)
             << "seed " << seed << ": " << report.divergence << "\n" << bad.str();
-        for (const PolicyConformance& pc : report.policies) {
-          EXPECT_FALSE(pc.monitor.certified)
-              << "seed " << seed << " " << to_string(pc.policy);
-        }
+        EXPECT_FALSE(report.monitor.certified) << "seed " << seed;
+        const ConformanceReport unstamped =
+            check_conformance(record_order(bad), options);
+        ASSERT_TRUE(unstamped.ok) << "seed " << seed << ": "
+                                  << unstamped.divergence;
+        EXPECT_FALSE(unstamped.monitor.certified) << "seed " << seed;
         EXPECT_EQ(report.exact, Verdict::kNo) << "seed " << seed;
       }
     }
@@ -401,14 +396,11 @@ TEST(ConformanceFuzz, CorruptedWindowFreeRecordingsFlagEquivalently) {
 // The orec-side corruption sweep, on window-free dstm recordings: a lying
 // orec version word, a replayed stale snapshot stamp (the shape a stolen
 // orec's leftover stamp would take), and the 2·ver wrap attack. Each
-// corruption leaves the history opaque — the lie is in the stamps — so
-// exactly kStampedRead must flag it, and the exact checker must still
-// answer kYes.
-TEST(ConformanceFuzz, CorruptedOrecStampsFlagUnderStampedReadOnly) {
+// corruption leaves the history opaque — the lie is in the stamps — so the
+// monitor must flag it while the record order certifies it, and the exact
+// checker must still answer kYes.
+TEST(ConformanceFuzz, CorruptedOrecStampsFlagOnlyThroughTheStamps) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   std::size_t lying_ver = 0;
   std::size_t replayed_stamp = 0;
   std::size_t wrapped_ver = 0;
@@ -418,12 +410,12 @@ TEST(ConformanceFuzz, CorruptedOrecStampsFlagUnderStampedReadOnly) {
     ASSERT_TRUE(report.ok)
         << what << " seed " << seed << ": " << report.divergence << "\n"
         << bad.str();
-    EXPECT_TRUE(report.certified(VersionOrderPolicy::kCommitOrder))
+    EXPECT_TRUE(check_conformance(record_order(bad), options).monitor.certified)
         << what << " seed " << seed;
-    EXPECT_TRUE(report.certified(VersionOrderPolicy::kSnapshotRank))
-        << what << " seed " << seed;
-    EXPECT_FALSE(report.certified(VersionOrderPolicy::kStampedRead))
+    EXPECT_FALSE(report.monitor.certified)
         << what << " seed " << seed << " went unnoticed\n" << bad.str();
+    EXPECT_EQ(report.monitor.kind, CertFlagKind::kReadStampMismatch)
+        << what << " seed " << seed << ": " << report.monitor.reason;
     EXPECT_EQ(report.exact, Verdict::kYes) << what << " seed " << seed;
   };
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -507,10 +499,10 @@ TEST(ConformanceFuzz, CorruptedOrecStampsFlagUnderStampedReadOnly) {
 // T_a (wv=2) and T_b (wv=3) commit disjoint registers with their C records
 // INVERTED (T_a descheduled between its clock advance and its push), and a
 // reader at snapshot rv=2 whose x1 response drifted past T_b's closing C.
-// In record order the reader's window is empty — the commit-order policy
+// In record order the reader's window is empty — the record_order() copy
 // falsely flags — but the stamps place every read inside its version's
 // stamp interval and the snapshot point 2·rv+1=5 inside the window, so the
-// stamped policies certify what the exact checker confirms is opaque.
+// monitor certifies what the exact checker confirms is opaque.
 TEST(ConformanceFuzz, DriftedTl2RecordsCertifyOnStampsNotPositions) {
   History h(ObjectModel::registers(2, 0));
   // T0 commits x1=5 (wv=1, stamp 2).
@@ -532,34 +524,30 @@ TEST(ConformanceFuzz, DriftedTl2RecordsCertifyOnStampsNotPositions) {
   h.append(ev::try_commit(4)).append(ev::commit(4, 5));
 
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   const ConformanceReport report = check_conformance(h, options);
   ASSERT_TRUE(report.ok) << report.divergence << "\n" << h.str();
-  EXPECT_FALSE(report.certified(VersionOrderPolicy::kCommitOrder))
-      << "the drift should empty the record-order window";
-  EXPECT_TRUE(report.certified(VersionOrderPolicy::kSnapshotRank)) << h.str();
-  EXPECT_TRUE(report.certified(VersionOrderPolicy::kStampedRead)) << h.str();
+  EXPECT_TRUE(report.monitor.certified) << h.str();
   ASSERT_EQ(report.exact, Verdict::kYes) << report.exact_reason;
 
-  // The false flag is the snapshot-empty kind, at the drifted response.
-  for (const PolicyConformance& pc : report.policies) {
-    if (pc.policy == VersionOrderPolicy::kCommitOrder) {
-      EXPECT_EQ(pc.monitor.kind, CertFlagKind::kSnapshotEmpty)
-          << pc.monitor.reason;
-    }
-  }
+  // The record order's false flag is the snapshot-empty kind, at the
+  // drifted response, and adjudicates kYes.
+  const ConformanceReport unstamped = check_conformance(record_order(h), options);
+  ASSERT_TRUE(unstamped.ok) << unstamped.divergence;
+  ASSERT_FALSE(unstamped.monitor.certified)
+      << "the drift should empty the record-order window";
+  EXPECT_EQ(unstamped.monitor.kind, CertFlagKind::kSnapshotEmpty)
+      << unstamped.monitor.reason;
+  EXPECT_EQ(unstamped.adjudication, Verdict::kYes);
 }
 
 // --- genuinely concurrent recordings ----------------------------------------
 //
 // Real threads, real drift: without windows a read response can land after
 // the C that overwrote its version, and C records can land out of wv
-// order. The stamped policies must certify anyway (this is the TSan
+// order. The monitor must certify anyway (this is the TSan
 // surface for the dropped window lock, too — including the orec runtimes'
 // kCommitting hand-off and MvStm's lock → ticket → validate commit).
-TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyUnderStampedPolicies) {
+TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertify) {
   for (const char* name : {"tl2", "tiny", "norec", "dstm", "astm", "mv"}) {
     for (const bool window_free : {false, true}) {
       const auto stm = stm::make_stm(name, 8);
@@ -579,21 +567,20 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyUnderStampedPolicies) {
       ASSERT_TRUE(h.well_formed(&why)) << name << ": " << why;
 
       ConformanceOptions options;
-      options.policies = {VersionOrderPolicy::kSnapshotRank,
-                          VersionOrderPolicy::kStampedRead};
-      if (!window_free) {
-        options.policies.push_back(VersionOrderPolicy::kCommitOrder);
-      }
       options.exact_max_txs = 0;  // exponential checker: recordings too big
       const ConformanceReport report = check_conformance(h, options);
       ASSERT_TRUE(report.ok)
           << name << (window_free ? " window-free" : " windowed") << ": "
           << report.divergence;
-      for (const PolicyConformance& pc : report.policies) {
-        EXPECT_TRUE(pc.monitor.certified)
-            << name << (window_free ? " window-free" : " windowed") << " "
-            << to_string(pc.policy) << ": flagged at " << pc.monitor.pos
-            << ": " << pc.monitor.reason;
+      EXPECT_TRUE(report.monitor.certified)
+          << name << (window_free ? " window-free" : " windowed")
+          << ": flagged at " << report.monitor.pos << ": "
+          << report.monitor.reason;
+      if (!window_free) {
+        // The window keeps record order and stamp order together.
+        EXPECT_TRUE(
+            check_conformance(record_order(h), options).monitor.certified)
+            << name << " windowed, record order";
       }
     }
   }
@@ -613,8 +600,7 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
     stm::Recorder recorder(8);
     stm->set_recorder(&recorder);
 
-    core::OnlineCertificateMonitor monitor(recorder.model(),
-                                           VersionOrderPolicy::kStampedRead);
+    core::OnlineCertificateMonitor monitor(recorder.model());
     History h(recorder.model());
     stm::MonitorSink monitor_sink(monitor);
     stm::HistoryAppendSink history_sink(h);
@@ -646,29 +632,19 @@ TEST(ConformanceFuzz, ConcurrentWindowFreeRunsCertifyThroughCappedDrainPump) {
     std::string why;
     ASSERT_TRUE(h.well_formed(&why)) << name << ": " << why;
     ConformanceOptions options;
-    options.policies = {VersionOrderPolicy::kSnapshotRank,
-                        VersionOrderPolicy::kStampedRead};
     options.exact_max_txs = 0;  // exponential checker: recordings too big
     const ConformanceReport report = check_conformance(h, options);
     ASSERT_TRUE(report.ok) << name << ": " << report.divergence;
-    for (const PolicyConformance& pc : report.policies) {
-      EXPECT_TRUE(pc.monitor.certified)
-          << name << " " << to_string(pc.policy) << ": flagged at "
-          << pc.monitor.pos << ": " << pc.monitor.reason;
-    }
+    EXPECT_TRUE(report.monitor.certified)
+        << name << ": flagged at " << report.monitor.pos << ": "
+        << report.monitor.reason;
   }
 }
 
 // --- the random_*_history generators ----------------------------------------
 
-TEST(ConformanceFuzz, RandomHistoriesConformUnderEveryPolicy) {
-  // kBlindWriteSmart is absent: its soundness contract is covered by
-  // version_order_test on the §3.6 histories and by online_batch_test's
-  // per-prefix bound against the definitional monitor.
+TEST(ConformanceFuzz, RandomHistoriesConform) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   for (const ValueModel model :
        {ValueModel::kCoherent, ValueModel::kAdversarial}) {
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
@@ -685,11 +661,8 @@ TEST(ConformanceFuzz, RandomHistoriesConformUnderEveryPolicy) {
   }
 }
 
-TEST(ConformanceFuzz, MvHistoriesConformAndCertifyUnderStampedPolicies) {
+TEST(ConformanceFuzz, MvHistoriesConformAndCertify) {
   ConformanceOptions options;
-  options.policies = {VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead};
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     MvHistoryParams params;
     params.seed = seed;
@@ -700,12 +673,8 @@ TEST(ConformanceFuzz, MvHistoriesConformAndCertifyUnderStampedPolicies) {
     const ConformanceReport report = check_conformance(h, options);
     ASSERT_TRUE(report.ok) << "seed " << seed << ": " << report.divergence
                            << "\n" << h.str();
-    // MV reads carry no read stamps, so kStampedRead must degrade exactly
-    // to kSnapshotRank — and both certify what commit-order may flag.
-    EXPECT_TRUE(report.certified(VersionOrderPolicy::kSnapshotRank))
-        << "seed " << seed;
-    EXPECT_TRUE(report.certified(VersionOrderPolicy::kStampedRead))
-        << "seed " << seed;
+    // The stamps certify what the record order may flag.
+    EXPECT_TRUE(report.monitor.certified) << "seed " << seed;
   }
 }
 

@@ -7,7 +7,7 @@
 // holders, so holder lists keep spilling past the inline slots and being
 // released again.
 //
-// Read-only readers keep the stream clean under every policy: an
+// Read-only readers keep the stream clean: an
 // overwrite only shrinks a reader's window to end at the writer's rank,
 // which lies above the reader's birth floor.
 #pragma once

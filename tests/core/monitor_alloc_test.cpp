@@ -1,6 +1,6 @@
 // The allocation-free hot path, held to its word: feed 100k+ recorded
 // events through OnlineCertificateMonitor under a counting operator-new
-// and assert ZERO heap allocations after warm-up (reserve()), per policy.
+// and assert ZERO heap allocations after warm-up (reserve()).
 //
 // The monitor's per-event state is a TxId-indexed slab, a version table
 // (a chunked record archive under a fingerprint index, both pre-sized by
@@ -8,8 +8,7 @@
 // (core/dense_state.hpp); failure strings exist only on flags. With the
 // dense state pre-sized for the run, nothing on the feed path touches
 // the heap — which is exactly what lets the live pipeline verify at
-// recording speed. kBlindWriteSmart is exempt by design: it retains the
-// prefix for the §3.6 reorder search (checker-scale, documented).
+// recording speed.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -88,8 +87,8 @@ namespace optm::core {
 namespace {
 
 /// Record a single-threaded deterministic mix (window-free tl2, so read
-/// responses carry their (rv, version) stamps and every policy below has
-/// real material to validate). Single-threaded keeps the recording
+/// responses carry their (rv, version) stamps and the monitor's stamp
+/// checks have real material to validate). Single-threaded keeps the recording
 /// deterministic; the monitor does not care who recorded.
 [[nodiscard]] History recorded_history(std::size_t target_events) {
   const auto stm = stm::make_stm("tl2", 32);
@@ -138,15 +137,11 @@ struct ReserveSizes {
   return s;
 }
 
-class MonitorAllocTest
-    : public ::testing::TestWithParam<VersionOrderPolicy> {};
-
-TEST_P(MonitorAllocTest, SteadyStateFeedsWithoutAllocating) {
-  const VersionOrderPolicy policy = GetParam();
+TEST(MonitorAllocTest, SteadyStateFeedsWithoutAllocating) {
   const History h = recorded_history(100'000);
   ASSERT_GE(h.size(), 100'000u) << "workload undershot the event target";
 
-  OnlineCertificateMonitor monitor(h.model(), policy);
+  OnlineCertificateMonitor monitor(h.model());
   // Warm-up: pre-size the dense state from the recorded load.
   const ReserveSizes sizes = sizes_for(h);
   monitor.reserve(sizes.num_txs, sizes.num_versions, sizes.holders);
@@ -157,36 +152,17 @@ TEST_P(MonitorAllocTest, SteadyStateFeedsWithoutAllocating) {
   }
   const std::uint64_t after = g_allocations.load(std::memory_order_relaxed);
 
-  EXPECT_TRUE(monitor.ok()) << to_string(policy) << ": "
-                            << monitor.violation()->reason;
+  EXPECT_TRUE(monitor.ok()) << monitor.violation()->reason;
   EXPECT_EQ(monitor.events_fed(), h.size());
   EXPECT_EQ(after - before, 0u)
-      << to_string(policy) << ": the hot path allocated " << (after - before)
-      << " times over " << h.size() << " events";
+      << "the hot path allocated " << (after - before) << " times over "
+      << h.size() << " events";
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, MonitorAllocTest,
-                         ::testing::Values(VersionOrderPolicy::kCommitOrder,
-                                           VersionOrderPolicy::kSnapshotRank,
-                                           VersionOrderPolicy::kStampedRead),
-                         [](const auto& info) {
-                           switch (info.param) {
-                             case VersionOrderPolicy::kCommitOrder:
-                               return "CommitOrder";
-                             case VersionOrderPolicy::kSnapshotRank:
-                               return "SnapshotRank";
-                             case VersionOrderPolicy::kStampedRead:
-                               return "StampedRead";
-                             default:
-                               return "Other";
-                           }
-                         });
 
 /// The batch path must be equally clean: ingest() in drain-sized batches.
 TEST(MonitorAllocBatch, IngestAllocatesNothingSteadyState) {
   const History h = recorded_history(100'000);
-  OnlineCertificateMonitor monitor(h.model(),
-                                   VersionOrderPolicy::kStampedRead);
+  OnlineCertificateMonitor monitor(h.model());
   const ReserveSizes sizes = sizes_for(h);
   monitor.reserve(sizes.num_txs, sizes.num_versions, sizes.holders);
 
@@ -212,8 +188,7 @@ TEST(MonitorAllocOverflow, HolderOverflowAllocatesNothingSteadyState) {
   for (Event& e : events) e = stream.next();
 
   OnlineCertificateMonitor monitor(
-      ObjectModel::registers(HotRegisterStream::kRegisters),
-      VersionOrderPolicy::kStampedRead);
+      ObjectModel::registers(HotRegisterStream::kRegisters));
   monitor.reserve(stream.txs_started() + 2, events.size(),
                   /*holders_per_register=*/4 * kReaders);
 

@@ -1,10 +1,11 @@
-// MV snapshot-rank fuzz: random_mv_history simulates MvStm's algorithm
+// MV snapshot fuzz: random_mv_history simulates MvStm's algorithm
 // recorded WITHOUT the exclusive commit window, so C records drift out of
 // stamp order. Every generated history is opaque by construction; the
-// commit-order certificate falsely flags the drifted ones, while the
-// SnapshotRank policy certifies them from the stamps the C/A events carry.
-// The definitional checker decides every history, and every flag is
-// adjudicated and must match check_opacity on its prefix.
+// certificate monitor certifies them from the stamps the C/A events carry,
+// while their record order (the record_order() copy, stamps cleared)
+// falsely flags the drifted ones. The definitional checker decides every
+// history, and every flag is adjudicated and must match check_opacity on
+// its prefix.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,6 +16,7 @@
 #include "core/opacity.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
+#include "record_order.hpp"
 
 namespace optm::core {
 namespace {
@@ -36,9 +38,8 @@ constexpr std::uint64_t kSeeds = 150;  // >= 100 histories (acceptance bar)
   return params;
 }
 
-[[nodiscard]] OnlineCertificateMonitor feed_all(const History& h,
-                                                VersionOrderPolicy policy) {
-  OnlineCertificateMonitor m(h.model(), policy);
+[[nodiscard]] OnlineCertificateMonitor feed_all(const History& h) {
+  OnlineCertificateMonitor m(h.model());
   for (const Event& e : h.events()) (void)m.feed(e);
   return m;
 }
@@ -50,7 +51,7 @@ constexpr std::uint64_t kSeeds = 150;  // >= 100 histories (acceptance bar)
   return check_opacity(prefix).verdict;
 }
 
-TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
+TEST(MvSnapshotFuzz, StampOrderCertifiesWhatRecordOrderFalselyFlags) {
   std::size_t commit_order_flagged = 0;
 
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -58,10 +59,10 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
     std::string why;
     ASSERT_TRUE(h.well_formed(&why)) << "seed " << seed << ": " << why;
 
-    // The commit-order policy may flag (the false-flag count is asserted
-    // below); its flag is adjudicated, and the adjudication must match
-    // Definition 1 on the flagged prefix: kYes, a false alarm.
-    const auto commit_monitor = feed_all(h, VersionOrderPolicy::kCommitOrder);
+    // The record order may flag (the false-flag count is asserted below);
+    // its flag is adjudicated, and the adjudication must match Definition
+    // 1 on the flagged prefix: kYes, a false alarm.
+    const auto commit_monitor = feed_all(record_order(h));
     if (!commit_monitor.ok()) {
       ++commit_order_flagged;
       const Adjudication a = adjudicate(h, *commit_monitor.violation());
@@ -70,29 +71,29 @@ TEST(MvSnapshotFuzz, SnapshotRankCertifiesWhatCommitOrderFalselyFlags) {
           << "seed " << seed;
     }
 
-    // SnapshotRank: every history certifies.
-    const auto snap_monitor = feed_all(h, VersionOrderPolicy::kSnapshotRank);
+    // The stamp order: every history certifies.
+    const auto snap_monitor = feed_all(h);
     EXPECT_TRUE(snap_monitor.ok())
         << "seed " << seed << " at " << snap_monitor.violation()->pos << ": "
         << snap_monitor.violation()->reason << "\n"
         << h.str();
 
     // The exact checker confirms every history really is opaque — the
-    // commit-order flags above were false alarms, not bugs slipping by.
+    // record-order flags above were false alarms, not bugs slipping by.
     const OpacityResult exact = check_opacity(h);
     EXPECT_EQ(exact.verdict, Verdict::kYes)
         << "seed " << seed << ": " << exact.reason << "\n" << h.str();
   }
 
   // The fuzz set must actually exercise the divergence: enough drifted
-  // histories that commit-order certification falsely flags. (The count is
-  // deterministic — fixed seeds.)
+  // histories that record-order certification falsely flags. (The count
+  // is deterministic — fixed seeds.)
   EXPECT_GE(commit_order_flagged, 8u);
   RecordProperty("commit_order_false_flags",
                  static_cast<int>(commit_order_flagged));
 }
 
-TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
+TEST(MvSnapshotFuzz, CorruptedHistoriesFlagAndAreNonOpaque) {
   std::size_t corrupted = 0;
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     History h = random_mv_history(fuzz_params(seed));
@@ -111,16 +112,16 @@ TEST(MvSnapshotFuzz, CorruptedHistoriesFlagUnderEveryPolicyAndAreNonOpaque) {
     if (!done) continue;
     ++corrupted;
 
-    for (const VersionOrderPolicy policy :
-         {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank}) {
-      const auto monitor = feed_all(bad, policy);
-      ASSERT_FALSE(monitor.ok()) << "seed " << seed << " " << to_string(policy);
-      // Commit order may raise a false alarm before the corruption; the
-      // snapshot-rank flag is the corruption's, so its prefix is not opaque.
+    // The record order may raise a false alarm before the corruption;
+    // the stamp order's flag is the corruption's, so its prefix is not
+    // opaque.
+    for (const bool stamps : {false, true}) {
+      const auto monitor = feed_all(stamps ? bad : record_order(bad));
+      ASSERT_FALSE(monitor.ok()) << "seed " << seed << " stamps " << stamps;
       const Adjudication a = adjudicate(bad, *monitor.violation());
       EXPECT_EQ(a.verdict, exact_prefix(bad, monitor.violation()->pos))
-          << "seed " << seed << " " << to_string(policy) << ": " << a.reason;
-      if (policy == VersionOrderPolicy::kSnapshotRank) {
+          << "seed " << seed << " stamps " << stamps << ": " << a.reason;
+      if (stamps) {
         EXPECT_EQ(a.verdict, Verdict::kNo) << "seed " << seed << ": " << a.reason;
       }
     }

@@ -14,6 +14,7 @@
 #include "core/paper.hpp"
 #include "core/random_history.hpp"
 #include "hot_register_stream.hpp"
+#include "record_order.hpp"
 
 namespace optm::core {
 namespace {
@@ -191,7 +192,9 @@ TEST(OnlineCertificate, FlagsWriteSkewAtTheSecondCommit) {
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(h[v->pos].kind, EventKind::kCommit);
   EXPECT_EQ(h[v->pos].tx, 2u);
-  EXPECT_NE(v->reason.find("not current at commit"), std::string::npos);
+  EXPECT_EQ(v->kind, CertFlagKind::kNotCurrentAtCommit) << v->reason;
+  EXPECT_NE(v->reason.find("outside its snapshot window"), std::string::npos)
+      << v->reason;
 }
 
 TEST(OnlineCertificate, AbortedReaderOfStableSnapshotIsClean) {
@@ -263,48 +266,24 @@ TEST(OnlineCertificate, ReadOfNeverInstalledOverwrittenValueFlagged) {
   return h;
 }
 
-// The policies the certificate checks incrementally (kBlindWriteSmart
-// replays prefixes instead).
-const auto kCertificatePolicies =
-    ::testing::Values(VersionOrderPolicy::kCommitOrder,
-                      VersionOrderPolicy::kSnapshotRank,
-                      VersionOrderPolicy::kStampedRead);
-
-std::string policy_name(
-    const ::testing::TestParamInfo<VersionOrderPolicy>& info) {
-  switch (info.param) {
-    case VersionOrderPolicy::kCommitOrder:
-      return "CommitOrder";
-    case VersionOrderPolicy::kSnapshotRank:
-      return "SnapshotRank";
-    default:
-      return "StampedRead";
-  }
-}
-
-class OnlineSupersededValue
-    : public ::testing::TestWithParam<VersionOrderPolicy> {};
-
-TEST_P(OnlineSupersededValue, CommittedWriterFlagsEmptySnapshotAtTheRead) {
+TEST(OnlineSupersededValue, CommittedWriterFlagsEmptySnapshotAtTheRead) {
   const History h = read_of_superseded_value(/*writer_commits=*/true);
-  OnlineCertificateMonitor m(h.model(), GetParam());
+  OnlineCertificateMonitor m(h.model());
   const auto v = run_monitor(m, h);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
   EXPECT_EQ(v->pos, 7u);
 }
 
-TEST_P(OnlineSupersededValue, AbortedWriterFlagsNonCommittedAtTheRead) {
+TEST(OnlineSupersededValue, AbortedWriterFlagsNonCommittedAtTheRead) {
   const History h = read_of_superseded_value(/*writer_commits=*/false);
-  OnlineCertificateMonitor m(h.model(), GetParam());
+  OnlineCertificateMonitor m(h.model());
   const auto v = run_monitor(m, h);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->kind, CertFlagKind::kReadFromNonCommitted) << v->reason;
   EXPECT_EQ(v->pos, 7u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, OnlineSupersededValue, kCertificatePolicies,
-                         policy_name);
 
 // --- finished transactions ---------------------------------------------------------
 
@@ -424,8 +403,8 @@ TEST(OnlineCertificateResident, ReadOnlyRegisterKeepsHoldersAndSlotsFlat) {
 // any other value goes through the version table. The two paths must
 // flag (or not) exactly as the table alone did. Histories use the TL2
 // stamp convention: a commit at wv carries 2·wv, a read at snapshot rv
-// carries (2·rv+1, version). Under kCommitOrder and kSnapshotRank `ver`
-// is not checked, so a wrong one does not flag.
+// carries (2·rv+1, version). The record_order() copy clears the stamps,
+// so there a wrong `ver` does not flag.
 
 void add_read(History& h, TxId t, ObjId x, Value v, std::uint64_t rv,
               std::uint64_t ver) {
@@ -443,8 +422,8 @@ void add_commit(History& h, TxId t, std::uint64_t stamp) {
 struct HeadCase {
   const char* name;
   History (*build)();
-  /// First flag under kStampedRead, and under the other two policies
-  /// (kNone: the history certifies; pos is then unused).
+  /// First flag of the stamped history, and of its record_order() copy
+  /// (stamps cleared) (kNone: the history certifies; pos is then unused).
   CertFlagKind stamped_kind;
   std::size_t stamped_pos;
   CertFlagKind other_kind;
@@ -545,25 +524,23 @@ const HeadCase kHeadCases[] = {
      CertFlagKind::kNone, 0, CertFlagKind::kNone, 0},
 };
 
-class OnlineRegisterHead
-    : public ::testing::TestWithParam<VersionOrderPolicy> {};
-
-TEST_P(OnlineRegisterHead, HeadAndTablePathsFlagAsTheTableAlone) {
-  const VersionOrderPolicy policy = GetParam();
+TEST(OnlineRegisterHead, HeadAndTablePathsFlagAsTheTableAlone) {
   for (const HeadCase& c : kHeadCases) {
-    const History h = c.build();
-    OnlineCertificateMonitor m(h.model(), policy);
-    const auto v = run_monitor(m, h);
-    const bool stamped = policy == VersionOrderPolicy::kStampedRead;
-    const CertFlagKind kind = stamped ? c.stamped_kind : c.other_kind;
-    const std::size_t pos = stamped ? c.stamped_pos : c.other_pos;
-    if (kind == CertFlagKind::kNone) {
-      EXPECT_FALSE(v.has_value()) << c.name << ": " << v->reason;
-      continue;
+    for (const bool stamped : {true, false}) {
+      const History h = stamped ? c.build() : record_order(c.build());
+      OnlineCertificateMonitor m(h.model());
+      const auto v = run_monitor(m, h);
+      const CertFlagKind kind = stamped ? c.stamped_kind : c.other_kind;
+      const std::size_t pos = stamped ? c.stamped_pos : c.other_pos;
+      if (kind == CertFlagKind::kNone) {
+        EXPECT_FALSE(v.has_value())
+            << c.name << " stamped " << stamped << ": " << v->reason;
+        continue;
+      }
+      ASSERT_TRUE(v.has_value()) << c.name << " stamped " << stamped;
+      EXPECT_EQ(v->kind, kind) << c.name << ": " << v->reason;
+      EXPECT_EQ(v->pos, pos) << c.name;
     }
-    ASSERT_TRUE(v.has_value()) << c.name;
-    EXPECT_EQ(v->kind, kind) << c.name << ": " << v->reason;
-    EXPECT_EQ(v->pos, pos) << c.name;
   }
 }
 
@@ -591,34 +568,40 @@ constexpr TxId kOverwriter = 100;
   return h;
 }
 
-class OnlineHolderOverflow
-    : public ::testing::TestWithParam<VersionOrderPolicy> {};
-
-TEST_P(OnlineHolderOverflow, EveryHolderWindowShrinksAtTheInstall) {
-  const History base = many_holders_then_overwrite();
-  for (TxId reader = kFirstLive; reader < kFirstLive + kLiveReaders;
-       ++reader) {
-    // The reader now reads the overwriter's x0: its window, closed at the
-    // overwriter's rank, cannot also open there.
-    History h = base;
-    add_read(h, reader, 0, 100, 2, 2);
-    OnlineCertificateMonitor m(h.model(), GetParam());
-    const auto v = run_monitor(m, h);
-    ASSERT_TRUE(v.has_value()) << "T" << reader;
-    EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
-    EXPECT_EQ(v->pos, 39u) << "T" << reader;
-  }
-  // A reader born after the overwrite reads the same value cleanly.
-  History h = base;
-  add_read(h, 200, 0, 100, 2, 2);
-  add_commit(h, 200, 5);
-  OnlineCertificateMonitor m(h.model(), GetParam());
-  EXPECT_FALSE(run_monitor(m, h).has_value()) << m.violation()->reason;
+/// The stamped history, or its record_order() copy.
+[[nodiscard]] History stamped_or_not(const History& h, bool stamped) {
+  return stamped ? h : record_order(h);
 }
 
-TEST_P(OnlineHolderOverflow, ResidentCountsInlineAndOverflowHolders) {
+TEST(OnlineHolderOverflow, EveryHolderWindowShrinksAtTheInstall) {
+  for (const bool stamped : {true, false}) {
+    const History base = many_holders_then_overwrite();
+    for (TxId reader = kFirstLive; reader < kFirstLive + kLiveReaders;
+         ++reader) {
+      // The reader now reads the overwriter's x0: its window, closed at
+      // the overwriter's rank, cannot also open there.
+      History h = base;
+      add_read(h, reader, 0, 100, 2, 2);
+      h = stamped_or_not(h, stamped);
+      OnlineCertificateMonitor m(h.model());
+      const auto v = run_monitor(m, h);
+      ASSERT_TRUE(v.has_value()) << "T" << reader << " stamped " << stamped;
+      EXPECT_EQ(v->kind, CertFlagKind::kSnapshotEmpty) << v->reason;
+      EXPECT_EQ(v->pos, 39u) << "T" << reader;
+    }
+    // A reader born after the overwrite reads the same value cleanly.
+    History h = base;
+    add_read(h, 200, 0, 100, 2, 2);
+    add_commit(h, 200, 5);
+    h = stamped_or_not(h, stamped);
+    OnlineCertificateMonitor m(h.model());
+    EXPECT_FALSE(run_monitor(m, h).has_value()) << m.violation()->reason;
+  }
+}
+
+TEST(OnlineHolderOverflow, ResidentCountsInlineAndOverflowHolders) {
   const History h = many_holders_then_overwrite();
-  OnlineCertificateMonitor m(h.model(), GetParam());
+  OnlineCertificateMonitor m(h.model());
   // Up to the overwriter's first event: the finished readers are pruned,
   // the live ones all count.
   const std::size_t overwriter_first = h.size() - 4;
@@ -706,13 +689,11 @@ constexpr std::uint32_t kRehashRegisters = 64;
   return h;
 }
 
-class OnlineRehash : public ::testing::TestWithParam<VersionOrderPolicy> {};
-
-TEST_P(OnlineRehash, UnreservedMonitorMatchesReservedAcrossRehashes) {
+TEST(OnlineRehash, UnreservedMonitorMatchesReservedAcrossRehashes) {
   for (const bool stale_tail : {false, true}) {
     const History h = rehash_stream(stale_tail);
-    OnlineCertificateMonitor unreserved(h.model(), GetParam());
-    OnlineCertificateMonitor reserved(h.model(), GetParam());
+    OnlineCertificateMonitor unreserved(h.model());
+    OnlineCertificateMonitor reserved(h.model());
     reserved.reserve(h.size(), h.size());
     const auto a = run_monitor(unreserved, h);
     const auto b = run_monitor(reserved, h);
@@ -728,12 +709,6 @@ TEST_P(OnlineRehash, UnreservedMonitorMatchesReservedAcrossRehashes) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, OnlineRegisterHead, kCertificatePolicies,
-                         policy_name);
-INSTANTIATE_TEST_SUITE_P(Policies, OnlineHolderOverflow, kCertificatePolicies,
-                         policy_name);
-INSTANTIATE_TEST_SUITE_P(Policies, OnlineRehash, kCertificatePolicies,
-                         policy_name);
 
 // --- cross-validation: certificate is SUFFICIENT for opacity ------------------------
 

@@ -15,13 +15,21 @@
 //   * effectiveness: across the searches the drifted corpus triggers,
 //     at least half of all candidate orders are rejected without an exact
 //     pass (the acceptance bar).
+//
+// The searches start from the flags the record order raises (the corpus's
+// record_order() copy: the certificate without stamps, which the drift
+// falsely fails), and the adjudication case drives the search through
+// core::adjudicate.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 
+#include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/random_history.hpp"
 #include "core/version_order.hpp"
+#include "record_order.hpp"
 
 namespace optm::core {
 namespace {
@@ -46,11 +54,11 @@ TEST(StampPruneFuzz, PruningPreservesVerdictsAndPrunesHalfTheCandidates) {
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     const History h = random_mv_history(drifted_params(seed));
 
-    // Only histories the commit-order certificate flags REPAIRABLY enter
-    // the §3.6 search in production (the monitor's fail() tries the
-    // search at its first repairable flag); mirror that trigger.
+    // Only flags of a repairable kind enter the §3.6 search
+    // (adjudicate()'s reorder step); the record order's flags on the
+    // drifted corpus are the trigger.
     OnlineCertificateMonitor commit_order(h.model());
-    (void)commit_order.ingest(h.events());
+    (void)commit_order.ingest(record_order(h).events());
     if (commit_order.ok() ||
         !reorder_repairable(commit_order.violation()->kind)) {
       continue;
@@ -95,35 +103,43 @@ TEST(StampPruneFuzz, PruningPreservesVerdictsAndPrunesHalfTheCandidates) {
       << " candidate orders";
 }
 
-/// The monitor path end-to-end: kBlindWriteSmart streams over drifted
-/// stamped histories, repairing via the (pruned) search; a certified
-/// verdict must match the snapshot-rank ground truth.
-TEST(StampPruneFuzz, MonitorBlindWriteSmartAgreesWithSnapshotRankOnDrift) {
+/// The adjudication path end-to-end: each repairable record-order flag on
+/// the drifted stamped histories goes to adjudicate() with check_opacity
+/// out of budget, so its §3.6 reorder step (pruned search, flagged
+/// transaction first) decides it. A kYes must agree with the monitor's
+/// stamp order, which certifies every one of these opaque histories.
+TEST(StampPruneFuzz, AdjudicationRepairsRecordOrderFlagsOnDrift) {
+  OpacityOptions exhausted;
+  exhausted.max_states = 1;
   std::size_t repaired = 0;
   for (std::uint64_t seed = 1; seed <= 150; ++seed) {
     const History h = random_mv_history(drifted_params(seed));
 
     // Ground truth: these generated histories are opaque by construction
-    // and certify under the stamp policies.
-    OnlineCertificateMonitor snapshot_rank(h.model(),
-                                           VersionOrderPolicy::kSnapshotRank);
-    for (const Event& e : h.events()) (void)snapshot_rank.feed(e);
-    ASSERT_TRUE(snapshot_rank.ok()) << "seed " << seed;
+    // and certify under the stamp order.
+    OnlineCertificateMonitor stamps(h.model());
+    for (const Event& e : h.events()) (void)stamps.feed(e);
+    ASSERT_TRUE(stamps.ok()) << "seed " << seed;
 
-    OnlineCertificateMonitor smart(h.model(),
-                                   VersionOrderPolicy::kBlindWriteSmart);
-    for (const Event& e : h.events()) (void)smart.feed(e);
-    if (smart.retro_ordered() && smart.ok()) ++repaired;
-    // A smart flag must never contradict an exactly-certified repair
-    // being available... but the bounded search may legitimately miss
-    // deep reorderings; what it must NOT do is crash or certify a
-    // non-opaque history (covered by the conformance suites). Here we
-    // assert the common case: when it certifies, snapshot-rank does too.
-    if (smart.ok()) {
-      EXPECT_TRUE(snapshot_rank.ok()) << "seed " << seed;
+    OnlineCertificateMonitor commit_order(h.model());
+    (void)commit_order.ingest(record_order(h).events());
+    if (commit_order.ok() ||
+        !reorder_repairable(commit_order.violation()->kind)) {
+      continue;
+    }
+    const Adjudication a = adjudicate(h, *commit_order.violation(), exhausted);
+    // The bounded search may legitimately miss deep reorderings (kUnknown);
+    // what it must NOT do is crash or certify a non-opaque history (the
+    // conformance suites cover that). A kYes carries its witness.
+    ASSERT_NE(a.verdict, Verdict::kNo) << "seed " << seed << ": " << a.reason;
+    if (a.verdict == Verdict::kYes &&
+        a.reason.find("reordering") != std::string::npos) {
+      ++repaired;
+      std::string why;
+      EXPECT_TRUE(a.witness.is_sequential(&why)) << "seed " << seed << ": " << why;
     }
   }
-  // The corpus must exercise the streaming repair path.
+  // The corpus must exercise the repair path.
   EXPECT_GE(repaired, 3u);
   RecordProperty("repaired", static_cast<int>(repaired));
 }

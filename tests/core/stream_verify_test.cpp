@@ -3,8 +3,8 @@
 // memory. The pull here hands out every span from ONE reused buffer and
 // overwrites that buffer with garbage on each call: an engine that kept a
 // span past the next pull would certify garbage. The verdict and the first
-// flag (position and kind) must equal the in-RAM monitor's under every
-// policy, for a clean and for a poisoned recording.
+// flag (position and kind) must equal the in-RAM monitor's, for a clean
+// and for a poisoned recording.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,13 +23,6 @@ namespace {
 
 constexpr std::size_t kVars = 8;
 constexpr std::size_t kNoPoison = static_cast<std::size_t>(-1);
-
-constexpr VersionOrderPolicy kPolicies[] = {
-    VersionOrderPolicy::kCommitOrder,
-    VersionOrderPolicy::kBlindWriteSmart,
-    VersionOrderPolicy::kSnapshotRank,
-    VersionOrderPolicy::kStampedRead,
-};
 
 /// A sequential recording: committed writers, each followed by a reader
 /// of the value it wrote. With `poison_at` set, the transaction at that
@@ -62,10 +55,10 @@ constexpr VersionOrderPolicy kPolicies[] = {
 
 /// Streams `h` through verify_event_stream in uneven spans, all carved
 /// from one buffer that is overwritten with garbage at the next call, and
-/// checks the result against the in-RAM monitor under `policy`.
+/// checks the result against the in-RAM monitor.
 [[nodiscard]] StreamVerifyResult expect_matches_in_ram_monitor(
-    const History& h, VersionOrderPolicy policy) {
-  OnlineCertificateMonitor reference(h.model(), policy);
+    const History& h) {
+  OnlineCertificateMonitor reference(h.model());
   (void)reference.ingest(h.events());
 
   constexpr std::size_t kSpanSizes[] = {1, 7, 64, 3, 300};
@@ -82,10 +75,7 @@ constexpr VersionOrderPolicy kPolicies[] = {
     next += n;
     return std::span<const Event>(buffer.data(), n);
   };
-  StreamVerifyOptions options;
-  options.policy = policy;
-  const StreamVerifyResult result = verify_event_stream(h.model(), pull,
-                                                        options);
+  const StreamVerifyResult result = verify_event_stream(h.model(), pull);
 
   EXPECT_EQ(result.events, h.size());
   EXPECT_EQ(result.certified, reference.ok());
@@ -99,21 +89,14 @@ constexpr VersionOrderPolicy kPolicies[] = {
 
 TEST(StreamVerifyPull, ReusedSpanBufferCertifiesLikeInRamMonitor) {
   const History clean = record(200, kNoPoison);
-  for (const VersionOrderPolicy policy : kPolicies) {
-    SCOPED_TRACE(to_string(policy));
-    EXPECT_TRUE(expect_matches_in_ram_monitor(clean, policy).certified);
-  }
+  EXPECT_TRUE(expect_matches_in_ram_monitor(clean).certified);
 }
 
 TEST(StreamVerifyPull, ReusedSpanBufferFlagsWhereInRamMonitorDoes) {
   const History poisoned = record(200, 150);
-  for (const VersionOrderPolicy policy : kPolicies) {
-    SCOPED_TRACE(to_string(policy));
-    const StreamVerifyResult r =
-        expect_matches_in_ram_monitor(poisoned, policy);
-    ASSERT_TRUE(r.violation.has_value());
-    EXPECT_EQ(r.violation->kind, CertFlagKind::kUnwrittenValue);
-  }
+  const StreamVerifyResult r = expect_matches_in_ram_monitor(poisoned);
+  ASSERT_TRUE(r.violation.has_value());
+  EXPECT_EQ(r.violation->kind, CertFlagKind::kUnwrittenValue);
 }
 
 // The version table's memory, from the counters the result carries. The

@@ -63,7 +63,7 @@ struct ExpectedProbes {
   return out;
 }
 
-// The stream certify-log sees: window-free tl2 under kStampedRead, three
+// The stream certify-log sees: window-free (stamped) tl2, three
 // processes on 4096 registers (here one seeded interleaving, so the
 // stream is the same on every run), certified in 2048-event pulls.
 TEST(TableProbes, OnePerWriteResponseAndNonCurrentReadOnAMillionEvents) {
@@ -90,9 +90,7 @@ TEST(TableProbes, OnePerWriteResponseAndNonCurrentReadOnAMillionEvents) {
     next += n;
     return events.subspan(next - n, n);
   };
-  StreamVerifyOptions options;
-  options.policy = VersionOrderPolicy::kStampedRead;
-  const StreamVerifyResult r = verify_event_stream(h.model(), pull, options);
+  const StreamVerifyResult r = verify_event_stream(h.model(), pull);
   ASSERT_TRUE(r.certified) << r.violation->reason;
 
   const ExpectedProbes want = expected_probes(kVars, events);
@@ -104,7 +102,7 @@ TEST(TableProbes, OnePerWriteResponseAndNonCurrentReadOnAMillionEvents) {
 
 // Reads of older versions take the find() path: a reader that began
 // before an overwrite reads the overwritten value afterwards, once per
-// round, under every policy that certifies the history.
+// round.
 TEST(TableProbes, ReadOfAnOlderVersionProbesOnce) {
   constexpr std::size_t kRounds = 100;
   const ObjectModel model = ObjectModel::registers(2, 0);
@@ -134,14 +132,9 @@ TEST(TableProbes, ReadOfAnOlderVersionProbesOnce) {
   const ExpectedProbes want = expected_probes(model.size(), events);
   ASSERT_EQ(want.write_responses, kRounds);
   ASSERT_EQ(want.non_current_reads, kRounds);
-  for (const VersionOrderPolicy policy :
-       {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kSnapshotRank,
-        VersionOrderPolicy::kStampedRead}) {
-    SCOPED_TRACE(to_string(policy));
-    OnlineCertificateMonitor m(model, policy);
-    ASSERT_TRUE(m.ingest(events)) << m.violation()->reason;
-    EXPECT_EQ(m.resident().table_probes, want.total());
-  }
+  OnlineCertificateMonitor m(model);
+  ASSERT_TRUE(m.ingest(events)) << m.violation()->reason;
+  EXPECT_EQ(m.resident().table_probes, want.total());
 }
 
 }  // namespace

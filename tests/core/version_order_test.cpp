@@ -1,32 +1,31 @@
-// The pluggable version-order layer: §3.6 blind-write histories that the
-// commit-order certificate falsely flags but the BlindWriteSmart policy
-// certifies (cross-checked against the exact definitional monitor),
-// structured reason codes on certificate flags and their adjudication,
-// and policy plumbing through the streaming monitor.
+// The version-order layer: §3.6 blind-write histories that the monitor's
+// one order flags and adjudicate() proves opaque — through Definition 1
+// and through the §3.6 reorder search (cross-checked against the exact
+// definitional monitor) — structured reason codes on certificate flags and
+// their adjudication, and the stamp order's rank assignment.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/adjudicate.hpp"
 #include "core/online.hpp"
 #include "core/opacity.hpp"
 #include "core/paper.hpp"
-#include "core/random_history.hpp"
 #include "core/version_order.hpp"
 
 namespace optm::core {
 namespace {
 
-[[nodiscard]] OnlineCertificateMonitor feed_all(
-    const History& h, VersionOrderPolicy policy) {
-  OnlineCertificateMonitor m(h.model(), policy);
+[[nodiscard]] OnlineCertificateMonitor feed_all(const History& h) {
+  OnlineCertificateMonitor m(h.model());
   for (const Event& e : h.events()) (void)m.feed(e);
   return m;
 }
 
 /// §3.6's smart-TM shape: T2 reads the initial x, T1 blind-writes x and
 /// commits FIRST, then T2 blind-writes y and commits. The commit order
-/// cannot serialize T2 (its read of x=0 is no longer current at its commit
+/// (the one order's ranks on these unstamped commits) cannot serialize T2 (its read of x=0 is no longer current at its commit
 /// rank), but T2 ≪ T1 is a legal version order: T1's write is blind and
 /// the two transactions overlap in real time.
 [[nodiscard]] History smart_blind_history() {
@@ -55,35 +54,52 @@ namespace {
   return h;
 }
 
-TEST(BlindWriteSmart, CertifiesWhatCommitOrderFalselyFlags) {
+/// A budget too small for check_opacity on any prefix: adjudicate() must
+/// reach its §3.6 reorder step.
+[[nodiscard]] OpacityOptions exhausted_budget() {
+  OpacityOptions budget;
+  budget.max_states = 1;
+  return budget;
+}
+
+TEST(BlindWriteSmart, FlagUnderTheOneOrderAdjudicatesOpaque) {
   const History h = smart_blind_history();
 
-  // Commit order: flagged at T2's C, with the structured kind.
-  const auto commit_order = feed_all(h, VersionOrderPolicy::kCommitOrder);
-  ASSERT_FALSE(commit_order.ok());
-  EXPECT_EQ(commit_order.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
-  EXPECT_EQ(commit_order.violation()->pos, h.size() - 1);
+  // The one order: flagged at T2's C, with the structured kind.
+  const auto m = feed_all(h);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
+  EXPECT_EQ(m.violation()->pos, h.size() - 1);
 
-  // BlindWriteSmart: the §3.6 reordering certifies the prefix and the
-  // monitor keeps streaming (retro-ordered).
-  const auto smart = feed_all(h, VersionOrderPolicy::kBlindWriteSmart);
-  EXPECT_TRUE(smart.ok()) << smart.violation()->reason;
-  EXPECT_TRUE(smart.retro_ordered());
+  // Definition 1 on the prefix: opaque, the flag was stricter.
+  const Adjudication exact = adjudicate(h, *m.violation());
+  EXPECT_EQ(exact.verdict, Verdict::kYes) << exact.reason;
+
+  // With check_opacity out of budget the §3.6 reordering proves the same,
+  // and its witness is a legal sequential history.
+  const Adjudication repaired =
+      adjudicate(h, *m.violation(), exhausted_budget());
+  EXPECT_EQ(repaired.verdict, Verdict::kYes) << repaired.reason;
+  EXPECT_NE(repaired.reason.find("reordering"), std::string::npos)
+      << repaired.reason;
+  std::string why;
+  EXPECT_TRUE(repaired.witness.is_sequential(&why)) << why;
+  EXPECT_EQ(repaired.witness.transactions(), (std::vector<TxId>{2, 1}));
 
   // The exact definitional monitor agrees the history is opaque.
-  OnlineDefinitionalMonitor exact(h.model());
-  for (const Event& e : h.events()) (void)exact.feed(e);
-  EXPECT_TRUE(exact.ok()) << exact.violation()->reason;
+  OnlineDefinitionalMonitor definitional(h.model());
+  for (const Event& e : h.events()) (void)definitional.feed(e);
+  EXPECT_TRUE(definitional.ok()) << definitional.violation()->reason;
 }
 
 TEST(BlindWriteSmart, SmartReorderSearchYieldsTheWitnessOrder) {
   const History h = smart_blind_history();
 
-  // The commit-order flag names T2, at its C event.
-  const auto commit_order = feed_all(h, VersionOrderPolicy::kCommitOrder);
-  ASSERT_FALSE(commit_order.ok());
-  EXPECT_EQ(commit_order.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
-  EXPECT_EQ(h[commit_order.violation()->pos].tx, 2u);
+  // The flag names T2, at its C event.
+  const auto m = feed_all(h);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
+  EXPECT_EQ(h[m.violation()->pos].tx, 2u);
 
   // The §3.6 search prioritizing T2 certifies the history; the witness
   // order serializes the blind-written version of T2 first.
@@ -97,37 +113,30 @@ TEST(BlindWriteSmart, SmartReorderSearchYieldsTheWitnessOrder) {
 TEST(BlindWriteSmart, RealTimeOrderStillBlocksTheReordering) {
   const History h = stale_blind_history();
 
-  // The per-read stale flag fires for every policy — no §3.6 reordering
-  // can move T2 before a transaction that wholly preceded it, so the
-  // repair attempt fails and the ORIGINAL flag (kind included) is latched.
-  for (const VersionOrderPolicy policy :
-       {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kBlindWriteSmart}) {
-    const auto m = feed_all(h, policy);
-    ASSERT_FALSE(m.ok()) << to_string(policy);
-    EXPECT_EQ(m.violation()->kind, CertFlagKind::kStaleRead) << to_string(policy);
-  }
+  // The per-read stale flag fires: no §3.6 reordering can move T2 before
+  // a transaction that wholly preceded it.
+  const auto m = feed_all(h);
+  ASSERT_FALSE(m.ok());
+  EXPECT_EQ(m.violation()->kind, CertFlagKind::kStaleRead);
 
   // And rightly so: the history is genuinely non-opaque.
   const OpacityResult exact = check_opacity(h);
   EXPECT_EQ(exact.verdict, Verdict::kNo);
 
-  // No reordering certifies it, and the smart policy's flag adjudicates
-  // kNo.
+  // No reordering certifies it: the flag adjudicates kNo, and with
+  // check_opacity out of budget the search does not turn it into kYes.
   EXPECT_FALSE(smart_reorder_search(h, TxId{2}).certified);
-  const auto smart = feed_all(h, VersionOrderPolicy::kBlindWriteSmart);
-  EXPECT_FALSE(smart.retro_ordered());
-  const Adjudication a = adjudicate(h, *smart.violation());
+  const Adjudication a = adjudicate(h, *m.violation());
   EXPECT_EQ(a.verdict, Verdict::kNo) << a.reason;
+  const Adjudication out_of_budget =
+      adjudicate(h, *m.violation(), exhausted_budget());
+  EXPECT_EQ(out_of_budget.verdict, Verdict::kUnknown) << out_of_budget.reason;
 }
 
-TEST(BlindWriteSmart, PaperBlindOverlappingWritesCertifiesUnderEveryPolicy) {
+TEST(BlindWriteSmart, PaperBlindOverlappingWritesCertifies) {
   const History h = paper::blind_overlapping_writes(4);
-  for (const VersionOrderPolicy policy :
-       {VersionOrderPolicy::kCommitOrder, VersionOrderPolicy::kBlindWriteSmart,
-        VersionOrderPolicy::kSnapshotRank}) {
-    const auto m = feed_all(h, policy);
-    EXPECT_TRUE(m.ok()) << to_string(policy) << ": " << m.violation()->reason;
-  }
+  const auto m = feed_all(h);
+  EXPECT_TRUE(m.ok()) << m.violation()->reason;
 }
 
 TEST(ReasonCodes, ReadFromCommitPendingWriterIsStructured) {
@@ -136,7 +145,7 @@ TEST(ReasonCodes, ReadFromCommitPendingWriterIsStructured) {
   // kReadFromNonCommitted kind so adjudication can dispatch on it without
   // string matching.
   const History h4 = paper::h4();
-  const auto m = feed_all(h4, VersionOrderPolicy::kCommitOrder);
+  const auto m = feed_all(h4);
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kReadFromNonCommitted);
 
@@ -155,7 +164,7 @@ TEST(ReasonCodes, ConsistencyViolationsAdjudicateWithoutTheSearch) {
       .append(ev::ret(1, 0, OpCode::kRead, 0, 42));
   h.append(ev::try_commit(1)).append(ev::commit(1));
 
-  const auto m = feed_all(h, VersionOrderPolicy::kCommitOrder);
+  const auto m = feed_all(h);
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kUnwrittenValue);
   EXPECT_TRUE(proves_non_opaque(m.violation()->kind));
@@ -173,32 +182,40 @@ TEST(ReasonCodes, DefinitionalMonitorTagsItsViolations) {
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kNotOpaque);
 }
 
-TEST(SnapshotRank, DegeneratesToCommitOrderOnUnstampedHistories) {
-  // Unstamped C events synthesize ranks in record order, so the
-  // SnapshotRank policy must agree with kCommitOrder verdict-and-position
-  // on every stamp-free history.
-  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-    for (const ValueModel model :
-         {ValueModel::kCoherent, ValueModel::kAdversarial}) {
-      RandomHistoryParams params;
-      params.seed = seed;
-      params.num_txs = 8;
-      params.num_objects = 4;
-      params.value_model = model;
-      const History h = random_history(params);
-      const auto commit_order = feed_all(h, VersionOrderPolicy::kCommitOrder);
-      const auto snapshot = feed_all(h, VersionOrderPolicy::kSnapshotRank);
-      ASSERT_EQ(commit_order.ok(), snapshot.ok()) << h.str();
-      if (!commit_order.ok()) {
-        EXPECT_EQ(commit_order.violation()->pos, snapshot.violation()->pos)
-            << h.str();
-        EXPECT_EQ(commit_order.violation()->kind, snapshot.violation()->kind);
-      }
-    }
-  }
+TEST(StampOrder, UnstampedCommitsRankNextInRecordOrder) {
+  // A stamp-free history ranks in commit (record) order: each unstamped C
+  // takes the rank just above every rank seen. A stamped C ranks at its
+  // stamp, and an unstamped one after it continues above that.
+  VersionOrderResolver resolver;
+  EXPECT_EQ(resolver.floor(), 0u);
+  EXPECT_EQ(resolver.update_commit_rank(ev::commit(1)), 1u);
+  EXPECT_EQ(resolver.update_commit_rank(ev::commit(2)), 2u);
+  EXPECT_EQ(resolver.floor(), 2u);
+  EXPECT_EQ(resolver.update_commit_rank(ev::commit(3, 20)), 20u);
+  EXPECT_EQ(resolver.update_commit_rank(ev::commit(4)), 21u);
+  // A stamp below the floor keeps its rank and leaves the floor alone.
+  EXPECT_EQ(resolver.update_commit_rank(ev::commit(5, 8)), 8u);
+  EXPECT_EQ(resolver.floor(), 21u);
+
+  // Only an odd (2·snapshot+1) stamp pins a read-only point.
+  EXPECT_FALSE(VersionOrderResolver::read_only_point(ev::commit(6)));
+  EXPECT_FALSE(VersionOrderResolver::read_only_point(ev::commit(6, 4)));
+  EXPECT_EQ(VersionOrderResolver::read_only_point(ev::commit(6, 5)), 5u);
 }
 
-TEST(SnapshotRank, ReadlessUpdateCommitBelowTheBirthFloorFlags) {
+TEST(StampOrder, HistoricalPolicyNamesAreAliases) {
+  for (const char* name :
+       {"commit-order", "blind-write-smart", "snapshot-rank", "stamped-read"}) {
+    EXPECT_TRUE(is_version_order_name(name)) << name;
+  }
+  EXPECT_EQ(std::string(kVersionOrderName), "stamped-read");
+  EXPECT_FALSE(is_version_order_name(""));
+  EXPECT_FALSE(is_version_order_name("?"));
+  EXPECT_FALSE(is_version_order_name("stamped-read "));
+  EXPECT_FALSE(is_version_order_name("record-only"));
+}
+
+TEST(StampOrder, ReadlessUpdateCommitBelowTheBirthFloorFlags) {
   // T1 commits an update stamped 2·10 (floor 20); T2 then begins and
   // blind-writes with a stamp BELOW the floor — serializing before a
   // transaction that wholly preceded it. The monitor fires the rank check
@@ -212,7 +229,7 @@ TEST(SnapshotRank, ReadlessUpdateCommitBelowTheBirthFloorFlags) {
       .append(ev::ret(2, 1, OpCode::kWrite, 2, kOk));
   h.append(ev::try_commit(2)).append(ev::commit(2, 4));
 
-  const auto m = feed_all(h, VersionOrderPolicy::kSnapshotRank);
+  const auto m = feed_all(h);
   ASSERT_FALSE(m.ok());
   EXPECT_EQ(m.violation()->kind, CertFlagKind::kNotCurrentAtCommit);
   EXPECT_EQ(m.violation()->pos, h.size() - 1);

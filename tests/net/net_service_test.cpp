@@ -85,11 +85,9 @@ void append_writer(std::vector<core::Event>& h, core::TxId tx, core::ObjId var,
 
 /// Local ground truth: the serial monitor over the same stream.
 [[nodiscard]] std::optional<core::OnlineViolation> local_verdict(
-    std::span<const core::Event> events, std::uint32_t vars,
-    const std::string& policy) {
+    std::span<const core::Event> events, std::uint32_t vars) {
   core::OnlineCertificateMonitor monitor(
-      core::ObjectModel::registers(vars, 0),
-      *core::parse_version_order_policy(policy));
+      core::ObjectModel::registers(vars, 0));
   (void)monitor.ingest(events);
   return monitor.violation();
 }
@@ -227,7 +225,7 @@ TEST(NetService, FlaggedStreamMatchesLocalMonitor) {
   ASSERT_TRUE(server.start()) << server.error();
 
   const auto events = flagged_stream(50);
-  const auto local = local_verdict(events, 4, "commit-order");
+  const auto local = local_verdict(events, 4);
   ASSERT_TRUE(local.has_value());
 
   net::RemoteVerdict verdict;
@@ -284,7 +282,7 @@ TEST(NetService, ConcurrentTenantsGetIsolatedVerdicts) {
 
   const auto good = certified_stream(300);
   const auto bad = flagged_stream(30);
-  const auto local = local_verdict(bad, 4, "commit-order");
+  const auto local = local_verdict(bad, 4);
   ASSERT_TRUE(local.has_value());
 
   net::RemoteVerdict good_verdict, bad_verdict;
@@ -664,7 +662,7 @@ void expect_remote_matches_local(const std::string& stm_name,
   done.store(true, std::memory_order_release);
   pumper.join();
 
-  const auto local = local_verdict(collected.events, vars, policy);
+  const auto local = local_verdict(collected.events, vars);
 
   auto meta = meta_for(vars, policy);
   meta.runtime = stm_name;
@@ -681,7 +679,9 @@ void expect_remote_matches_local(const std::string& stm_name,
   }
 }
 
-TEST(NetService, RemoteVerdictMatchesLocalAcrossRuntimesAndPolicies) {
+TEST(NetService, RemoteVerdictMatchesLocalAcrossRuntimesAndPolicyNames) {
+  // Every historical policy name in the hello is an alias of the one
+  // version order: the stream is accepted and judged like the local one.
   net::CertServer server({});
   ASSERT_TRUE(server.start()) << server.error();
   for (const char* stm_name : {"tl2", "dstm", "mv"}) {
@@ -689,6 +689,8 @@ TEST(NetService, RemoteVerdictMatchesLocalAcrossRuntimesAndPolicies) {
                                 server.port());
     expect_remote_matches_local(stm_name, "stamped-read", true, server.port());
   }
+  expect_remote_matches_local("tl2", "blind-write-smart", false, server.port());
+  expect_remote_matches_local("tl2", "snapshot-rank", true, server.port());
   server.stop();
   EXPECT_EQ(server.stats().streams_failed, 0u);
 }

@@ -8,7 +8,7 @@
 // is never recorded and its buffered writes never become a version word.
 // Value-unique writes make the check airtight on the recording itself: a
 // committed transaction's read may only ever return a value written by a
-// COMMITTED transaction (or the initializer), and the kStampedRead
+// COMMITTED transaction (or the initializer), and the stamp-order
 // certificate — monitor and the exact checker agreeing via
 // core::check_conformance — must certify the window-free recording.
 #include <gtest/gtest.h>
@@ -113,8 +113,7 @@ TEST_P(OrecStealHandBuilt, StolenOrecNeverValidatesForTheVictim) {
 
   const core::ConformanceReport report = core::check_conformance(h);
   ASSERT_TRUE(report.ok) << report.divergence << "\n" << h.str();
-  EXPECT_TRUE(report.certified(core::VersionOrderPolicy::kStampedRead))
-      << h.str();
+  EXPECT_TRUE(report.monitor.certified) << h.str();
   EXPECT_EQ(report.exact, core::Verdict::kYes) << report.exact_reason;
 }
 
@@ -131,8 +130,8 @@ INSTANTIATE_TEST_SUITE_P(Stms, OrecStealHandBuilt,
 // the aggressive CM keeps killing live owners mid-flight. Across the seed
 // sweep the schedules must produce a healthy number of mid-flight kills
 // of transactions that had already acquired orecs (the steal precursors),
-// and every window-free recording must conform and certify under
-// kStampedRead with the exact checker agreeing.
+// and every window-free recording must conform and certify with the
+// exact checker agreeing.
 class OrecStealFuzz : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OrecStealFuzz, KilledOwnersNeverLeakIntoCommittedReads) {
@@ -209,7 +208,7 @@ TEST_P(OrecStealFuzz, KilledOwnersNeverLeakIntoCommittedReads) {
     const core::ConformanceReport report = core::check_conformance(h);
     ASSERT_TRUE(report.ok) << GetParam() << " seed " << seed << ": "
                            << report.divergence << "\n" << h.str();
-    EXPECT_TRUE(report.certified(core::VersionOrderPolicy::kStampedRead))
+    EXPECT_TRUE(report.monitor.certified)
         << GetParam() << " seed " << seed << "\n" << h.str();
     if (report.exact != core::Verdict::kUnknown) {
       EXPECT_EQ(report.exact, core::Verdict::kYes)

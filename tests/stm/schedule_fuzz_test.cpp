@@ -22,6 +22,7 @@
 #include "stm/mv.hpp"
 #include "stm/recorder.hpp"
 #include "util/rng.hpp"
+#include "../core/record_order.hpp"
 
 namespace optm::stm {
 namespace {
@@ -133,10 +134,9 @@ INSTANTIATE_TEST_SUITE_P(
 // MV snapshot-rank fuzz: MvStm at ring depths 2–8 with declared read-only
 // transactions in the mix. The recorded histories stamp serialization
 // points onto their C/A events (2·wv updates, 2·snapshot+1 snapshot
-// transactions); the streaming monitor must certify them under the
-// SnapshotRank version-order policy, the recorder's ≪ must pass the
-// Theorem 2 certificate, and the
-// deterministic op-granularity schedules stay commit-order-certifiable
+// transactions); the streaming monitor must certify them from those
+// stamps, the recorder's ≪ must pass the Theorem 2 certificate, and the
+// deterministic op-granularity schedules stay certifiable in record order
 // too (the divergence histories live in core's random_mv_history fuzz,
 // which simulates the window-free recorder this scheduler cannot express).
 // ---------------------------------------------------------------------------
@@ -145,7 +145,7 @@ class MvSnapshotScheduleFuzz
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::uint64_t>> {
 };
 
-TEST_P(MvSnapshotScheduleFuzz, MonitorCertifiesUnderSnapshotRank) {
+TEST_P(MvSnapshotScheduleFuzz, MonitorCertifiesOnSnapshotStamps) {
   const auto& [depth, seed] = GetParam();
   MvStm stm(kVars, depth);
   Recorder recorder(kVars);
@@ -204,9 +204,8 @@ TEST_P(MvSnapshotScheduleFuzz, MonitorCertifiesUnderSnapshotRank) {
   std::string why;
   ASSERT_TRUE(h.well_formed(&why)) << why;
 
-  // SnapshotRank: the streaming monitor certifies.
-  core::OnlineCertificateMonitor snap(h.model(),
-                                      core::VersionOrderPolicy::kSnapshotRank);
+  // The stamp order: the streaming monitor certifies.
+  core::OnlineCertificateMonitor snap(h.model());
   for (const core::Event& e : h.events()) (void)snap.feed(e);
   EXPECT_TRUE(snap.ok()) << "depth " << depth << " seed " << seed << " at "
                          << snap.violation()->pos << ": "
@@ -217,9 +216,10 @@ TEST_P(MvSnapshotScheduleFuzz, MonitorCertifiesUnderSnapshotRank) {
       << "depth " << depth << " seed " << seed << ": " << why;
 
   // Deterministic op-granularity schedules keep C records in stamp order,
-  // so the commit-order monitor must stay clean on them as well.
+  // so the monitor must stay clean on their record order as well.
+  const core::History unstamped = core::record_order(h);
   core::OnlineCertificateMonitor commit_order(h.model());
-  for (const core::Event& e : h.events()) (void)commit_order.feed(e);
+  for (const core::Event& e : unstamped.events()) (void)commit_order.feed(e);
   EXPECT_TRUE(commit_order.ok())
       << "depth " << depth << " seed " << seed << ": "
       << commit_order.violation()->reason;

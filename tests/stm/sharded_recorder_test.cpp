@@ -261,9 +261,8 @@ TEST_P(WindowFreeRecorderFuzz, MutexAndShardedAgreeIncludingStamps) {
         EXPECT_EQ(a[i].stamp % 2, 1u) << "read stamps are snapshots (2rv+1)";
       }
     }
-    // The window-free drained stream certifies under the stamped policy.
-    core::OnlineCertificateMonitor monitor(
-        sharded_recorder.model(), core::VersionOrderPolicy::kStampedRead);
+    // The window-free drained stream certifies on its stamps.
+    core::OnlineCertificateMonitor monitor(sharded_recorder.model());
     EXPECT_TRUE(monitor.ingest(drained)) << "seed " << seed << ": "
                                          << monitor.violation()->reason;
   }
@@ -375,7 +374,7 @@ TEST(ShardedRecorder, DrainWhileRecordingYieldsCompletePrefixes) {
 
 TEST(ShardedRecorder, WindowFreeDrainWhileRecordingCertifiesStamped) {
   // The live pipeline with NO window lock at all: concurrent recording
-  // threads, a drainer feeding the kStampedRead monitor mid-run. Records
+  // threads, a drainer feeding the monitor mid-run. Records
   // may genuinely drift here; the stamps must carry the certificate.
   const auto stm = make_stm("tl2", 8);
   ASSERT_TRUE(stm->set_window_free(true));
@@ -389,8 +388,7 @@ TEST(ShardedRecorder, WindowFreeDrainWhileRecordingCertifiesStamped) {
   params.seed = 77;
 
   EventBatch drained;
-  core::OnlineCertificateMonitor live(recorder.model(),
-                                      core::VersionOrderPolicy::kStampedRead);
+  core::OnlineCertificateMonitor live(recorder.model());
   std::thread worker([&] { (void)wl::run_random_mix(*stm, params); });
   for (int spin = 0; spin < 10000; ++spin) {
     const std::size_t before = drained.size();
@@ -638,8 +636,7 @@ TEST(CappedDrain, PumpHandsTheMonitorBatchesWithinMaxPending) {
   ASSERT_TRUE(stm->set_window_free(true));
   Recorder recorder(64);
   stm->set_recorder(&recorder);
-  core::OnlineCertificateMonitor monitor(
-      recorder.model(), core::VersionOrderPolicy::kStampedRead);
+  core::OnlineCertificateMonitor monitor(recorder.model());
   MonitorSink monitor_sink(monitor);
   BatchSizeSink sink(monitor_sink);
 
