@@ -15,9 +15,12 @@
 //
 // `certify-log` streams a durable segmented binary log (written by
 // recorded_soak --log-dir, format: src/log/format.hpp) through
-// core::verify_event_stream: every block the reader returns goes straight
-// into one OnlineCertificateMonitor, so the verdict and flag position are
-// the in-RAM monitor's. No events are buffered; the monitor keeps full
+// core::verify_event_stream, a two-stage pipeline: a reader thread pulls
+// each block (CRC and stamp checks included) and copies it into a fixed
+// 8-slot ring, while this thread ingests the slots in order into one
+// OnlineCertificateMonitor, so the verdict and flag position are the
+// in-RAM monitor's. The ring bounds the buffered events (8 blocks of at
+// most 2048 events); the monitor keeps full
 // state only for live transactions, but a record for every version it
 // has seen, so peak memory still grows with the log: one 32-byte archive
 // entry per version, plus 8-byte index slots at most half full, plus a

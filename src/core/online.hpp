@@ -29,8 +29,9 @@
 // Both backends are single-threaded. OnlineCertificateMonitor is the one
 // streaming certification engine: live pipelines (stm::MonitorSink), the
 // certification service (net/server.hpp) and log replay
-// (core::verify_event_stream) all run it, so each reports the verdict and
-// first condemned position this class defines.
+// (core::verify_event_stream, whose reader thread only pulls and copies
+// spans; the monitor runs on the calling thread) all run it, so each
+// reports the verdict and first condemned position this class defines.
 //
 // The committed VERSION ORDER the certificate checks against is the one
 // core::VersionOrderResolver assigns (see version_order.hpp): ranks live
@@ -326,7 +327,8 @@ class OnlineCertificateMonitor {
   /// has been latched. Live pipelines usually reach this through
   /// stm::MonitorSink fed by a DrainPump (stm/sink.hpp); the same spans
   /// also arrive replayed from disk via log::SegmentReader and
-  /// core::verify_event_stream, which ingests each pulled span as is.
+  /// core::verify_event_stream, which ingests each pulled span as is, from
+  /// a copy its reader thread made in a fixed ring of slots.
   bool ingest(std::span<const Event> batch);
 
   /// How far down its span ingest() looks ahead: while it feeds event i it

@@ -215,8 +215,9 @@ TEST(LogRoundTrip, VerdictEquivalenceDiskVsRam) {
       core::OnlineCertificateMonitor ram_monitor(rec.history.model());
       (void)ram_monitor.ingest(truth);
 
-      // Disk-streamed: every block the reader returns goes straight into
-      // the one monitor verify_event_stream runs.
+      // Disk-streamed: every block the reader returns is copied into
+      // verify_event_stream's ring on its reader thread and ingested, in
+      // order, by the one monitor it runs.
       log::LogReader streamed;
       ASSERT_TRUE(streamed.open(rec.dir)) << streamed.error();
       std::vector<core::Event> cleared;
